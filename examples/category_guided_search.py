@@ -27,7 +27,7 @@ def main() -> None:
     user_entity = model.builder.user_to_entity(0)
 
     # (1) the category agent's milestone trajectory
-    milestones = recommender._category_milestones(user_entity)
+    milestones = recommender.category_milestones(user_entity)
     names = [graph.category_name(c) if c is not None else "-" for c in milestones]
     print("category-agent milestones:", " -> ".join(names))
 

@@ -17,7 +17,7 @@ Public API highlights
   (``save_pipeline`` / ``load_pipeline``) behind the ``python -m repro`` CLI.
 * :mod:`repro.serving` — the online serving subsystem: a
   :class:`~repro.serving.RecommendationService` facade over the trained
-  artifacts with result caching, micro-batched inference, tiered fallbacks
+  artifacts with result caching, batched inference, tiered fallbacks
   (full beam search → stale cache → embedding top-k) and rolling telemetry.
 * :mod:`repro.simulate` — deterministic traffic simulation: seeded workload
   traces (Zipf popularity, cold-start, bursty arrivals), an open/closed-loop

@@ -33,8 +33,8 @@ from ..data.schema import InteractionDataset, TrainTestSplit
 from ..embeddings import TransEConfig, train_transe
 from ..kg import build_knowledge_graph
 from ..kg.entities import EntityType
-from ..kg.pruning import Action, degree_prune, ensure_self_loop
-from ..kg.relations import Relation, relation_index
+from ..kg.pruning import Action, ActionArrays, degree_prune_arrays, ensure_self_loop_arrays
+from ..kg.relations import RELATION_LIST, Relation, relation_index
 from ..nn import Tensor
 from ..nn import functional as F
 from ..rl.reinforce import MovingBaseline, ReinforceConfig, apply_update, policy_gradient_loss
@@ -98,8 +98,18 @@ class SingleAgentRLRecommender(BaselineRecommender):
 
     def _prune_actions(self, user_id: int, entity_id: int) -> List[Action]:
         """Candidate actions at ``entity_id`` (subclasses may pre-filter)."""
-        actions = degree_prune(self._graph, entity_id, self.config.max_actions, rng=self._rng)
-        return ensure_self_loop(actions, entity_id)
+        return self._with_self_loop(self._degree_pruned(entity_id), entity_id)
+
+    def _degree_pruned(self, entity_id: int) -> ActionArrays:
+        """The ``max_actions`` highest-degree neighbours, jittered by ``self._rng``."""
+        return degree_prune_arrays(self._graph.adjacency(), entity_id,
+                                   self.config.max_actions, rng=self._rng)
+
+    @staticmethod
+    def _with_self_loop(actions: ActionArrays, entity_id: int) -> List[Action]:
+        relations, targets = ensure_self_loop_arrays(actions, entity_id)
+        return [(RELATION_LIST[relation], target)
+                for relation, target in zip(relations.tolist(), targets.tolist())]
 
     def _step_reward(self, user_id: int, entity_id: int) -> float:
         """Reward shaping applied at intermediate steps (default: none)."""
@@ -436,13 +446,13 @@ class CogERRecommender(SingleAgentRLRecommender):
         self.system1_keep = system1_keep
 
     def _prune_actions(self, user_id: int, entity_id: int) -> List[Action]:
-        actions = degree_prune(self._graph, entity_id, self.config.max_actions, rng=self._rng)
-        if len(actions) > self.system1_keep:
+        relations, targets = self._degree_pruned(entity_id)
+        if len(targets) > self.system1_keep:
             user_entity = self._builder.user_to_entity(user_id)
             user_vector = self._entity_table[user_entity]
             similarities = np.array([
-                float(user_vector @ self._entity_table[target]) for _, target in actions
+                float(user_vector @ self._entity_table[target]) for target in targets.tolist()
             ])
             keep = np.argsort(-similarities)[: self.system1_keep]
-            actions = [actions[i] for i in keep]
-        return ensure_self_loop(actions, entity_id)
+            relations, targets = relations[keep], targets[keep]
+        return self._with_self_loop((relations, targets), entity_id)

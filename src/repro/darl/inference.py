@@ -10,9 +10,11 @@ performs a guided beam search:
   with the guidance bonus towards the current milestone.
 
 Inference never needs gradients, so it runs on the policy's NumPy fast path;
-this is what the efficiency study (Table III) measures.  The search itself is
-*vectorised over the whole frontier*: at every depth the candidate actions of
-all live beams — across all users of a batch in :meth:`recommend_many` — are
+this is what the efficiency study (Table III) measures.  Every entry point
+(:meth:`PathRecommender.recommend`, :meth:`~PathRecommender.recommend_many`,
+serving bursts) is a batch through :meth:`PathRecommender.recommend_requests`,
+and the search is *vectorised over the whole frontier*: at every depth the
+candidate actions of all live beams — across all requests of a batch — are
 concatenated into one ``(total_candidates, 2 * dim)`` gather from the frozen
 representation tables and scored with a single policy-query matmul, instead of
 one Python iteration (LSTM step, MLP, sort) per beam.  The scalar reference
@@ -162,6 +164,11 @@ class _Frontier:
         return len(self.entity)
 
 
+def _ranked(candidates: Dict[int, RecommendationPath]) -> List[RecommendationPath]:
+    """One search's candidate paths, best score first."""
+    return sorted(candidates.values(), key=lambda path: path.score, reverse=True)
+
+
 class PathRecommender:
     """Turns a trained policy into ranked recommendations with explanations."""
 
@@ -191,8 +198,8 @@ class PathRecommender:
             raise ValueError("milestone_cache_limit must be positive")
         # Per-user greedy milestone trajectories.  The trajectory only depends
         # on the (frozen) policy and representations, so it is safe to reuse
-        # across recommend/find_paths calls; the serving micro-batcher also
-        # seeds it with vectorised batch rollouts.  LRU-bounded so a long-lived
+        # across recommend/find_paths calls; every search seeds it with one
+        # batched rollout for its missing users.  LRU-bounded so a long-lived
         # serving process does not grow it one entry per distinct user forever.
         self.milestone_cache: "OrderedDict[int, List[Optional[int]]]" = OrderedDict()
         self.milestone_cache_limit = milestone_cache_limit
@@ -212,61 +219,39 @@ class PathRecommender:
     def recommend(self, user_entity: int, exclude_items: Optional[Set[int]] = None,
                   top_k: Optional[int] = None) -> List[RecommendationPath]:
         """Top-k recommended items for a user, each with its best explanation path."""
-        exclude = exclude_items or set()
-        k = top_k or self.config.top_k
-        candidates = self.search(user_entity, exclude)
-        ranked = sorted(candidates.values(), key=lambda path: path.score, reverse=True)
-        return ranked[:k]
+        return self.recommend_requests([(user_entity, exclude_items or set(), top_k)])[0]
 
     def recommend_many(self, user_entities: Sequence[int],
                        exclude_items: Optional[Dict[int, Set[int]]] = None,
                        top_k: Optional[int] = None) -> Dict[int, List[RecommendationPath]]:
-        """Batched :meth:`recommend`: one frontier search across all users.
-
-        Milestone trajectories for users missing from the cache are computed
-        with one vectorised batch rollout; the beam searches of all users then
-        advance in lock-step, sharing every per-depth policy call.
-        """
+        """Batched :meth:`recommend`: ``{user: top-k paths}`` per distinct user."""
         exclude_items = exclude_items or {}
         users = list(dict.fromkeys(user_entities))
-        k = top_k or self.config.top_k
-        self.warm_milestones(users)
-        queries = [(user, exclude_items.get(user, set()),
-                    self.category_milestones(user)) for user in users]
-        found = self._search_frontier(queries, keep_all_paths=False)
-        results: Dict[int, List[RecommendationPath]] = {}
-        for user, candidates in zip(users, found):
-            ranked = sorted(candidates.values(), key=lambda path: path.score,
-                            reverse=True)
-            results[user] = ranked[:k]
-        return results
+        found = self.recommend_requests([(user, exclude_items.get(user, set()), top_k)
+                                         for user in users])
+        return dict(zip(users, found))
 
-    def recommend_requests(self, requests: Sequence[Tuple[int, Set[int], int]]
+    def recommend_requests(self, requests: Sequence[Tuple[int, Set[int], Optional[int]]]
                            ) -> List[List[RecommendationPath]]:
         """Batched searches for ``(user, exclude_items, top_k)`` triples.
 
-        One frontier search per request slot (so the same user may appear
-        twice with different exclusions), all advanced in lock-step.  This is
-        the entry point the serving facade's micro-batcher drives.
+        The single search entry point: one frontier search per request slot
+        (so the same user may appear twice with different exclusions), all
+        advanced in lock-step after one batched milestone rollout for the
+        users missing from the cache.  ``top_k=None`` means ``config.top_k``;
+        a non-positive ``top_k`` raises :class:`ValueError`.
         """
+        limits = [self.config.top_k if top_k is None else top_k
+                  for _, _, top_k in requests]
+        if any(limit <= 0 for limit in limits):
+            raise ValueError(f"top_k must be positive, got {min(limits)}")
         if not requests:
             return []
         self.warm_milestones([user for user, _, _ in requests])
         queries = [(user, exclude_items, self.category_milestones(user))
                    for user, exclude_items, _ in requests]
         found = self._search_frontier(queries, keep_all_paths=False)
-        results: List[List[RecommendationPath]] = []
-        for candidates, (_, _, top_k) in zip(found, requests):
-            ranked = sorted(candidates.values(), key=lambda path: path.score,
-                            reverse=True)
-            results.append(ranked[:top_k])
-        return results
-
-    def recommend_batch(self, user_entities: Sequence[int],
-                        exclude_items: Optional[Dict[int, Set[int]]] = None,
-                        top_k: Optional[int] = None) -> Dict[int, List[RecommendationPath]]:
-        """Recommendations for many users (used by the evaluation harness)."""
-        return self.recommend_many(user_entities, exclude_items, top_k)
+        return [_ranked(candidates)[:limit] for candidates, limit in zip(found, limits)]
 
     def find_paths(self, user_entity: int, num_paths: int) -> List[RecommendationPath]:
         """Enumerate up to ``num_paths`` item-terminated paths (efficiency metric).
@@ -274,25 +259,23 @@ class PathRecommender:
         This is the "path finding" workload of Table III: raw path discovery
         without the top-k ranking step.
         """
-        candidates = self.search(user_entity, exclude_items=set(), keep_all_paths=True)
-        paths = sorted(candidates.values(), key=lambda path: path.score, reverse=True)
-        return paths[:num_paths]
+        query = (user_entity, set(), self.category_milestones(user_entity))
+        return _ranked(self._search_frontier([query], keep_all_paths=True)[0])[:num_paths]
 
     # ------------------------------------------------------------------ #
     # category milestone trajectory (one per user, greedy)
     # ------------------------------------------------------------------ #
-    def category_milestones(self, user_entity: int,
-                            refresh: bool = False) -> List[Optional[int]]:
+    def category_milestones(self, user_entity: int) -> List[Optional[int]]:
         """Cached greedy milestone trajectory for ``user_entity``.
 
         The trajectory is deterministic given the frozen policy, so repeated
         searches for the same user (warm-up, batched serving, find_paths after
         recommend) skip the category-agent rollout entirely.
         """
-        if refresh or user_entity not in self.milestone_cache:
-            self.store_milestones(user_entity, self._category_milestones(user_entity))
-        else:
+        if user_entity in self.milestone_cache:
             self.milestone_cache.move_to_end(user_entity)
+        else:
+            self.warm_milestones([user_entity])
         return self.milestone_cache[user_entity]
 
     def store_milestones(self, user_entity: int,
@@ -315,48 +298,18 @@ class PathRecommender:
         """
         missing = [user for user in dict.fromkeys(user_entities)
                    if user not in self.milestone_cache]
-        if not missing:
-            return 0
-        if len(missing) == 1:
-            self.category_milestones(missing[0])
-            return 1
         for user, milestones in self._batched_category_milestones(missing).items():
             self.store_milestones(user, milestones)
         return len(missing)
-
-    def _category_milestones(self, user_entity: int) -> List[Optional[int]]:
-        """Greedy category-level path of length ``max_path_length``."""
-        if not self.use_dual_agent:
-            return [None] * self.max_path_length
-        start = self.category_environment.start_category_for(user_entity)
-        state = self.category_environment.initial_state(user_entity, start)
-        lstm_state = self.policy.initial_state_numpy()
-        hidden, lstm_state = self.policy.encode_category_step_numpy(
-            self.representations.category_vector(start), None, lstm_state)
-        user_vector = self.representations.entity_vector(user_entity)
-
-        milestones: List[Optional[int]] = []
-        for _ in range(self.max_path_length):
-            actions = self.category_environment.actions(state)
-            action_matrix = self.category_environment.action_matrix(actions)
-            logits = self.policy.category_action_logits_numpy(
-                user_vector, self.representations.category_vector(state.current_category),
-                hidden, action_matrix)
-            chosen = actions[int(np.argmax(logits))]
-            milestones.append(chosen)
-            state = self.category_environment.step(state, chosen)
-            hidden, lstm_state = self.policy.encode_category_step_numpy(
-                self.representations.category_vector(chosen), hidden, lstm_state)
-        return milestones
 
     def _batched_category_milestones(self, users: Sequence[int]
                                      ) -> Dict[int, List[Optional[int]]]:
         """Greedy milestone trajectories for many users in one vectorised rollout.
 
-        Mirrors :meth:`_category_milestones` step for step, but runs the LSTM
-        history encoding and the policy-query MLP for the whole batch at once;
-        only the per-user action enumeration and argmax stay in Python (the
-        action sets have different sizes per user).
+        The LSTM history encoding and the policy-query MLP run for the whole
+        batch at once; only the per-user action enumeration and argmax stay in
+        Python (the action sets have different sizes per user).  A batch of
+        one reproduces the scalar rollout kept in :mod:`repro.perf.reference`.
         """
         users = list(dict.fromkeys(users))
         length = self.max_path_length
@@ -372,18 +325,18 @@ class PathRecommender:
         starts = [environment.start_category_for(user) for user in users]
         states = [environment.initial_state(user, start)
                   for user, start in zip(users, starts)]
-        lstm_state = policy.initial_state_numpy(batch_size=len(users))
-        start_vectors = np.stack([representations.category_vector(s) for s in starts])
-        hidden, lstm_state = policy.encode_category_step_numpy(start_vectors, None,
-                                                               lstm_state)
-        user_vectors = np.stack([representations.entity_vector(u) for u in users])
+        user_vectors = representations.entity[users]
+        # Each step encodes the category the walk stands on (the start, then
+        # the previous choice) before scoring the next move; the last choice
+        # is never scored against, so it is never encoded.
+        current = representations.category[starts]
+        hidden, lstm_state = None, policy.initial_state_numpy(batch_size=len(users))
 
         milestones: Dict[int, List[Optional[int]]] = {user: [] for user in users}
         for _ in range(length):
-            current_vectors = np.stack([
-                representations.category_vector(state.current_category)
-                for state in states])
-            queries = policy.category_query_numpy(user_vectors, current_vectors, hidden)
+            hidden, lstm_state = policy.encode_category_step_numpy(current, hidden,
+                                                                   lstm_state)
+            queries = policy.category_query_numpy(user_vectors, current, hidden)
             chosen: List[int] = []
             for index, state in enumerate(states):
                 actions = environment.actions(state)
@@ -392,29 +345,12 @@ class PathRecommender:
                 chosen.append(category)
                 milestones[users[index]].append(category)
                 states[index] = environment.step(state, category)
-            chosen_vectors = np.stack([representations.category_vector(c) for c in chosen])
-            hidden, lstm_state = policy.encode_category_step_numpy(chosen_vectors, hidden,
-                                                                   lstm_state)
+            current = representations.category[chosen]
         return milestones
 
     # ------------------------------------------------------------------ #
     # vectorised beam search over the entity-level KG
     # ------------------------------------------------------------------ #
-    def search(self, user_entity: int, exclude_items: Set[int],
-               keep_all_paths: bool = False,
-               milestones: Optional[List[Optional[int]]] = None
-               ) -> Dict[int, RecommendationPath]:
-        """Single-search core: beam search guided by the milestone trajectory.
-
-        This is the reusable unit the serving micro-batcher drives directly —
-        ``milestones`` may be injected (e.g. from a vectorised batch rollout);
-        otherwise the per-user cached trajectory is used.
-        """
-        if milestones is None:
-            milestones = self.category_milestones(user_entity)
-        return self._search_frontier([(user_entity, exclude_items, milestones)],
-                                     keep_all_paths=keep_all_paths)[0]
-
     def _compiled_inference(self) -> Optional[_CompiledInference]:
         """The compiled inference tables, or ``None`` on oversized graphs."""
         if not self._compiled_checked:

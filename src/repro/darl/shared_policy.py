@@ -128,8 +128,8 @@ class SharedPolicyNetworks(nn.Module):
     # study (Table III) honest about CADRL's deployment cost.
     #
     # Every method accepts either a single state (1-D vectors) or a batch of
-    # states (2-D arrays with a leading batch axis) — the serving micro-batcher
-    # uses the batched form to vectorise one rollout step across many users.
+    # states (2-D arrays with a leading batch axis) — batched inference uses
+    # the batched form to vectorise one rollout step across many users.
 
     def _lstm_step_numpy(self, cell: nn.LSTMCell, step: np.ndarray,
                          state: Tuple[np.ndarray, np.ndarray]

@@ -9,6 +9,7 @@ comparable in spirit (the extrapolated and the raw numbers are both reported).
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass
@@ -68,9 +69,13 @@ def time_recommendations(model, users: Sequence[int], top_k: int = 10) -> float:
 
     A serving facade (anything exposing ``serve_many`` + ``build_requests``,
     i.e. :class:`repro.serving.RecommendationService`) is timed through one
-    batched call — caching and micro-batching are part of its deployment cost,
+    batched call — caching and batching are part of its deployment cost,
     so Table III can report served next to raw numbers.
     """
+    # Garbage left by earlier work (other models, other tests in the process)
+    # must not be collected on this model's clock: every timed region starts
+    # from the same collector state, so the models of one table compare.
+    gc.collect()
     start = time.perf_counter()
     if hasattr(model, "serve_many") and hasattr(model, "build_requests"):
         model.serve_many(model.build_requests(users, top_k=top_k))
@@ -82,6 +87,7 @@ def time_recommendations(model, users: Sequence[int], top_k: int = 10) -> float:
 
 def time_pathfinding(model, users: Sequence[int], paths_per_user: int) -> tuple[float, int]:
     """Seconds spent enumerating paths, plus the number of paths produced."""
+    gc.collect()
     start = time.perf_counter()
     total_paths = 0
     for user_id in users:

@@ -38,7 +38,7 @@ def run(profile: str = "smoke", datasets: Optional[Sequence[str]] = None,
     """Train the Table III models and measure both workloads.
 
     With ``include_served`` the table also reports CADRL behind the
-    ``repro.serving`` facade — a cold pass (micro-batched inference) and a warm
+    ``repro.serving`` facade — a cold pass (batched inference) and a warm
     pass (result-cache hits) — next to the paper's raw per-user loop.
     """
     setting = ExperimentSetting.from_profile(profile)

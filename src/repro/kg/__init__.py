@@ -6,14 +6,10 @@ from .category_graph import CategoryGraph
 from .entities import Entity, EntityStore, EntityType
 from .graph import KnowledgeGraph, Triplet
 from .pruning import (
-    category_guided_prune,
     category_guided_prune_arrays,
-    degree_prune,
     degree_prune_arrays,
-    ensure_self_loop,
     ensure_self_loop_arrays,
     entity_prune_rng,
-    score_prune,
 )
 from .relations import (
     FORWARD_RELATIONS,
@@ -43,12 +39,9 @@ __all__ = [
     "Triplet",
     "all_relations",
     "build_knowledge_graph",
-    "category_guided_prune",
     "category_guided_prune_arrays",
     "compile_adjacency",
-    "degree_prune",
     "degree_prune_arrays",
-    "ensure_self_loop",
     "ensure_self_loop_arrays",
     "entity_prune_rng",
     "inverse_of",
@@ -57,5 +50,4 @@ __all__ = [
     "relation_from_index",
     "relation_index",
     "schema_is_valid",
-    "score_prune",
 ]

@@ -9,17 +9,15 @@ so the baselines and CADRL share the exact same machinery.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .adjacency import SELF_LOOP_INDEX, CSRAdjacency
-from .graph import KnowledgeGraph
 from .relations import Relation
 
 # An entity-level action is (relation, next_entity).
 Action = Tuple[Relation, int]
-ScoreFunction = Callable[[int, Relation, int], float]
 
 # An array-backed action set: (relation_index, target_entity) int arrays.
 ActionArrays = Tuple[np.ndarray, np.ndarray]
@@ -36,90 +34,22 @@ def entity_prune_rng(seed: int, entity_id: int) -> np.random.Generator:
     return np.random.default_rng((seed, entity_id))
 
 
-def degree_prune(graph: KnowledgeGraph, entity_id: int, max_actions: int,
-                 rng: Optional[np.random.Generator] = None) -> List[Action]:
+# --------------------------------------------------------------------------- #
+# vectorised pruning on the compiled CSR view
+# --------------------------------------------------------------------------- #
+# One slice + one argsort per call instead of a Python loop per neighbour.
+# The list-based originals live on in :mod:`repro.perf.reference`, which the
+# equivalence tests compare these against action for action (same order,
+# same tie-breaking).
+
+def degree_prune_arrays(adjacency: CSRAdjacency, entity_id: int, max_actions: int,
+                        rng: Optional[np.random.Generator] = None) -> ActionArrays:
     """Keep the ``max_actions`` neighbours with the highest degree.
 
     High-degree neighbours are hubs that keep many onward options open; this is
     the cheap structural prior PGPR-style methods use before any scoring model
     is available.  Ties are broken deterministically unless ``rng`` is given.
     """
-    actions = graph.outgoing(entity_id)
-    if len(actions) <= max_actions:
-        return actions
-    scored = [(graph.degree(tail), i) for i, (_, tail) in enumerate(actions)]
-    if rng is not None:
-        jitter = rng.random(len(scored)) * 1e-6
-        scored = [(score + jitter[i], i) for (score, i) in scored]
-    scored.sort(reverse=True)
-    keep = [actions[i] for _, i in scored[:max_actions]]
-    return keep
-
-
-def score_prune(graph: KnowledgeGraph, entity_id: int, max_actions: int,
-                score_fn: ScoreFunction) -> List[Action]:
-    """Keep the ``max_actions`` highest-scoring actions under ``score_fn``.
-
-    ``score_fn(head, relation, tail)`` is typically a TransE or CGGNN
-    compatibility score; this is the "multi-hop scoring function" pruning used
-    by PGPR and inherited by CADRL's entity agent.
-    """
-    actions = graph.outgoing(entity_id)
-    if len(actions) <= max_actions:
-        return actions
-    scores = np.array([score_fn(entity_id, rel, tail) for rel, tail in actions])
-    keep_indices = np.argsort(-scores)[:max_actions]
-    return [actions[i] for i in keep_indices]
-
-
-def category_guided_prune(graph: KnowledgeGraph, entity_id: int, max_actions: int,
-                          target_category: Optional[int],
-                          score_fn: Optional[ScoreFunction] = None) -> List[Action]:
-    """CADRL's guidance-aware pruning.
-
-    Actions leading to items inside ``target_category`` (the category agent's
-    current milestone) are kept first; remaining slots are filled by the best
-    scored (or highest-degree) alternatives.  With no guidance this degrades
-    gracefully to plain score/degree pruning, which is what the
-    ``CADRL w/o DARL`` ablation uses.
-    """
-    actions = graph.outgoing(entity_id)
-    if len(actions) <= max_actions:
-        return actions
-
-    guided: List[Action] = []
-    rest: List[Action] = []
-    for relation, tail in actions:
-        if target_category is not None and graph.category_of(tail) == target_category:
-            guided.append((relation, tail))
-        else:
-            rest.append((relation, tail))
-
-    if len(guided) >= max_actions:
-        return guided[:max_actions]
-
-    remaining = max_actions - len(guided)
-    if score_fn is not None:
-        scores = np.array([score_fn(entity_id, rel, tail) for rel, tail in rest])
-        order = np.argsort(-scores)
-    else:
-        order = np.argsort([-graph.degree(tail) for _, tail in rest])
-    guided.extend(rest[i] for i in order[:remaining])
-    return guided
-
-
-# --------------------------------------------------------------------------- #
-# vectorised pruning on the compiled CSR view
-# --------------------------------------------------------------------------- #
-# These mirror the list-based functions above action for action (same order,
-# same tie-breaking) but operate on int arrays: one slice + one argsort per
-# call instead of a Python loop per neighbour.  The RL environments use them
-# as the hot-path implementation; the list-based versions remain the readable
-# reference (and are what the equivalence tests compare against).
-
-def degree_prune_arrays(adjacency: CSRAdjacency, entity_id: int, max_actions: int,
-                        rng: Optional[np.random.Generator] = None) -> ActionArrays:
-    """Array-backed :func:`degree_prune`: identical action set and order."""
     relations, targets = adjacency.out_edges(entity_id)
     if len(targets) <= max_actions:
         return relations.copy(), targets.copy()
@@ -135,7 +65,14 @@ def degree_prune_arrays(adjacency: CSRAdjacency, entity_id: int, max_actions: in
 def category_guided_prune_arrays(adjacency: CSRAdjacency, entity_id: int,
                                  max_actions: int,
                                  target_category: Optional[int]) -> ActionArrays:
-    """Array-backed :func:`category_guided_prune` (degree-scored variant)."""
+    """CADRL's guidance-aware pruning.
+
+    Actions leading to items inside ``target_category`` (the category agent's
+    current milestone) are kept first; remaining slots are filled by the
+    highest-degree alternatives.  With no guidance this degrades gracefully
+    to plain degree pruning, which is what the ``CADRL w/o DARL`` ablation
+    uses.
+    """
     relations, targets = adjacency.out_edges(entity_id)
     if len(targets) <= max_actions:
         return relations.copy(), targets.copy()
@@ -158,17 +95,9 @@ def category_guided_prune_arrays(adjacency: CSRAdjacency, entity_id: int,
 
 
 def ensure_self_loop_arrays(actions: ActionArrays, entity_id: int) -> ActionArrays:
-    """Array-backed :func:`ensure_self_loop`."""
+    """Append a self-loop action so the walker can stop early (PGPR convention)."""
     relations, targets = actions
     if not (relations == SELF_LOOP_INDEX).any():
         relations = np.append(relations, np.int32(SELF_LOOP_INDEX))
         targets = np.append(targets, np.int32(entity_id))
     return relations, targets
-
-
-def ensure_self_loop(actions: Sequence[Action], entity_id: int) -> List[Action]:
-    """Append a self-loop action so the walker can stop early (PGPR convention)."""
-    result = list(actions)
-    if not any(rel == Relation.SELF_LOOP for rel, _ in result):
-        result.append((Relation.SELF_LOOP, entity_id))
-    return result

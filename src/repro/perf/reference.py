@@ -1,8 +1,8 @@
 """Frozen scalar reference implementations of the vectorised hot paths.
 
-When the beam search, the pruning and the TransE trainer were vectorised,
-their original one-Python-iteration-per-beam/-triplet implementations moved
-here verbatim.  They serve two purposes:
+When the beam search, the milestone rollout, the pruning and the TransE
+trainer were vectorised, their original one-Python-iteration-per-beam/
+-user/-neighbour/-triplet implementations moved here.  They serve two purposes:
 
 * **equivalence oracles** — ``tests/test_perf_equivalence.py`` pins the
   vectorised implementations to these references (identical top-k items and
@@ -25,6 +25,7 @@ from ..darl.collaborative import action_target_categories
 from ..darl.inference import PathRecommender
 from ..embeddings.transe import TransEConfig, TransEModel
 from ..kg.graph import KnowledgeGraph
+from ..kg.pruning import Action
 from ..kg.relations import Relation
 from ..rl.environment import EntityState
 from ..rl.trajectory import RecommendationPath
@@ -62,14 +63,68 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
+def category_milestones_reference(recommender: PathRecommender,
+                                  user_entity: int) -> List[Optional[int]]:
+    """The pre-batching greedy milestone rollout: one user, one step at a time.
+
+    ``PathRecommender`` rolls milestones out in batches (a batch of one for a
+    single user); this is the single-user loop it replaced, step for step.
+    """
+    if not recommender.use_dual_agent:
+        return [None] * recommender.max_path_length
+    environment = recommender.category_environment
+    policy = recommender.policy
+    representations = recommender.representations
+    start = environment.start_category_for(user_entity)
+    state = environment.initial_state(user_entity, start)
+    lstm_state = policy.initial_state_numpy()
+    hidden, lstm_state = policy.encode_category_step_numpy(
+        representations.category_vector(start), None, lstm_state)
+    user_vector = representations.entity_vector(user_entity)
+
+    milestones: List[Optional[int]] = []
+    for _ in range(recommender.max_path_length):
+        actions = environment.actions(state)
+        action_matrix = environment.action_matrix(actions)
+        logits = policy.category_action_logits_numpy(
+            user_vector, representations.category_vector(state.current_category),
+            hidden, action_matrix)
+        chosen = actions[int(np.argmax(logits))]
+        milestones.append(chosen)
+        state = environment.step(state, chosen)
+        hidden, lstm_state = policy.encode_category_step_numpy(
+            representations.category_vector(chosen), hidden, lstm_state)
+    return milestones
+
+
 class ScalarPathRecommender(PathRecommender):
     """A :class:`PathRecommender` whose beam search runs one beam at a time.
 
-    Shares every collaborator (environments, caches, policy, milestone
-    rollout) with the vectorised implementation — only the search loop
-    differs — so a comparison between the two isolates exactly the
-    vectorisation change.
+    Shares every collaborator (environments, caches, policy) with the
+    vectorised implementation; the search loop and the milestone rollout are
+    the pre-vectorisation scalar ones, so a comparison between the two
+    isolates exactly the vectorisation change.
     """
+
+    def recommend(self, user_entity, exclude_items=None, top_k=None):
+        """Pre-vectorisation single-user path: one scalar search."""
+        candidates = self.search(user_entity, exclude_items or set())
+        ranked = sorted(candidates.values(), key=lambda path: path.score, reverse=True)
+        return ranked[:top_k or self.config.top_k]
+
+    def find_paths(self, user_entity, num_paths):
+        """Pre-vectorisation path finding: one scalar search."""
+        candidates = self.search(user_entity, exclude_items=set(), keep_all_paths=True)
+        paths = sorted(candidates.values(), key=lambda path: path.score, reverse=True)
+        return paths[:num_paths]
+
+    def warm_milestones(self, user_entities):
+        """Pre-batching rollout: one scalar rollout per missing user."""
+        missing = [user for user in dict.fromkeys(user_entities)
+                   if user not in self.milestone_cache]
+        for user in missing:
+            self.store_milestones(user, category_milestones_reference(self, user))
+        return len(missing)
 
     def recommend_many(self, user_entities, exclude_items=None, top_k=None):
         """Pre-vectorisation batch path: one independent search per user."""
@@ -85,11 +140,8 @@ class ScalarPathRecommender(PathRecommender):
                 for user, exclude_items, top_k in requests]
 
     def search(self, user_entity: int, exclude_items: Set[int],
-               keep_all_paths: bool = False,
-               milestones: Optional[List[Optional[int]]] = None
-               ) -> Dict[int, RecommendationPath]:
-        if milestones is None:
-            milestones = self.category_milestones(user_entity)
+               keep_all_paths: bool = False) -> Dict[int, RecommendationPath]:
+        milestones = self.category_milestones(user_entity)
         beams = [self._initial_beam(user_entity)]
         found: Dict[int, RecommendationPath] = {}
 
@@ -175,6 +227,62 @@ class ScalarPathRecommender(PathRecommender):
         existing = found.get(key)
         if existing is None or path.score > existing.score:
             found[key] = path
+
+
+# --------------------------------------------------------------------------- #
+# list-based action pruning (pre-CSR repro.kg.pruning)
+# --------------------------------------------------------------------------- #
+def degree_prune(graph: KnowledgeGraph, entity_id: int, max_actions: int,
+                 rng: Optional[np.random.Generator] = None) -> List[Action]:
+    """Keep the ``max_actions`` neighbours with the highest degree.
+
+    The reference for :func:`repro.kg.degree_prune_arrays`.  Ties are broken
+    towards the later neighbour unless ``rng`` adds a jitter.
+    """
+    actions = graph.outgoing(entity_id)
+    if len(actions) <= max_actions:
+        return actions
+    scored = [(graph.degree(tail), i) for i, (_, tail) in enumerate(actions)]
+    if rng is not None:
+        jitter = rng.random(len(scored)) * 1e-6
+        scored = [(score + jitter[i], i) for (score, i) in scored]
+    scored.sort(reverse=True)
+    return [actions[i] for _, i in scored[:max_actions]]
+
+
+def category_guided_prune(graph: KnowledgeGraph, entity_id: int, max_actions: int,
+                          target_category: Optional[int]) -> List[Action]:
+    """Guidance-aware pruning, the reference for
+    :func:`repro.kg.category_guided_prune_arrays`.
+
+    Actions leading into ``target_category`` are kept first; remaining slots
+    go to the highest-degree alternatives.
+    """
+    actions = graph.outgoing(entity_id)
+    if len(actions) <= max_actions:
+        return actions
+
+    guided: List[Action] = []
+    rest: List[Action] = []
+    for relation, tail in actions:
+        if target_category is not None and graph.category_of(tail) == target_category:
+            guided.append((relation, tail))
+        else:
+            rest.append((relation, tail))
+
+    if len(guided) >= max_actions:
+        return guided[:max_actions]
+    order = np.argsort([-graph.degree(tail) for _, tail in rest])
+    guided.extend(rest[i] for i in order[:max_actions - len(guided)])
+    return guided
+
+
+def ensure_self_loop(actions: List[Action], entity_id: int) -> List[Action]:
+    """Append a self-loop action so the walker can stop early (PGPR convention)."""
+    result = list(actions)
+    if not any(rel == Relation.SELF_LOOP for rel, _ in result):
+        result.append((Relation.SELF_LOOP, entity_id))
+    return result
 
 
 # --------------------------------------------------------------------------- #

@@ -2,21 +2,21 @@
 
 The paper's efficiency study (Table III) times a bare inference loop; this
 package is the deployment counterpart the ROADMAP asks for — a service facade
-with result caching, micro-batched inference, tiered fallbacks and telemetry:
+with result caching, batched inference, tiered fallbacks and telemetry:
 
-* :class:`RecommendationService` — the facade: ``serve`` / ``serve_many`` over
-  typed :class:`RecommendationRequest` / :class:`RecommendationResponse`;
-  every response carries per-request provenance (``tier``, ``source_tier``,
+* :class:`RecommendationService` — the facade: ``serve_many`` plans a burst
+  (dedup, cache hits, tiers) and answers all its full-search misses with one
+  batched ``PathRecommender.recommend_requests`` call; ``serve`` is a burst
+  of one.  Requests and responses are typed
+  (:class:`RecommendationRequest` / :class:`RecommendationResponse`); every
+  response carries per-request provenance (``tier``, ``source_tier``,
   ``cache_hit``) so load-replay oracles can assert correctness per request.
 * :class:`ResultCache` — LRU + TTL result cache with explicit invalidation.
-* :class:`MicroBatcher` — deduplicates users and vectorises the shared
-  category-milestone rollouts across a batch.
 * :class:`TieredRanker` — full beam search → stale cache → embedding top-k,
   chosen per request from its latency budget and the user's history.
 * :class:`ServingTelemetry` — rolling p50/p95/p99 latency, QPS, hit rates.
 """
 
-from .batching import MicroBatcher, batched_category_milestones
 from .cache import CacheKey, CacheStats, ResultCache
 from .fallback import (
     FallbackRanker,
@@ -39,7 +39,6 @@ __all__ = [
     "CacheStats",
     "CachedResult",
     "FallbackRanker",
-    "MicroBatcher",
     "RecommendationRequest",
     "RecommendationResponse",
     "RecommendationService",
@@ -50,5 +49,4 @@ __all__ = [
     "ServingTier",
     "TieredRanker",
     "TransEFallbackRanker",
-    "batched_category_milestones",
 ]

@@ -5,8 +5,8 @@ category graph, CGGNN representations and the shared policy — into a service
 with one request/response API:
 
 * results are cached (LRU + TTL) on the full request identity;
-* batches are deduplicated and their shared rollout work vectorised
-  (:mod:`repro.serving.batching`);
+* a burst is planned, then executed: keys are deduplicated and every
+  unbudgeted full-search miss joins one batched frontier search;
 * cold users and over-budget requests degrade through the tier chain of
   :mod:`repro.serving.fallback` instead of failing or stalling;
 * every request feeds the rolling telemetry (:mod:`repro.serving.telemetry`).
@@ -26,7 +26,6 @@ from ..embeddings.transe import TransEModel
 from ..kg.category_graph import CategoryGraph
 from ..kg.graph import KnowledgeGraph
 from ..rl.trajectory import RecommendationPath
-from .batching import MicroBatcher
 from .cache import CacheKey, ResultCache
 from .fallback import (
     RepresentationFallbackRanker,
@@ -190,7 +189,6 @@ class RecommendationService:
         self.tiers = TieredRanker(self.graph, ranker,
                                   assumed_full_search_ms=self.config.assumed_full_search_ms,
                                   ewma_alpha=self.config.latency_ewma_alpha)
-        self.batcher = MicroBatcher(self.recommender)
 
     @classmethod
     def from_cadrl(cls, model, *, transe: Optional[TransEModel] = None,
@@ -251,18 +249,61 @@ class RecommendationService:
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
-    def serve(self, request: RecommendationRequest,
-              _precomputed_full: Optional[List[RecommendationPath]] = None,
-              _precomputed_cost_ms: float = 0.0) -> RecommendationResponse:
-        """Answer one request through cache → tier selection → ranking.
+    def serve(self, request: RecommendationRequest) -> RecommendationResponse:
+        """Answer one request: a burst of one through :meth:`serve_many`."""
+        return self.serve_many([request])[0]
 
-        ``_precomputed_full`` carries a full-search result computed by
-        :meth:`serve_many`'s batched frontier search; it is only consumed if
-        this request independently lands on the full tier, and its per-request
-        share of the batch cost (``_precomputed_cost_ms``) feeds the tier cost
-        estimator exactly like an inline search would.
+    def serve_many(self, requests: Sequence[RecommendationRequest]
+                   ) -> List[RecommendationResponse]:
+        """Answer a burst of requests: plan, then execute.
+
+        The plan deduplicates request keys, skips fresh cache hits and picks
+        the tier of every unbudgeted request; all unbudgeted full-tier misses
+        are then answered by **one** batched frontier search (milestone
+        rollout and beam expansion advance in lock-step across the burst).
+        Execution walks the burst in order through cache → tier → ranking,
+        so duplicate keys collapse into cache hits after the first answer
+        (full-search and cold-user results are cached; over-budget
+        stale/embedding answers for warm users are not, so their keys stay
+        free for a full result).  Budgeted requests choose their tier at
+        execution time against the *current* cost estimate, so a mid-burst
+        downgrade still avoids the full search; those that keep the full
+        tier search inline.  Each full answer is charged its share of the
+        search to both its latency and the tier cost estimator.
         """
+        planned: List[RecommendationRequest] = []
+        seen_keys = set()
+        for request in requests:
+            key = request.cache_key()
+            if key in seen_keys or self.cache.has(key):
+                continue
+            seen_keys.add(key)
+            if (request.latency_budget_ms is None
+                    and self.tiers.choose(request, stale_available=self.cache.has_stale(key))
+                    is ServingTier.FULL):
+                planned.append(request)
+        searched, share_ms = self._search(planned)
+        return [self._execute(request, searched, share_ms) for request in requests]
+
+    def _search(self, requests: Sequence[RecommendationRequest]
+                ) -> Tuple[Dict[CacheKey, List[RecommendationPath]], float]:
+        """One batched full search: ``{key: paths}`` and the per-request cost."""
+        if not requests:
+            return {}, 0.0
         start = self._clock()
+        found = self.recommender.recommend_requests(
+            [(request.user_entity, set(request.exclude_items), request.top_k)
+             for request in requests])
+        share_ms = (self._clock() - start) * 1000.0 / len(requests)
+        return ({request.cache_key(): paths for request, paths in zip(requests, found)},
+                share_ms)
+
+    def _execute(self, request: RecommendationRequest,
+                 searched: Dict[CacheKey, List[RecommendationPath]],
+                 share_ms: float) -> RecommendationResponse:
+        """Answer one request through cache → tier selection → ranking."""
+        start = self._clock()
+        search_ms = 0.0
         key = request.cache_key()
         paths: Sequence[RecommendationPath] = ()
         generation = self.generation
@@ -275,14 +316,12 @@ class RecommendationService:
             cache_hit = False
             tier = self.tiers.choose(request, stale_available=self.cache.has_stale(key))
             if tier is ServingTier.FULL:
-                if _precomputed_full is not None:
-                    full = _precomputed_full
-                else:
-                    full = self.recommender.recommend(
-                        request.user_entity, exclude_items=set(request.exclude_items),
-                        top_k=request.top_k)
-                items = [path.item_entity for path in full]
-                paths = full
+                if key in searched:
+                    search_ms = share_ms
+                    paths = searched[key]
+                else:   # budgeted, or evicted since the plan: search inline
+                    paths = self._search([request])[0][key]
+                items = [path.item_entity for path in paths]
                 source_tier = ServingTier.FULL
                 # Cached values are immutable tuples: responses hand out fresh
                 # lists, so a caller mutating them cannot corrupt the cache.
@@ -290,7 +329,7 @@ class RecommendationService:
                                                  ServingTier.FULL,
                                                  generation=self.generation))
                 self.tiers.observe_full_search(
-                    _precomputed_cost_ms + (self._clock() - start) * 1000.0)
+                    search_ms + (self._clock() - start) * 1000.0)
             elif tier is ServingTier.STALE:
                 stale = self.cache.get_stale(key)
                 items, paths, source_tier = stale.items, stale.paths, stale.source_tier
@@ -306,62 +345,13 @@ class RecommendationService:
                     self.cache.put(key, CachedResult(tuple(items), (),
                                                      ServingTier.EMBEDDING,
                                                      generation=self.generation))
-        latency_ms = (self._clock() - start) * 1000.0
+        latency_ms = search_ms + (self._clock() - start) * 1000.0
         self.telemetry.record(latency_ms, tier, cache_hit=cache_hit)
         return RecommendationResponse(request=request, items=list(items),
                                       paths=list(paths), tier=tier,
                                       source_tier=source_tier,
                                       cache_hit=cache_hit, latency_ms=latency_ms,
                                       generation=generation)
-
-    def serve_many(self, requests: Sequence[RecommendationRequest]
-                   ) -> List[RecommendationResponse]:
-        """Answer a burst of requests with dedup + vectorised shared work.
-
-        Unique uncached full-tier requests are answered by **one** batched
-        frontier search (milestone rollout and beam expansion advance in
-        lock-step across the whole burst); the per-request loop consumes those
-        precomputed results under the normal tier/cache bookkeeping, and
-        duplicate request keys collapse into cache hits after the first
-        computation (full-search and cold-user results are cached; over-budget
-        stale/embedding answers for warm users are not, so their keys stay
-        free for a full result).
-        """
-        full_requests: List[RecommendationRequest] = []
-        seen_keys = set()
-        for request in requests:
-            key = request.cache_key()
-            if key in seen_keys or self.cache.has(key):
-                continue
-            seen_keys.add(key)
-            if request.latency_budget_ms is not None:
-                # Budgeted requests keep the per-request path: their tier is
-                # decided at serve time against the *current* cost estimate,
-                # so a mid-burst downgrade still avoids the full search
-                # instead of discarding an eagerly computed one.
-                continue
-            tier = self.tiers.choose(request, stale_available=self.cache.has_stale(key))
-            if tier is ServingTier.FULL:
-                full_requests.append(request)
-
-        precomputed: Dict[CacheKey, List[RecommendationPath]] = {}
-        share_ms = 0.0
-        if len(full_requests) > 1:
-            start = self._clock()
-            batched = self.recommender.recommend_requests(
-                [(request.user_entity, set(request.exclude_items), request.top_k)
-                 for request in full_requests])
-            share_ms = (self._clock() - start) * 1000.0 / len(full_requests)
-            precomputed = {request.cache_key(): paths
-                           for request, paths in zip(full_requests, batched)}
-        elif full_requests:
-            self.batcher.warm_milestones([request.user_entity
-                                          for request in full_requests])
-        return [self.serve(request,
-                           _precomputed_full=precomputed.get(request.cache_key()),
-                           _precomputed_cost_ms=share_ms
-                           if request.cache_key() in precomputed else 0.0)
-                for request in requests]
 
     def warm_up(self, user_entities: Sequence[int], top_k: Optional[int] = None
                 ) -> List[RecommendationResponse]:

@@ -12,7 +12,7 @@ Two replay modes:
   grouped into micro-batches by trace time: every request arriving within
   ``batch_window_s`` of the batch's first request joins its ``serve_many``
   call.  Bursty arrival processes therefore produce large batches and quiet
-  periods produce singletons, exercising the micro-batcher the way wall-clock
+  periods produce singletons, exercising the batched search the way wall-clock
   traffic would — without any real sleeping, so replays stay fast and
   deterministic.
 * **closed-loop** — arrival times are ignored and requests are driven

@@ -10,6 +10,8 @@ from repro.baselines import (
     SingleAgentConfig,
     build_baseline,
 )
+from repro.baselines.rl_single import CogERRecommender
+from repro.perf.reference import degree_prune, ensure_self_loop
 
 FAST_RL_CONFIG = SingleAgentConfig(epochs=1, transe_epochs=3, max_actions=15,
                                    beam_width=8, expansions_per_beam=2, seed=0)
@@ -176,3 +178,32 @@ class TestRLBaselines:
         item_entity = infer._builder.item_to_entity(0)
         assert not np.allclose(infer._entity_table[item_entity],
                                pgpr._entity_table[item_entity])
+
+
+class _ListPruning:
+    """The pre-CSR ``_prune_actions``, over the list forms in ``repro.perf.reference``."""
+
+    def _prune_actions(self, user_id, entity_id):
+        actions = degree_prune(self._graph, entity_id, self.config.max_actions, rng=self._rng)
+        if isinstance(self, CogERRecommender) and len(actions) > self.system1_keep:
+            user_vector = self._entity_table[self._builder.user_to_entity(user_id)]
+            similarities = np.array([float(user_vector @ self._entity_table[target])
+                                     for _, target in actions])
+            actions = [actions[i] for i in np.argsort(-similarities)[: self.system1_keep]]
+        return ensure_self_loop(actions, entity_id)
+
+
+class TestCSRPruningPort:
+    """Same-seed outputs are identical with the CSR pruning and the list reference."""
+
+    @pytest.mark.parametrize("name", ["PGPR", "UCPR", "CogER", "INFER"])
+    def test_same_seed_outputs_identical(self, name, tiny_dataset, tiny_split):
+        model = make_fitted(name, tiny_dataset, tiny_split)
+        factory = type(build_baseline(name))
+        reference = type("List" + factory.__name__, (_ListPruning, factory), {})(
+            config=FAST_RL_CONFIG, seed=0).fit(tiny_dataset, tiny_split)
+        for user in range(6):
+            assert model.recommend_items(user, top_k=10) == \
+                reference.recommend_items(user, top_k=10)
+            assert [(p.item_entity, p.hops, p.score) for p in model.find_paths(user, 8)] == \
+                [(p.item_entity, p.hops, p.score) for p in reference.find_paths(user, 8)]

@@ -240,14 +240,29 @@ class TestInference:
 
     def test_milestones_have_path_length(self, recommender, tiny_kg):
         _, _, builder = tiny_kg
-        milestones = recommender._category_milestones(builder.user_to_entity(0))
+        milestones = recommender.category_milestones(builder.user_to_entity(0))
         assert len(milestones) == recommender.max_path_length
 
     def test_recommend_batch_covers_all_users(self, recommender, tiny_kg):
         _, _, builder = tiny_kg
         users = [builder.user_to_entity(u) for u in range(3)]
-        batch = recommender.recommend_batch(users, top_k=3)
+        batch = recommender.recommend_many(users, top_k=3)
         assert set(batch) == set(users)
+
+    def test_top_k_is_validated_once_for_every_entry_point(self, recommender, tiny_kg):
+        """``top_k=0`` used to fall back to the default and ``-1`` to drop the last path."""
+        _, _, builder = tiny_kg
+        user = builder.user_to_entity(0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="top_k"):
+                recommender.recommend(user, top_k=bad)
+            with pytest.raises(ValueError, match="top_k"):
+                recommender.recommend_many([user], top_k=bad)
+            with pytest.raises(ValueError, match="top_k"):
+                recommender.recommend_requests([(user, set(), 3), (user, set(), bad)])
+        default = recommender.recommend(user)
+        assert default == recommender.recommend(user, top_k=recommender.config.top_k)
+        assert recommender.recommend_requests([(user, set(), None)]) == [default]
 
 
 class TestVariants:

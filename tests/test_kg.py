@@ -9,15 +9,21 @@ from repro.kg import (
     KnowledgeGraph,
     Relation,
     all_relations,
-    category_guided_prune,
-    degree_prune,
-    ensure_self_loop,
+    category_guided_prune_arrays,
+    degree_prune_arrays,
+    ensure_self_loop_arrays,
     inverse_of,
     is_inverse,
+    relation_from_index,
     relation_index,
     schema_is_valid,
-    score_prune,
 )
+
+
+def as_actions(arrays):
+    """``(relation_index, target)`` arrays as a ``[(Relation, target)]`` list."""
+    relations, targets = arrays
+    return [(relation_from_index(r), t) for r, t in zip(relations.tolist(), targets.tolist())]
 
 
 @pytest.fixture()
@@ -232,23 +238,14 @@ class TestPruning:
         graph, _, builder = tiny_kg
         user = builder.user_to_entity(0)
         full = graph.outgoing(user)
-        pruned = degree_prune(graph, user, max_actions=2)
+        pruned = as_actions(degree_prune_arrays(graph.adjacency(), user, max_actions=2))
         assert len(pruned) <= 2
         assert set(pruned) <= set(full)
 
     def test_degree_prune_returns_all_when_under_limit(self, small_graph):
         graph, _, (_, item0, *_rest) = small_graph
-        assert degree_prune(graph, item0.entity_id, 100) == graph.outgoing(item0.entity_id)
-
-    def test_score_prune_respects_score_function(self, tiny_kg):
-        graph, _, builder = tiny_kg
-        user = builder.user_to_entity(0)
-        actions = graph.outgoing(user)
-        if len(actions) > 2:
-            best_target = actions[3][1] if len(actions) > 3 else actions[0][1]
-            pruned = score_prune(graph, user, 1,
-                                 lambda h, r, t: 1.0 if t == best_target else 0.0)
-            assert pruned[0][1] == best_target
+        pruned = degree_prune_arrays(graph.adjacency(), item0.entity_id, 100)
+        assert as_actions(pruned) == graph.outgoing(item0.entity_id)
 
     def test_category_guided_prune_prioritises_target_category(self, tiny_kg):
         graph, _, builder = tiny_kg
@@ -257,16 +254,20 @@ class TestPruning:
         categories = {graph.category_of(t) for _, t in neighbors if graph.category_of(t) is not None}
         if categories:
             target = next(iter(categories))
-            pruned = category_guided_prune(graph, item, 3, target)
+            pruned = as_actions(category_guided_prune_arrays(graph.adjacency(), item, 3,
+                                                             target))
             in_target = [a for a in pruned if graph.category_of(a[1]) == target]
             assert len(in_target) >= 1
 
     def test_ensure_self_loop_appends_once(self, small_graph):
         graph, _, (_, item0, *_rest) = small_graph
-        actions = ensure_self_loop(graph.outgoing(item0.entity_id), item0.entity_id)
+        arrays = graph.adjacency().out_edges(item0.entity_id)
+        actions = as_actions(ensure_self_loop_arrays(arrays, item0.entity_id))
         loops = [a for a in actions if a[0] == Relation.SELF_LOOP]
         assert len(loops) == 1
-        assert ensure_self_loop(actions, item0.entity_id) == actions
+        again = ensure_self_loop_arrays(ensure_self_loop_arrays(arrays, item0.entity_id),
+                                        item0.entity_id)
+        assert as_actions(again) == actions
 
 
 class TestBuilder:

@@ -18,9 +18,7 @@ from repro.darl.shared_policy import PolicyConfig, SharedPolicyNetworks
 from repro.embeddings import TransEConfig, train_transe
 from repro.kg import (
     Relation,
-    category_guided_prune,
     category_guided_prune_arrays,
-    degree_prune,
     degree_prune_arrays,
     ensure_self_loop_arrays,
     entity_prune_rng,
@@ -34,6 +32,7 @@ from repro.perf import (
     train_transe_reference,
     write_bench_json,
 )
+from repro.perf.reference import category_guided_prune, degree_prune
 from repro.rl.environment import EntityEnvironment, LRUCache
 from repro.serving import RecommendationService, ServingConfig, ServingTier
 
@@ -93,7 +92,7 @@ class TestBeamSearchEquivalence:
         # Same milestone source for both paths: warm the cache first.
         for user in users:
             vectorised.category_milestones(user)
-        batch = vectorised.recommend_batch(users)
+        batch = vectorised.recommend_many(users)
         for user in users:
             single = vectorised.recommend(user)
             assert [_path_key(p) for p in batch[user]] == \

@@ -8,8 +8,8 @@ import pytest
 
 from repro.darl import InferenceConfig, PathRecommender, PolicyConfig, SharedPolicyNetworks
 from repro.kg.entities import EntityType
+from repro.perf.reference import category_milestones_reference
 from repro.serving import (
-    MicroBatcher,
     RecommendationRequest,
     RecommendationService,
     RepresentationFallbackRanker,
@@ -18,7 +18,6 @@ from repro.serving import (
     ServingTelemetry,
     ServingTier,
     TransEFallbackRanker,
-    batched_category_milestones,
 )
 
 
@@ -164,20 +163,39 @@ def serving_stack(tiny_kg, tiny_representations):
     return service, recommender, users, graph
 
 
+def rolled_out(recommender, users):
+    """Milestones of ``users`` from one ``warm_milestones`` batch on a cold cache."""
+    recommender.clear_milestone_cache()
+    recommender.warm_milestones(users)
+    return {user: recommender.milestone_cache[user] for user in users}
+
+
 class TestBatching:
     def test_batched_milestones_match_sequential(self, serving_stack):
         _, recommender, users, _ = serving_stack
-        batched = batched_category_milestones(recommender, users)
+        batched = rolled_out(recommender, users)
         for user in users:
-            assert batched[user] == recommender._category_milestones(user)
+            assert rolled_out(recommender, [user])[user] == batched[user]
+        recommender.clear_milestone_cache()
+
+    def test_batch_of_one_batch_of_all_and_scalar_reference_agree(self, serving_stack,
+                                                                  tiny_dataset, tiny_kg):
+        _, recommender, _, _ = serving_stack
+        builder = tiny_kg[2]
+        users = [builder.user_to_entity(user) for user in range(tiny_dataset.num_users)]
+        together = rolled_out(recommender, users)
+        for user in users:
+            alone = rolled_out(recommender, [user])[user]
+            assert alone == together[user]
+            assert alone == category_milestones_reference(recommender, user)
+        recommender.clear_milestone_cache()
 
     def test_warm_milestones_skips_cached_users(self, serving_stack):
         _, recommender, users, _ = serving_stack
-        batcher = MicroBatcher(recommender)
         recommender.clear_milestone_cache()
-        assert batcher.warm_milestones(users) == len(users)
-        assert batcher.warm_milestones(users) == 0
-        assert batcher.warm_milestones(users + users) == 0
+        assert recommender.warm_milestones(users) == len(users)
+        assert recommender.warm_milestones(users) == 0
+        assert recommender.warm_milestones(users + users) == 0
 
     def test_single_agent_mode_yields_none_milestones(self, tiny_kg,
                                                       tiny_representations):
@@ -187,9 +205,8 @@ class TestBatching:
         recommender = PathRecommender(graph, category_graph, tiny_representations,
                                       policy, max_path_length=3, max_entity_actions=6,
                                       use_dual_agent=False)
-        milestones = batched_category_milestones(recommender,
-                                                 [builder.user_to_entity(0)])
-        assert milestones[builder.user_to_entity(0)] == [None, None, None]
+        user = builder.user_to_entity(0)
+        assert rolled_out(recommender, [user])[user] == [None, None, None]
 
 
 class TestService:
@@ -331,6 +348,66 @@ class TestService:
             ServingConfig(latency_ewma_alpha=0.0).validate()
         with pytest.raises(ValueError):
             ServingConfig(default_top_k=0).validate()
+
+
+class TestBurstPlan:
+    """``serve_many`` plans a burst, then answers it like a sequential ``serve`` loop."""
+
+    @staticmethod
+    def _service(tiny_kg, tiny_representations):
+        graph, category_graph, _ = tiny_kg
+        policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
+                                                   mlp_hidden=16, seed=0))
+        return RecommendationService(graph, category_graph, tiny_representations, policy,
+                                     config=ServingConfig(cache_capacity=64),
+                                     clock=FakeClock())
+
+    def test_mixed_burst_matches_sequential_serve(self, tiny_kg, tiny_representations):
+        graph, _, builder = tiny_kg
+        users = [builder.user_to_entity(user) for user in range(4)]
+        cold = graph.entities.ids_of_type(EntityType.FEATURE)[0]
+        burst = [
+            RecommendationRequest(user_entity=users[0], top_k=4),
+            RecommendationRequest(user_entity=users[1], top_k=4),
+            RecommendationRequest(user_entity=users[0], top_k=4),         # duplicate key
+            RecommendationRequest(user_entity=cold, top_k=4),             # cold user
+            RecommendationRequest(user_entity=users[2], top_k=4,
+                                  latency_budget_ms=1e-6),                # over budget
+            RecommendationRequest(user_entity=users[3], top_k=3,
+                                  latency_budget_ms=1e9),                 # budgeted, full
+            RecommendationRequest(user_entity=cold, top_k=4),
+            RecommendationRequest(user_entity=users[1], top_k=2,
+                                  exclude_items=frozenset({users[0]})),
+        ]
+        batched_service = self._service(tiny_kg, tiny_representations)
+        sequential_service = self._service(tiny_kg, tiny_representations)
+        searches = []
+        search = batched_service.recommender.recommend_requests
+
+        def counted_search(requests):
+            searches.append(len(requests))
+            return search(requests)
+
+        batched_service.recommender.recommend_requests = counted_search
+
+        batched = batched_service.serve_many(burst)
+        sequential = [sequential_service.serve(request) for request in burst]
+
+        # The three unbudgeted full misses share one search; the budgeted
+        # full request searches inline at execution time.
+        assert searches == [3, 1]
+        assert [response.tier for response in batched] == [
+            ServingTier.FULL, ServingTier.FULL, ServingTier.CACHE, ServingTier.EMBEDDING,
+            ServingTier.EMBEDDING, ServingTier.FULL, ServingTier.CACHE, ServingTier.FULL]
+        for ours, theirs in zip(batched, sequential):
+            assert (ours.tier, ours.source_tier, ours.cache_hit, ours.items) == \
+                (theirs.tier, theirs.source_tier, theirs.cache_hit, theirs.items)
+            assert [path.hops for path in ours.paths] == [path.hops for path in theirs.paths]
+        ours, theirs = (service.telemetry_snapshot()
+                        for service in (batched_service, sequential_service))
+        assert ours["cache"] == theirs["cache"]
+        assert ours["estimated_full_search_ms"] == theirs["estimated_full_search_ms"]
+        assert ours["tiers"] == theirs["tiers"]
 
 
 class TestResponseProvenance:
