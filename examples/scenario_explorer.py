@@ -17,11 +17,11 @@ Run with:
     python examples/scenario_explorer.py
 """
 
-from repro.cluster import ClusterService
+from repro.cluster import ClusterConfig, ClusterService
 from repro.darl import CADRL, CADRLConfig
 from repro.data import load_dataset, split_interactions
-from repro.scenarios import (ClusterSpec, Explorer, ExplorerConfig,
-                             get_scenario, render_matrix)
+from repro.scenarios import (Explorer, ExplorerConfig, get_scenario,
+                             render_matrix)
 from repro.serving import ServingConfig
 from repro.simulate import UserPopulation, WorkloadConfig
 
@@ -54,12 +54,12 @@ def main() -> None:
 
     scenarios = [get_scenario(name)
                  for name in ("baseline", "flash-crowd", "hot-shard")]
-    specs = [ClusterSpec(name="1-shard", num_shards=1),
-             ClusterSpec(name="4-shard", num_shards=4,
-                         replication_factor=2)]
+    # Each ClusterConfig fills the matrix column "<num_shards>-shard".
+    configs = [ClusterConfig(num_shards=1),
+               ClusterConfig(num_shards=4, replication_factor=2)]
 
     # 3. The sweep: 3 scenarios × 2 topologies × 3 episodes = 18 replays.
-    matrix = explorer.run(scenarios, specs, progress=print)
+    matrix = explorer.run(scenarios, configs, progress=print)
     print()
     print(render_matrix(matrix))
 
@@ -78,7 +78,7 @@ def main() -> None:
             > balanced["mean_peak_shard_share"] + 0.2)
 
     # 6. Determinism: the same sweep again is bit-identical.
-    again = explorer.run(scenarios, specs)
+    again = explorer.run(scenarios, configs)
     assert again.signature() == matrix.signature(), "matrix diverged!"
     print(f"matrix signature (reproducible): {matrix.signature()[:16]}…")
 

@@ -20,8 +20,9 @@ Commands
     Replay a seeded synthetic workload (``repro.simulate``) against the
     serving stack and verify the answers with the correctness oracles.
     ``--shards N --replicas R`` serves through a :mod:`repro.cluster`
-    topology instead of a single service, ``--fail-shard K`` injects a
-    deterministic boot-time shard failure, and the replay runs in virtual
+    topology instead of a single service, ``--fail-shard K`` marks shard K
+    DOWN at boot (under a fault plan it is a ledgered ``shard_down`` event
+    from t=0 instead), and the replay runs in virtual
     time by default, so the same ``--seed`` reproduces the identical result
     signature bit for bit.  ``--live-ingest N`` turns on the live-update
     loop (``repro.live``): scheduled mid-trace ingestion bursts, a
@@ -88,8 +89,10 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .analysis.cli import add_lint_arguments, run_lint_command
 from .pipeline import Pipeline, PipelineError, PipelineResult, RunConfig, load_pipeline
@@ -143,59 +146,6 @@ def _result_for_serving(arguments: argparse.Namespace) -> PipelineResult:
 
 def _print_metrics(metrics: dict) -> None:
     print(json.dumps(metrics, indent=2, sort_keys=True, default=str))
-
-
-def _prepare_workload(arguments: argparse.Namespace, service,
-                      workload_seed: int):
-    """The simulate trace, from whichever source the flags name.
-
-    ``--trace PATH`` loads a previously saved trace (schema-checked);
-    otherwise the trace is generated from the seeded config.  Either way an
-    optional ``--scenario NAME|SPEC.json`` then reshapes it against the
-    serving topology (the context carries the cluster's own hash ring), and
-    ``--save-trace PATH`` persists the final trace for bit-identical replay
-    elsewhere.  Shared by the plain and faulted simulate paths.
-    """
-    from .simulate import (UserPopulation, Workload, WorkloadConfig,
-                           WorkloadSchemaError, generate_workload)
-
-    population = UserPopulation.from_graph(service.graph)
-    trace_path = getattr(arguments, "trace", None)
-    if trace_path is not None:
-        try:
-            workload = Workload.load(trace_path)
-        except WorkloadSchemaError as error:
-            raise SystemExit(f"error: --trace {trace_path}: {error}")
-        print(f"trace: loaded {len(workload)} requests from {trace_path} "
-              f"(signature {workload.signature()[:16]}…)")
-    else:
-        workload = generate_workload(
-            population,
-            WorkloadConfig(num_requests=arguments.requests,
-                           seed=workload_seed,
-                           arrival=arguments.arrival),
-            service.graph)
-    scenario_name = getattr(arguments, "scenario", None)
-    if scenario_name is not None:
-        from .scenarios import ScenarioContext, ScenarioError, load_scenario
-
-        try:
-            scenario = load_scenario(scenario_name)
-            workload = scenario.apply(workload, ScenarioContext(
-                graph=service.graph, population=population,
-                ring=getattr(service, "ring", None)))
-        except ScenarioError as error:
-            raise SystemExit(f"error: --scenario {scenario_name}: {error}")
-        print(f"scenario: {scenario.name} "
-              f"({len(scenario.transforms)} transforms, "
-              f"signature {scenario.signature()[:16]}…)")
-    save_path = getattr(arguments, "save_trace", None)
-    if save_path is not None:
-        save_path.parent.mkdir(parents=True, exist_ok=True)
-        workload.save(save_path)
-        print(f"trace: saved {len(workload)} requests to {save_path} "
-              f"(signature {workload.signature()[:16]}…)")
-    return population, workload
 
 
 # --------------------------------------------------------------------------- #
@@ -269,459 +219,426 @@ def _command_serve_demo(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_simulate_faults(arguments: argparse.Namespace) -> int:
-    """The ``simulate --faults/--chaos-seed`` path: clean twin, then chaos.
+# --------------------------------------------------------------------------- #
+# simulate & explore: one flag resolution, one stack builder
+# --------------------------------------------------------------------------- #
+def _cluster_config(arguments: argparse.Namespace, config: RunConfig,
+                    shards: int, replicas: int,
+                    failed_shards: Tuple[int, ...] = ()):
+    """The ``ClusterConfig`` the topology flags ask for over the run's spec.
 
-    Two identically-built clustered stacks replay the same workload: the
-    first fault-free (the baseline the standard oracle battery verifies),
-    the second with the :class:`repro.faults.FaultInjector` installed.  The
-    fault-tolerance oracle then audits the faulted records against the
-    baseline and the fault ledger.
+    Shared by ``simulate`` and ``explore``: the replication factor is capped
+    at the shard count, ``--max-queue`` overrides the admission bound, and
+    the ring geometry (virtual nodes, seed) is always the run's own.
     """
-    import dataclasses
-    import tempfile
+    from .cluster import ClusterConfig
 
-    from .cluster import CircuitBreaker, ClusterConfig
-    from .faults import FaultInjector, FaultPlan, ShardDownFault, chaos_plan
-    from .simulate import (
-        ReplayDriver,
-        TraceClock,
-        render_report,
-        run_fault_oracles,
-        run_live_oracles,
-        run_oracles,
-        summarize,
-    )
-
-    if arguments.faults is not None and arguments.chaos_seed is not None:
-        raise SystemExit("error: pass --faults PLAN.json or --chaos-seed N, "
-                         "not both")
-    if arguments.wall_clock:
-        raise SystemExit("error: fault replays are virtual-time only "
-                         "(the injector and breakers run on the trace "
-                         "clock); drop --wall-clock")
-    if arguments.autoscale:
-        raise SystemExit("error: --faults/--chaos-seed cannot be combined "
-                         "with --autoscale yet")
-
-    result = _result_for_serving(arguments)
-    config = result.config
-    live = bool(arguments.live_ingest)
-
-    # Fault replays always run the cluster path (breakers and failover live
-    # in the router); a 1-shard cluster is legal but has nowhere to fail over.
-    shards = (arguments.shards if arguments.shards is not None
-              else config.cluster.num_shards)
-    if arguments.replicas is not None:
-        replicas = arguments.replicas
-    elif arguments.shards is None:
-        replicas = config.cluster.replication_factor
-    else:
-        replicas = min(2, shards)
-    failed_shards = tuple(arguments.fail_shard or ())
-    bad = [shard for shard in failed_shards if not 0 <= shard < shards]
-    if bad:
-        raise SystemExit(f"error: --fail-shard {bad} outside the "
-                         f"{shards}-shard topology")
-    workload_seed = (arguments.workload_seed
-                     if arguments.workload_seed is not None
-                     else arguments.seed)
-
-    cluster_config = ClusterConfig(
+    return ClusterConfig(
         num_shards=shards,
         replication_factor=min(replicas, shards),
         virtual_nodes=config.cluster.virtual_nodes,
         max_queue_per_shard=(arguments.max_queue
                              if arguments.max_queue is not None
                              else config.cluster.max_queue_per_shard),
-        seed=config.cluster.seed)
-
-    def build_stack():
-        clock = TraceClock()
-        kwargs = {"clock": clock}
-        if arguments.cache_capacity is not None:
-            kwargs["serving_config"] = dataclasses.replace(
-                config.serving, cache_capacity=arguments.cache_capacity)
-        breaker = CircuitBreaker(clock)
-        service = result.cluster_service(cluster_config=cluster_config,
-                                         breaker=breaker, **kwargs)
-        return clock, service
-
-    clock, service = build_stack()
-    population, workload = _prepare_workload(arguments, service, workload_seed)
-    print(f"workload: {len(workload)} requests over {workload.duration_s:.2f}s "
-          f"of trace time, seed {workload_seed} "
-          f"(signature {workload.signature()[:16]}…)")
-
-    if arguments.faults is not None:
-        plan = FaultPlan.load(arguments.faults).resolve(workload.duration_s)
-        origin = str(arguments.faults)
-    else:
-        plan = chaos_plan(arguments.chaos_seed, num_shards=shards,
-                          duration_s=workload.duration_s,
-                          include_live=live)
-        origin = f"chaos seed {arguments.chaos_seed}"
-    if failed_shards:
-        # --fail-shard in fault mode is just a one-event plan entry: a
-        # permanent shard-down window starting at t=0 on the injector.
-        plan = FaultPlan(events=plan.events + tuple(
-            ShardDownFault(at_s=0.0, shard_id=shard)
-            for shard in failed_shards))
-    print(f"fault plan: {len(plan.events)} events from {origin} "
-          f"(signature {plan.signature()[:16]}…)")
-    print(f"cluster: {shards} shards × {cluster_config.replication_factor} "
-          f"replicas, circuit breakers on, "
-          f"{cluster_config.max_retries} retries per request")
-
-    workdir = Path(tempfile.mkdtemp(prefix="repro-faults-")) if live else None
-
-    def build_session(stack_service, stack_clock, injector, name):
-        if not live:
-            return None
-        from .live import (
-            GenerationBundle,
-            IngestEvent,
-            LiveSession,
-            RefreshConfig,
-            SwapEvent,
-        )
-        from .pipeline.artifacts import ArtifactStore
-
-        duration = workload.duration_s
-        schedule = [IngestEvent(at_s=fraction * duration,
-                                count=arguments.live_ingest,
-                                seed=workload_seed + offset)
-                    for offset, fraction in
-                    enumerate(arguments.ingest_at or [0.35])]
-        schedule += [SwapEvent(at_s=fraction * duration)
-                     for fraction in (arguments.swap_at or [0.6])]
-        root = workdir / name
-        root.mkdir(parents=True, exist_ok=True)
-        return LiveSession(
-            stack_service, GenerationBundle.from_pipeline(result),
-            clock=stack_clock,
-            refresh_config=RefreshConfig(
-                transe_epochs=arguments.refresh_epochs,
-                cggnn_epochs=max(1, arguments.refresh_epochs // 2),
-                seed=workload_seed),
-            schedule=schedule,
-            store=ArtifactStore(root / "store"),
-            injector=injector,
-            log_path=root / "updates.jsonl")
-
-    # ---- pass 1: the fault-free twin (the oracle baseline) ------------- #
-    baseline_session = build_session(service, clock, None, "baseline")
-    baseline_replay = ReplayDriver(baseline_session or service,
-                                   clock=clock).replay(workload)
-    if baseline_session is not None:
-        baseline_reports = run_live_oracles(
-            baseline_session, baseline_replay.records,
-            full_search_sample=arguments.oracle_sample, seed=0)
-    else:
-        baseline_reports = run_oracles(
-            service, baseline_replay.records,
-            full_search_sample=arguments.oracle_sample, seed=0)
-    print(f"baseline replay     {len(baseline_replay.records)} answered, "
-          f"signature {baseline_replay.signature()[:32]}…")
-
-    # ---- pass 2: the same stack with the fault plan installed ---------- #
-    fault_clock, fault_service = build_stack()
-    injector = FaultInjector(plan, fault_clock)
-    injector.install(fault_service)
-    fault_session = build_session(fault_service, fault_clock, injector,
-                                  "faulted")
-    fault_replay = ReplayDriver(fault_session or fault_service,
-                                clock=fault_clock).replay(workload)
-    reports = baseline_reports + run_fault_oracles(
-        fault_replay.records, baseline_replay.records, injector.ledger)
-
-    summary = summarize(fault_replay, reports)
-    summary["workload_seed"] = workload_seed
-    summary["replay_signature"] = fault_replay.signature()
-    summary["baseline_signature"] = baseline_replay.signature()
-    snapshot = fault_service.telemetry_snapshot()
-    for key in ("routing", "admission", "health", "topology"):
-        summary[key] = snapshot[key]
-    if "breaker" in snapshot:
-        summary["breaker"] = snapshot["breaker"]
-    if fault_session is not None:
-        summary["live"] = fault_session.telemetry_snapshot()["live"]
-    ledger = injector.ledger
-    faulted_answers = sum(1 for record in fault_replay.records
-                          if record.fault is not None)
-    summary["faults"] = {
-        "plan_signature": plan.signature(),
-        "plan_events": len(plan.events),
-        "ledger_entries": len(ledger),
-        "ledger_signature": ledger.signature(),
-        "ledger_kinds": {kind: ledger.count(kind) for kind in ledger.kinds()},
-        "answered": len(fault_replay.records),
-        "faulted_answers": faulted_answers,
-    }
-    print()
-    print(render_report(summary))
-    routing = summary["routing"]
-    print("routing             "
-          + "  ".join(f"{key}={routing[key]}"
-                      for key in ("primary", "failover", "overflow", "shed",
-                                  "retries", "faulted")))
-    if "breaker" in summary:
-        print("breaker             "
-              + "  ".join(f"{shard}={state}"
-                          for shard, state in sorted(summary["breaker"].items())))
-    print(f"fault ledger        {len(ledger)} entries: "
-          + "  ".join(f"{kind}={ledger.count(kind)}"
-                      for kind in ledger.kinds()))
-    print(f"faulted answers     {faulted_answers} of "
-          f"{len(fault_replay.records)} carry fault provenance")
-    print(f"replay signature    {fault_replay.signature()[:32]}…")
-    if arguments.summary_json is not None:
-        arguments.summary_json.parent.mkdir(parents=True, exist_ok=True)
-        arguments.summary_json.write_text(
-            json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
-        print(f"wrote summary to {arguments.summary_json}")
-    failed = [report for report in reports if not report.ok]
-    for report in failed:
-        print(f"ORACLE FAILED: {report.summary()}")
-        for finding in report.findings[:10]:
-            print(f"  {finding}")
-    return 1 if failed else 0
+        seed=config.cluster.seed,
+        failed_shards=failed_shards)
 
 
-def _command_simulate(arguments: argparse.Namespace) -> int:
-    from .simulate import (
-        ReplayDriver,
-        TraceClock,
-        render_report,
-        run_oracles,
-        summarize,
-    )
+def _boot_service(result: PipelineResult, arguments: argparse.Namespace,
+                  cluster_config, clock, breaker: bool = False):
+    """A fresh service over the trained stack, with ``--cache-capacity``.
 
-    if arguments.faults is not None or arguments.chaos_seed is not None:
-        return _command_simulate_faults(arguments)
+    ``cluster_config=None`` boots the single-service facade; otherwise a
+    cluster, with per-shard circuit breakers on ``clock`` if ``breaker``.
+    """
+    kwargs = {} if clock is None else {"clock": clock}
+    if arguments.cache_capacity is not None:
+        import dataclasses
 
-    result = _result_for_serving(arguments)
-    config = result.config
+        kwargs["serving_config"] = dataclasses.replace(
+            result.config.serving, cache_capacity=arguments.cache_capacity)
+    if cluster_config is None:
+        return result.service(**kwargs)
+    if breaker:
+        from .cluster import CircuitBreaker
 
+        kwargs["breaker"] = CircuitBreaker(clock)
+    return result.cluster_service(cluster_config=cluster_config, **kwargs)
+
+
+@dataclass(frozen=True)
+class _SimulateSpec:
+    """Every ``simulate`` flag, resolved and validated once."""
+
+    cluster_config: Optional[object]   # None: the single-service facade
+    workload_seed: int
+    virtual: bool
+    live: bool
+    faulted: bool
+    #: ``--fail-shard`` targets.  Without a fault plan they are DOWN at boot
+    #: (``cluster_config.failed_shards``); with one they become ledgered
+    #: ``ShardDownFault`` events the faulted twin suffers and the clean
+    #: twin does not.
+    failed_shards: Tuple[int, ...]
+    autoscale: Optional[Tuple[int, int]]   # (min_shards, max_shards)
+
+
+def _resolve_simulate(arguments: argparse.Namespace,
+                      config: RunConfig) -> _SimulateSpec:
+    """Reject unsupported flag combinations, then resolve the topology."""
+    faulted = arguments.faults is not None or arguments.chaos_seed is not None
     live = bool(arguments.live_ingest)
-    if live and arguments.wall_clock:
-        raise SystemExit("error: --live-ingest replays run in virtual time; "
-                         "drop --wall-clock")
     autoscale = bool(arguments.autoscale)
-    if autoscale and arguments.wall_clock:
-        raise SystemExit("error: --autoscale decisions are evaluated at "
-                         "virtual-time ticks; drop --wall-clock")
-    if autoscale and live:
-        raise SystemExit("error: --autoscale cannot be combined with "
-                         "--live-ingest (one resharding actor per replay)")
-    if autoscale and arguments.fail_shard:
-        raise SystemExit("error: --autoscale cannot be combined with "
-                         "--fail-shard yet")
+    failed_shards = tuple(arguments.fail_shard or ())
     min_shards = arguments.min_shards if arguments.min_shards is not None else 2
     max_shards = arguments.max_shards if arguments.max_shards is not None else 6
-    if autoscale and min_shards > max_shards:
-        raise SystemExit(f"error: --min-shards {min_shards} exceeds "
-                         f"--max-shards {max_shards}")
+    wall_clock = arguments.wall_clock
+    for rejected, message in (
+            (arguments.faults is not None and arguments.chaos_seed is not None,
+             "pass --faults PLAN.json or --chaos-seed N, not both"),
+            (wall_clock and faulted,
+             "fault replays are virtual-time only (the injector and breakers "
+             "run on the trace clock); drop --wall-clock"),
+            (wall_clock and live,
+             "--live-ingest replays run in virtual time; drop --wall-clock"),
+            (wall_clock and autoscale,
+             "--autoscale decisions are evaluated at virtual-time ticks; "
+             "drop --wall-clock"),
+            (autoscale and faulted,
+             "--faults/--chaos-seed cannot be combined with --autoscale yet"),
+            (autoscale and live,
+             "--autoscale cannot be combined with --live-ingest (one "
+             "resharding actor per replay)"),
+            (autoscale and failed_shards,
+             "--autoscale cannot be combined with --fail-shard yet"),
+            (autoscale and min_shards > max_shards,
+             f"--min-shards {min_shards} exceeds --max-shards {max_shards}")):
+        if rejected:
+            raise SystemExit(f"error: {message}")
 
-    # Topology: CLI flags override the run's persisted cluster spec.
-    if autoscale:
-        # The autoscaled cluster boots at its floor (or an explicit --shards
-        # within the range) and earns its capacity from the trace.
-        shards = arguments.shards if arguments.shards is not None else min_shards
-        if not min_shards <= shards <= max_shards:
-            raise SystemExit(f"error: --shards {shards} outside the autoscale "
-                             f"range [{min_shards}, {max_shards}]")
+    # CLI flags override the run's persisted cluster spec; an autoscaled
+    # cluster boots at its floor (or an explicit --shards within the range)
+    # and earns its capacity from the trace.
+    if arguments.shards is not None:
+        shards = arguments.shards
     else:
-        shards = (arguments.shards if arguments.shards is not None
-                  else config.cluster.num_shards)
-    failed_shards = tuple(arguments.fail_shard or ())
-    if failed_shards:
-        bad = [shard for shard in failed_shards if not 0 <= shard < shards]
-        if bad:
-            raise SystemExit(
-                f"error: --fail-shard {bad} outside the {shards}-shard "
-                f"topology; pass --shards N with N > {max(failed_shards)}")
-        if set(failed_shards) >= set(range(shards)):
-            raise SystemExit(
-                "error: --fail-shard would take every shard down; "
-                "leave at least one healthy (or raise --shards)")
-    # Live generation swaps flip shards through the cluster facade, so a
-    # live replay always runs the cluster path (a 1-shard cluster is fine);
-    # autoscaling needs the cluster facade to reshard at all.
-    clustered = shards > 1 or bool(failed_shards) or live or autoscale
+        shards = min_shards if autoscale else config.cluster.num_shards
+    if autoscale and not min_shards <= shards <= max_shards:
+        raise SystemExit(f"error: --shards {shards} outside the autoscale "
+                         f"range [{min_shards}, {max_shards}]")
+    bad = [shard for shard in failed_shards if not 0 <= shard < shards]
+    if bad:
+        raise SystemExit(
+            f"error: --fail-shard {bad} outside the {shards}-shard "
+            f"topology; pass --shards N with N > {max(failed_shards)}")
+    if (failed_shards and not faulted
+            and set(failed_shards) >= set(range(shards))):
+        raise SystemExit(
+            "error: --fail-shard would take every shard down; "
+            "leave at least one healthy (or raise --shards)")
     if arguments.replicas is not None:
         replicas = arguments.replicas
     elif arguments.shards is None:
         replicas = config.cluster.replication_factor
     else:
         replicas = min(2, shards)
+    # Failover, breakers, generation swaps and resharding all live in the
+    # cluster facade, so only a plain replay may use the single service.
+    clustered = shards > 1 or bool(failed_shards) or live or faulted or autoscale
+    return _SimulateSpec(
+        cluster_config=(_cluster_config(
+            arguments, config, shards, replicas,
+            () if faulted else failed_shards) if clustered else None),
+        # An explicit --workload-seed wins; otherwise the master --seed
+        # drives workload generation too, so one flag reproduces the run.
+        workload_seed=(arguments.workload_seed
+                       if arguments.workload_seed is not None
+                       else arguments.seed),
+        # Virtual time (default) pins the replay to the trace's timeline, so
+        # the whole run is a pure function of the seeds; --wall-clock opts
+        # into real latencies instead.
+        virtual=not wall_clock, live=live, faulted=faulted,
+        failed_shards=failed_shards,
+        autoscale=(min_shards, max_shards) if autoscale else None)
 
-    # Virtual time (default) pins the replay to the trace's timeline, so the
-    # whole run — tier choices, failover, the result signature — is a pure
-    # function of the seeds; --wall-clock opts into real latencies instead.
-    clock = None if arguments.wall_clock else TraceClock()
-    service_kwargs = {"clock": clock} if clock is not None else {}
-    if arguments.cache_capacity is not None:
-        import dataclasses
 
-        service_kwargs["serving_config"] = dataclasses.replace(
-            config.serving, cache_capacity=arguments.cache_capacity)
-    if clustered:
-        from .cluster import ClusterConfig
+def _prepare_workload(arguments: argparse.Namespace, service,
+                      workload_seed: int):
+    """The simulate trace, from whichever source the flags name.
 
-        cluster_config = ClusterConfig(
-            num_shards=shards,
-            replication_factor=min(replicas, shards),
-            virtual_nodes=config.cluster.virtual_nodes,
-            max_queue_per_shard=(arguments.max_queue if arguments.max_queue
-                                 is not None
-                                 else config.cluster.max_queue_per_shard),
-            seed=config.cluster.seed,
-            failed_shards=failed_shards)
-        service = result.cluster_service(cluster_config=cluster_config,
-                                         **service_kwargs)
-        print(f"cluster: {shards} shards × {cluster_config.replication_factor} "
-              f"replicas"
-              + (f", failed at boot: {sorted(failed_shards)}" if failed_shards
-                 else ""))
+    ``--trace PATH`` loads a previously saved trace (schema-checked);
+    otherwise the trace is generated from the seeded config.  Either way an
+    optional ``--scenario NAME|SPEC.json`` then reshapes it against the
+    serving topology (the context carries the cluster's own hash ring), and
+    ``--save-trace PATH`` persists the final trace for bit-identical replay
+    elsewhere.
+    """
+    from .simulate import (UserPopulation, Workload, WorkloadConfig,
+                           WorkloadSchemaError, generate_workload)
+
+    population = UserPopulation.from_graph(service.graph)
+    if arguments.trace is not None:
+        try:
+            workload = Workload.load(arguments.trace)
+        except WorkloadSchemaError as error:
+            raise SystemExit(f"error: --trace {arguments.trace}: {error}")
+        print(f"trace: loaded {len(workload)} requests from {arguments.trace} "
+              f"(signature {workload.signature()[:16]}…)")
     else:
-        service = result.service(**service_kwargs)
+        workload = generate_workload(
+            population,
+            WorkloadConfig(num_requests=arguments.requests,
+                           seed=workload_seed,
+                           arrival=arguments.arrival),
+            service.graph)
+    if arguments.scenario is not None:
+        from .scenarios import ScenarioContext, ScenarioError, load_scenario
 
-    # An explicit --workload-seed wins; otherwise the master --seed drives
-    # workload generation too, so one flag reproduces the entire replay.
-    workload_seed = (arguments.workload_seed if arguments.workload_seed is not None
-                     else arguments.seed)
-    population, workload = _prepare_workload(arguments, service, workload_seed)
+        try:
+            scenario = load_scenario(arguments.scenario)
+            workload = scenario.apply(workload, ScenarioContext(
+                graph=service.graph, population=population,
+                ring=getattr(service, "ring", None)))
+        except ScenarioError as error:
+            raise SystemExit(f"error: --scenario {arguments.scenario}: {error}")
+        print(f"scenario: {scenario.name} "
+              f"({len(scenario.transforms)} transforms, "
+              f"signature {scenario.signature()[:16]}…)")
+    if arguments.save_trace is not None:
+        arguments.save_trace.parent.mkdir(parents=True, exist_ok=True)
+        workload.save(arguments.save_trace)
+        print(f"trace: saved {len(workload)} requests to "
+              f"{arguments.save_trace} "
+              f"(signature {workload.signature()[:16]}…)")
     print(f"workload: {len(workload)} requests over {workload.duration_s:.2f}s "
           f"of trace time, seed {workload_seed} "
           f"(signature {workload.signature()[:16]}…)")
+    return workload
 
-    autoscaler = None
-    if autoscale:
+
+@dataclass
+class _Stack:
+    """One replayable stack: a service plus whichever planes wrap it."""
+
+    clock: Optional[object]
+    service: object
+    workload: object
+    injector: Optional[object] = None
+    autoscaler: Optional[object] = None
+    session: Optional[object] = None
+
+    def replay(self):
+        from .simulate import ReplayDriver
+
+        front = self.session or self.autoscaler or self.service
+        return ReplayDriver(front, clock=self.clock).replay(self.workload)
+
+    def oracles(self, records, sample: int):
+        """The oracle battery that matches the outermost plane."""
+        from .simulate import (run_autoscale_oracles, run_live_oracles,
+                               run_oracles)
+
+        if self.session is not None:
+            return run_live_oracles(self.session, records,
+                                    full_search_sample=sample, seed=0)
+        if self.autoscaler is not None:
+            return run_autoscale_oracles(self.autoscaler, records,
+                                         full_search_sample=sample, seed=0)
+        return run_oracles(self.service, records,
+                           full_search_sample=sample, seed=0)
+
+
+def _build_stack(result: PipelineResult, arguments: argparse.Namespace,
+                 spec: _SimulateSpec, workload=None, plan=None,
+                 workdir: Optional[Path] = None) -> _Stack:
+    """Boot one stack: service, then fault injector, autoscaler, live session.
+
+    The first call prepares the workload against its own service (a scenario
+    may target the cluster's ring); a fault replay then calls it again with
+    that workload and the plan to build the faulted twin.  ``workdir`` gives
+    live sessions a persisted store and write-ahead log for the plan to
+    corrupt and tear.
+    """
+    from .simulate import TraceClock
+
+    clock = TraceClock() if spec.virtual else None
+    service = _boot_service(result, arguments, spec.cluster_config, clock,
+                            breaker=spec.faulted)
+    if workload is None:
+        workload = _prepare_workload(arguments, service, spec.workload_seed)
+    stack = _Stack(clock, service, workload)
+    if plan is not None:
+        from .faults import FaultInjector
+
+        stack.injector = FaultInjector(plan, clock)
+        stack.injector.install(service)
+    if spec.autoscale is not None:
         from .cluster import AutoscaleConfig, Autoscaler
 
         tick = (arguments.scale_tick if arguments.scale_tick is not None
                 else max(workload.duration_s / 40.0, 1e-3))
-        autoscaler = Autoscaler(
+        stack.autoscaler = Autoscaler(
             service,
-            AutoscaleConfig(min_shards=min_shards, max_shards=max_shards,
-                            tick_interval_s=tick, seed=workload_seed),
+            AutoscaleConfig(min_shards=spec.autoscale[0],
+                            max_shards=spec.autoscale[1],
+                            tick_interval_s=tick, seed=spec.workload_seed),
             clock=clock)
-        print(f"autoscale: [{min_shards}, {max_shards}] shards, "
-              f"tick {tick:.3f}s of trace time, seed {workload_seed}")
-
-    session = None
-    if live:
-        from .live import (
-            GenerationBundle,
-            IngestEvent,
-            LiveSession,
-            RefreshConfig,
-            SwapEvent,
-        )
+    if spec.live:
+        from .live import (GenerationBundle, IngestEvent, LiveSession,
+                           RefreshConfig, SwapEvent)
 
         duration = workload.duration_s
         schedule = [IngestEvent(at_s=fraction * duration,
                                 count=arguments.live_ingest,
-                                seed=workload_seed + offset)
+                                seed=spec.workload_seed + offset)
                     for offset, fraction in
                     enumerate(arguments.ingest_at or [0.35])]
         schedule += [SwapEvent(at_s=fraction * duration)
                      for fraction in (arguments.swap_at or [0.6])]
-        session = LiveSession(
+        persisted = {}
+        if workdir is not None:
+            from .pipeline.artifacts import ArtifactStore
+
+            root = workdir / ("baseline" if plan is None else "faulted")
+            root.mkdir(parents=True, exist_ok=True)
+            persisted = {"store": ArtifactStore(root / "store"),
+                         "log_path": root / "updates.jsonl"}
+        stack.session = LiveSession(
             service, GenerationBundle.from_pipeline(result), clock=clock,
             refresh_config=RefreshConfig(
                 transe_epochs=arguments.refresh_epochs,
                 cggnn_epochs=max(1, arguments.refresh_epochs // 2),
-                seed=workload_seed),
-            schedule=schedule)
-        print(f"live: {len(schedule)} scheduled events "
-              f"({arguments.live_ingest} deltas per ingest, "
-              f"{arguments.refresh_epochs}-epoch warm refresh)")
+                seed=spec.workload_seed),
+            schedule=schedule, injector=stack.injector, **persisted)
+    return stack
 
-    replay = ReplayDriver(session or autoscaler or service,
-                          clock=clock).replay(workload)
-    if session is not None:
-        from .simulate import run_live_oracles
 
-        reports = run_live_oracles(session, replay.records,
-                                   full_search_sample=arguments.oracle_sample,
-                                   seed=0)
-    elif autoscaler is not None:
-        from .simulate import run_autoscale_oracles
+def _fault_plan(arguments: argparse.Namespace, spec: _SimulateSpec,
+                duration_s: float):
+    """The ``--faults``/``--chaos-seed`` plan over the trace span, plus one
+    permanent ``shard_down`` event at t=0 per ``--fail-shard``."""
+    from .faults import FaultPlan, ShardDownFault, chaos_plan
 
-        reports = run_autoscale_oracles(autoscaler, replay.records,
-                                        full_search_sample=arguments.oracle_sample,
-                                        seed=0)
+    if arguments.faults is not None:
+        plan = FaultPlan.load(arguments.faults).resolve(duration_s)
+        origin = str(arguments.faults)
     else:
-        reports = run_oracles(service, replay.records,
-                              full_search_sample=arguments.oracle_sample, seed=0)
-    summary = summarize(replay, reports)
-    summary["workload_seed"] = workload_seed
-    summary["replay_signature"] = replay.signature()
-    if clustered:
-        snapshot = service.telemetry_snapshot()
-        summary["routing"] = snapshot["routing"]
-        summary["admission"] = snapshot["admission"]
-        summary["health"] = snapshot["health"]
-        summary["topology"] = snapshot["topology"]
-    if session is not None:
-        live_snapshot = session.telemetry_snapshot()["live"]
-        summary["live"] = live_snapshot
-    if autoscaler is not None:
-        summary["autoscale"] = autoscaler.autoscale_snapshot()
+        plan = chaos_plan(arguments.chaos_seed,
+                          num_shards=spec.cluster_config.num_shards,
+                          duration_s=duration_s, include_live=spec.live)
+        origin = f"chaos seed {arguments.chaos_seed}"
+    if spec.failed_shards:
+        plan = FaultPlan(events=plan.events + tuple(
+            ShardDownFault(at_s=0.0, shard_id=shard)
+            for shard in spec.failed_shards))
+    print(f"fault plan: {len(plan.events)} events from {origin} "
+          f"(signature {plan.signature()[:16]}…)")
+    return plan
+
+
+def _command_simulate(arguments: argparse.Namespace) -> int:
+    """Replay one workload; under a fault plan, a clean twin first.
+
+    A fault replay builds two identical stacks: the clean twin, which the
+    standard oracle battery verifies, and the faulted one with the injector
+    installed, which the fault-tolerance oracle audits against the twin and
+    the fault ledger.  One summary and one exit code cover every mode.
+    """
+    import contextlib
+    import tempfile
+
+    from .simulate import render_report, run_fault_oracles, summarize
+
+    result = _result_for_serving(arguments)
+    spec = _resolve_simulate(arguments, result.config)
+    cluster = spec.cluster_config
+    if cluster is not None:
+        print(f"cluster: {cluster.num_shards} shards × "
+              f"{cluster.replication_factor} replicas"
+              + (f", failed at boot: {sorted(cluster.failed_shards)}"
+                 if cluster.failed_shards else "")
+              + (f", circuit breakers on, {cluster.max_retries} retries "
+                 f"per request" if spec.faulted else ""))
+    # Live fault replays persist generations and a write-ahead log for the
+    # plan to corrupt; both live in a directory scoped to this run.
+    scratch = (tempfile.TemporaryDirectory(prefix="repro-faults-")
+               if spec.faulted and spec.live else contextlib.nullcontext())
+    with scratch as workdir:
+        workdir = None if workdir is None else Path(workdir)
+        stack = _build_stack(result, arguments, spec, workdir=workdir)
+        plan = (_fault_plan(arguments, spec, stack.workload.duration_s)
+                if spec.faulted else None)
+        replay = stack.replay()
+        reports = stack.oracles(replay.records, arguments.oracle_sample)
+        baseline = None
+        if plan is not None:
+            print(f"baseline replay     {len(replay.records)} answered, "
+                  f"signature {replay.signature()[:32]}…")
+            baseline = replay
+            stack = _build_stack(result, arguments, spec,
+                                 workload=stack.workload, plan=plan,
+                                 workdir=workdir)
+            replay = stack.replay()
+            reports = reports + run_fault_oracles(
+                replay.records, baseline.records, stack.injector.ledger)
+
+        summary = summarize(replay, reports)
+        summary["workload_seed"] = spec.workload_seed
+        summary["replay_signature"] = replay.signature()
+        if baseline is not None:
+            summary["baseline_signature"] = baseline.signature()
+        if cluster is not None:
+            snapshot = stack.service.telemetry_snapshot()
+            for key in ("routing", "admission", "health", "topology",
+                        "breaker"):
+                if key in snapshot:
+                    summary[key] = snapshot[key]
+        if stack.session is not None:
+            generations = Counter(record.generation for record in replay.records)
+            summary["live"] = stack.session.telemetry_snapshot()["live"]
+            summary["live"]["records_by_generation"] = {
+                str(generation): generations[generation]
+                for generation in sorted(generations)}
+        if stack.autoscaler is not None:
+            summary["autoscale"] = stack.autoscaler.autoscale_snapshot()
+        if stack.injector is not None:
+            ledger = stack.injector.ledger
+            summary["faults"] = {
+                "plan_signature": plan.signature(),
+                "plan_events": len(plan.events),
+                "ledger_entries": len(ledger),
+                "ledger_signature": ledger.signature(),
+                "ledger_kinds": {kind: ledger.count(kind)
+                                 for kind in ledger.kinds()},
+                "answered": len(replay.records),
+                "faulted_answers": sum(1 for record in replay.records
+                                       if record.fault is not None),
+            }
+
     print()
     print(render_report(summary))
-    if clustered:
-        routing = summary["routing"]
-        print(f"routing             "
-              + "  ".join(f"{key}={routing[key]}"
-                          for key in ("primary", "failover", "overflow", "shed")))
-    if session is not None:
-        generations = {}
-        for record in replay.records:
-            generations[record.generation] = generations.get(record.generation, 0) + 1
-        summary["live"]["records_by_generation"] = {
-            str(generation): count
-            for generation, count in sorted(generations.items())}
-        print(f"live                generation={live_snapshot['generation']}  "
-              + "  ".join(f"gen{generation}={count}"
-                          for generation, count in sorted(generations.items())))
-        for swap in live_snapshot["swaps"]:
-            print(f"  swap → gen {swap['generation']}: "
-                  f"flipped shards {swap['flip_order']}, "
-                  f"{swap['invalidated_entries']} cache entries invalidated "
-                  f"({swap['preserved_entries']} preserved), "
-                  f"{swap['touched_entities']} entities touched")
-    if autoscaler is not None:
-        scaling = summary["autoscale"]
-        print(f"autoscale           shards={scaling['current_shards']} "
-              f"(started {scaling['initial_shards']})  "
-              f"ups={scaling['scale_ups']}  downs={scaling['scale_downs']}  "
-              f"shard_ticks={scaling['shard_ticks']}  "
-              f"migrated={scaling['migrated_entries']}")
-        for event in autoscaler.events:
-            print(f"  t={event.at_s:7.2f}s scale-{event.action}: "
-                  f"{event.from_shards} → {event.to_shards} shards "
-                  f"(shard {event.shard_id}, {event.reason}, "
-                  f"{event.migrated_entries} entries migrated)")
-    print(f"replay signature    {replay.signature()[:32]}…")
-    if arguments.expect_no_shed:
-        shed = sum(record.shed for record in replay.records)
-        if shed:
-            print(f"SHED CHECK FAILED: {shed} of {len(replay.records)} "
-                  f"requests were shed", file=sys.stderr)
-            return 1
-        print(f"shed check ok       0 of {len(replay.records)} requests shed")
     if arguments.summary_json is not None:
         arguments.summary_json.parent.mkdir(parents=True, exist_ok=True)
         arguments.summary_json.write_text(
             json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
         print(f"wrote summary to {arguments.summary_json}")
-    failed = [report for report in reports if not report.ok]
-    for report in failed:
-        print(f"ORACLE FAILED: {report.summary()}")
-    return 1 if failed else 0
+    code = 0
+    if arguments.expect_no_shed:
+        shed = sum(record.shed for record in replay.records)
+        if shed:
+            print(f"SHED CHECK FAILED: {shed} of {len(replay.records)} "
+                  f"requests were shed", file=sys.stderr)
+            code = 1
+        else:
+            print(f"shed check ok       0 of {len(replay.records)} "
+                  f"requests shed")
+    for report in reports:
+        if not report.ok:
+            print(f"ORACLE FAILED: {report.summary()}")
+            for finding in report.findings[:10]:
+                print(f"  {finding}")
+            code = 1
+    return code
 
 
 def _command_explore(arguments: argparse.Namespace) -> int:
@@ -734,48 +651,27 @@ def _command_explore(arguments: argparse.Namespace) -> int:
     ``signature``).  Exit 1 if any oracle found a mismatch or any request
     went unanswered.
     """
-    import dataclasses
-
-    from .scenarios import (ClusterSpec, Explorer, ExplorerConfig,
-                            ScenarioError, load_scenario, render_matrix,
-                            scenario_names)
+    from .scenarios import (Explorer, ExplorerConfig, ScenarioError,
+                            load_scenario, render_matrix, scenario_names)
     from .simulate import UserPopulation, WorkloadConfig
 
     result = _result_for_serving(arguments)
-    config = result.config
-
     try:
         scenarios = [load_scenario(name)
                      for name in (arguments.scenario
                                   or ["baseline", "flash-crowd", "hot-shard"])]
     except ScenarioError as error:
         raise SystemExit(f"error: {error}")
-    specs = []
-    for shards in (arguments.shards or [1, 4]):
-        if shards <= 0:
-            raise SystemExit(f"error: --shards {shards} must be positive")
-        replicas = min(arguments.replicas, shards)
-        specs.append(ClusterSpec(
-            name=f"{shards}-shard",
-            num_shards=shards,
-            replication_factor=replicas,
-            virtual_nodes=config.cluster.virtual_nodes,
-            max_queue_per_shard=(arguments.max_queue
-                                 if arguments.max_queue is not None
-                                 else config.cluster.max_queue_per_shard),
-            seed=config.cluster.seed))
-
-    service_kwargs = {}
-    if arguments.cache_capacity is not None:
-        service_kwargs["serving_config"] = dataclasses.replace(
-            config.serving, cache_capacity=arguments.cache_capacity)
-
-    def make_service(cluster_config, clock):
-        return result.cluster_service(cluster_config=cluster_config,
-                                      clock=clock, **service_kwargs)
+    shard_counts = arguments.shards or [1, 4]
+    if min(shard_counts) <= 0 or len(set(shard_counts)) != len(shard_counts):
+        raise SystemExit(f"error: --shards {shard_counts} must be positive "
+                         f"and distinct (one matrix column each)")
+    configs = [_cluster_config(arguments, result.config, shards,
+                               arguments.replicas) for shards in shard_counts]
 
     explorer = Explorer(
-        make_service,
+        lambda cluster_config, clock: _boot_service(
+            result, arguments, cluster_config, clock),
         population=UserPopulation.from_graph(result.graph),
         graph=result.graph,
         config=ExplorerConfig(
@@ -785,11 +681,11 @@ def _command_explore(arguments: argparse.Namespace) -> int:
                                     seed=0,
                                     arrival=arguments.arrival),
             full_search_sample=arguments.oracle_sample))
-    print(f"explore: {len(scenarios)} scenarios × {len(specs)} cluster "
+    print(f"explore: {len(scenarios)} scenarios × {len(configs)} cluster "
           f"configs × {arguments.episodes} episodes "
           f"({arguments.requests} requests each, seed {arguments.seed}; "
           f"registry: {', '.join(scenario_names())})")
-    matrix = explorer.run(scenarios, specs,
+    matrix = explorer.run(scenarios, configs,
                           progress=lambda line: print(f"  {line}"))
     print()
     print(render_matrix(matrix))
@@ -935,7 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--fail-shard", type=int, action="append",
                           default=None, dest="fail_shard", metavar="K",
                           help="mark shard K DOWN at boot (repeatable) — "
-                               "deterministic failover injection")
+                               "deterministic failover injection; with "
+                               "--faults/--chaos-seed it is a ledgered "
+                               "shard_down event from t=0 instead")
     simulate.add_argument("--autoscale", action="store_true",
                           help="resize the cluster at virtual-time ticks from "
                                "shed/queue signals (deterministic, seeded); "
@@ -949,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scale-tick", type=float, default=None,
                           dest="scale_tick", metavar="SECONDS",
                           help="autoscale decision interval in trace seconds "
-                               "(default: duration / 20)")
+                               "(default: duration / 40)")
     simulate.add_argument("--max-queue", type=int, default=None,
                           dest="max_queue", metavar="N",
                           help="override the per-shard admission queue bound "

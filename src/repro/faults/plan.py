@@ -76,10 +76,12 @@ class LatencyFault:
 class ShardDownFault:
     """Every serve attempt on the shard raises during the window.
 
-    Subsumes the legacy ``--fail-shard`` boot-time injection as the one-event
-    plan ``ShardDownFault(at_s=0.0, shard_id=K)``; unlike the health-model
-    hook, the *routing layer* discovers the outage the hard way — through
-    failures, retries and the breaker — which is the point.
+    Under ``repro simulate --faults/--chaos-seed``, ``--fail-shard K`` joins
+    the plan as ``ShardDownFault(at_s=0.0, shard_id=K)``; without a plan it
+    keeps its boot-time meaning (``ClusterConfig.failed_shards``, the health
+    model marks the shard DOWN).  Unlike that health-model hook, here the
+    *routing layer* discovers the outage the hard way — through failures,
+    retries and the breaker — which is the point.
     """
 
     at_s: float

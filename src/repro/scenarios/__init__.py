@@ -13,15 +13,15 @@ from .combinators import (CacheBuster, CohortCorrelation, DiurnalModulation,
                           FlashCrowd, HotShardTargeting, Phase, PhaseSchedule,
                           Scenario, ScenarioContext, ScenarioError,
                           transform_from_dict)
-from .explorer import (ClusterSpec, ComparisonMatrix, EpisodeStats,
-                       CellResult, Explorer, ExplorerConfig, render_matrix)
+from .explorer import (ComparisonMatrix, EpisodeStats, CellResult, Explorer,
+                       ExplorerConfig, column_name, render_matrix)
 from .registry import (get_scenario, load_scenario, register, scenario_names)
 
 __all__ = [
     "CacheBuster", "CohortCorrelation", "DiurnalModulation", "FlashCrowd",
     "HotShardTargeting", "Phase", "PhaseSchedule", "Scenario",
     "ScenarioContext", "ScenarioError", "transform_from_dict",
-    "ClusterSpec", "ComparisonMatrix", "EpisodeStats", "CellResult",
-    "Explorer", "ExplorerConfig", "render_matrix",
+    "ComparisonMatrix", "EpisodeStats", "CellResult", "Explorer",
+    "ExplorerConfig", "column_name", "render_matrix",
     "get_scenario", "load_scenario", "register", "scenario_names",
 ]

@@ -1,7 +1,7 @@
 """The Explorer: k seeded episodes per (scenario × cluster config) cell.
 
 One replay is an anecdote.  The :class:`Explorer` turns the repo's rails into
-an experiment grid: for every cell of ``scenarios × cluster specs`` it runs
+an experiment grid: for every cell of ``scenarios × cluster configs`` it runs
 ``episodes`` independent seeded episodes — generate a trace, transform it
 through the scenario, replay it in virtual time through a fresh cluster via
 the existing :class:`~repro.simulate.replay.ReplayDriver`, audit it with the
@@ -10,7 +10,7 @@ cache hit rate, tier mix, peak-shard load share, oracle findings) into a
 :class:`ComparisonMatrix` with a text and JSON report.
 
 Everything runs in virtual time off seeded generators, so the matrix is a
-pure function of ``(scenarios, specs, ExplorerConfig)``:
+pure function of ``(scenarios, configs, ExplorerConfig)``:
 :meth:`ComparisonMatrix.signature` hashes the canonical JSON and two runs
 with the same inputs must produce bit-identical signatures — the property
 the CI ``scenario-matrix`` job asserts.
@@ -41,24 +41,9 @@ def _mean(values: Sequence[float]) -> float:
     return sum(finite) / len(finite)
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """One named cluster topology column of the comparison matrix."""
-
-    name: str
-    num_shards: int = 1
-    replication_factor: int = 1
-    virtual_nodes: int = 64
-    max_queue_per_shard: int = 256
-    seed: int = 0
-
-    def to_cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(
-            num_shards=self.num_shards,
-            replication_factor=self.replication_factor,
-            virtual_nodes=self.virtual_nodes,
-            max_queue_per_shard=self.max_queue_per_shard,
-            seed=self.seed)
+def column_name(config: ClusterConfig) -> str:
+    """The matrix column a cluster config fills: ``"<num_shards>-shard"``."""
+    return f"{config.num_shards}-shard"
 
 
 @dataclass
@@ -106,7 +91,7 @@ class EpisodeStats:
 
 @dataclass
 class CellResult:
-    """One (scenario × cluster spec) cell: its episodes plus aggregates."""
+    """One (scenario × cluster config) cell: its episodes plus aggregates."""
 
     scenario: str
     spec: str
@@ -129,7 +114,7 @@ class CellResult:
 
 @dataclass
 class ComparisonMatrix:
-    """The full grid: scenario rows × cluster-spec columns."""
+    """The full grid: scenario rows × cluster-config columns."""
 
     scenarios: Tuple[str, ...]
     specs: Tuple[str, ...]
@@ -202,7 +187,7 @@ def render_matrix(matrix: ComparisonMatrix) -> str:
 
 
 class Explorer:
-    """Sweeps scenarios × cluster specs, k seeded episodes per cell.
+    """Sweeps scenarios × cluster configs, k seeded episodes per cell.
 
     ``make_service`` builds a fresh service for one episode:
     ``make_service(cluster_config, clock)`` — typically a closure over a
@@ -225,33 +210,41 @@ class Explorer:
 
     # ------------------------------------------------------------------ #
     def run(self, scenarios: Sequence[Scenario],
-            specs: Sequence[ClusterSpec],
+            configs: Sequence[ClusterConfig],
             progress: Optional[Callable[[str], None]] = None) -> ComparisonMatrix:
+        """Sweep every scenario over every cluster config.
+
+        Each config fills the column :func:`column_name` names, so two
+        configs with the same shard count are rejected (``ValueError``).
+        """
+        names = [column_name(config) for config in configs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"cluster configs share a column name: {names}")
         matrix = ComparisonMatrix(
             scenarios=tuple(scenario.name for scenario in scenarios),
-            specs=tuple(spec.name for spec in specs))
+            specs=tuple(names))
         for scenario in scenarios:
-            for spec in specs:
-                cell = CellResult(scenario=scenario.name, spec=spec.name)
+            for config, name in zip(configs, names):
+                cell = CellResult(scenario=scenario.name, spec=name)
                 for episode in range(self.config.episodes):
                     cell.episodes.append(
-                        self.run_episode(scenario, spec, episode))
+                        self.run_episode(scenario, config, episode))
                 matrix.cells.append(cell)
                 if progress is not None:
                     stats = cell.aggregates()
-                    progress(f"{scenario.name} × {spec.name}: "
+                    progress(f"{scenario.name} × {name}: "
                              f"shed {100 * stats['mean_shed_rate']:.1f}%, "
                              f"hit {100 * stats['mean_cache_hit_rate']:.1f}%, "
                              f"{int(stats['oracle_mismatches'])} oracle "
                              f"mismatches")
         return matrix
 
-    def run_episode(self, scenario: Scenario, spec: ClusterSpec,
+    def run_episode(self, scenario: Scenario, config: ClusterConfig,
                     episode: int) -> EpisodeStats:
         """One seeded episode: generate → transform → replay → audit."""
         seed = self.config.episode_seed(episode)
         clock = TraceClock()
-        service = self.make_service(spec.to_cluster_config(), clock)
+        service = self.make_service(config, clock)
         workload = generate_workload(
             self.population,
             replace(self.config.workload, seed=seed),

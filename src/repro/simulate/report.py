@@ -78,4 +78,55 @@ def render_report(summary: Dict) -> str:
                   else f"{outcome['mismatches']} MISMATCHES")
         lines.append(f"oracle              {oracle}: "
                      f"checked {outcome['checked']}, {status}")
+    lines.extend(_render_planes(summary))
     return "\n".join(lines)
+
+
+def _render_planes(summary: Dict) -> List[str]:
+    """The cluster, live, autoscale and fault sections a CLI summary adds."""
+    lines: List[str] = []
+    if "routing" in summary:
+        lines.append("routing             " + "  ".join(
+            f"{key}={value}" for key, value in summary["routing"].items()))
+    if "breaker" in summary:
+        lines.append("breaker             " + "  ".join(
+            f"{shard}={state}"
+            for shard, state in sorted(summary["breaker"].items())))
+    if "live" in summary:
+        live = summary["live"]
+        lines.append(f"live                generation={live['generation']}  "
+                     + "  ".join(f"gen{generation}={count}" for generation, count
+                                 in live["records_by_generation"].items()))
+        for swap in live["swaps"]:
+            lines.append(f"  swap → gen {swap['generation']}: "
+                         f"flipped shards {swap['flip_order']}, "
+                         f"{swap['invalidated_entries']} cache entries "
+                         f"invalidated ({swap['preserved_entries']} preserved), "
+                         f"{swap['touched_entities']} entities touched")
+    if "autoscale" in summary:
+        scaling = summary["autoscale"]
+        lines.append(f"autoscale           shards={scaling['current_shards']} "
+                     f"(started {scaling['initial_shards']}, range "
+                     f"[{scaling['min_shards']}, {scaling['max_shards']}], "
+                     f"tick {scaling['tick_interval_s']:.3f}s)  "
+                     f"ups={scaling['scale_ups']}  "
+                     f"downs={scaling['scale_downs']}  "
+                     f"shard_ticks={scaling['shard_ticks']}  "
+                     f"migrated={scaling['migrated_entries']}")
+        for event in scaling["events"]:
+            lines.append(f"  t={event['at_s']:7.2f}s scale-{event['action']}: "
+                         f"{event['from_shards']} → {event['to_shards']} "
+                         f"shards (shard {event['shard_id']}, "
+                         f"{event['reason']}, {event['migrated_entries']} "
+                         f"entries migrated)")
+    if "faults" in summary:
+        faults = summary["faults"]
+        lines.append(f"fault ledger        {faults['ledger_entries']} entries: "
+                     + "  ".join(f"{kind}={count}" for kind, count
+                                 in faults["ledger_kinds"].items()))
+        lines.append(f"faulted answers     {faults['faulted_answers']} of "
+                     f"{faults['answered']} carry fault provenance")
+    if "replay_signature" in summary:
+        lines.append(f"replay signature    "
+                     f"{summary['replay_signature'][:32]}…")
+    return lines

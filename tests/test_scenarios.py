@@ -29,7 +29,7 @@ from repro.darl import (CADRLConfig, InferenceConfig, PathRecommender,
 from repro.kg.entities import EntityType
 from repro.pipeline import RunConfig
 from repro.pipeline.config import DataConfig, EvalConfig
-from repro.scenarios import (CacheBuster, ClusterSpec, CohortCorrelation,
+from repro.scenarios import (CacheBuster, CohortCorrelation,
                              DiurnalModulation, Explorer, ExplorerConfig,
                              FlashCrowd, HotShardTargeting, Phase,
                              PhaseSchedule, Scenario, ScenarioContext,
@@ -436,10 +436,9 @@ class TestExplorer:
                 workload=WorkloadConfig(num_requests=60),
                 full_search_sample=5))
         scenarios = [get_scenario("baseline"), get_scenario("hot-shard")]
-        specs = [ClusterSpec(name="1-shard", num_shards=1),
-                 ClusterSpec(name="4-shard", num_shards=4,
-                             replication_factor=2)]
-        return explorer, scenarios, specs, explorer.run(scenarios, specs)
+        configs = [ClusterConfig(num_shards=1),
+                   ClusterConfig(num_shards=4, replication_factor=2)]
+        return explorer, scenarios, configs, explorer.run(scenarios, configs)
 
     def test_every_cell_answers_everything_and_passes_oracles(self, swept):
         _, _, _, matrix = swept
@@ -465,8 +464,8 @@ class TestExplorer:
         assert single["mean_peak_shard_share"] == pytest.approx(1.0)
 
     def test_matrix_is_deterministic(self, swept):
-        explorer, scenarios, specs, matrix = swept
-        again = explorer.run(scenarios, specs)
+        explorer, scenarios, configs, matrix = swept
+        again = explorer.run(scenarios, configs)
         assert again.signature() == matrix.signature()
         assert again.to_json() == matrix.to_json()
 
