@@ -57,8 +57,8 @@ Commands
     hazards in signature code (SIG001).  Exit 0 clean, 1 findings, 2 usage.
 ``bench``
     Run the seeded performance benchmarks (``repro.perf``): TransE epochs/s,
-    DARL rollouts/s and beam-search serving QPS (cold & warm), each measured
-    against the frozen scalar reference in the same run.  Writes
+    DARL training episodes/s and beam-search serving QPS (cold & warm), each
+    measured against the frozen reference in the same run.  Writes
     ``BENCH_<timestamp>.json`` and fails on regressions vs the committed
     baseline.
 
@@ -950,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline JSON to gate against (default: "
                             "benchmarks/bench_baseline_<profile>.json)")
     bench.add_argument("--threshold", type=float, default=0.30,
-                       help="allowed fractional drop of gated speedups "
+                       help="allowed fractional drop of gated metrics "
                             "(default: 0.30)")
     bench.set_defaults(handler=_command_bench)
 

@@ -2,25 +2,32 @@
 
 Each agent bundles its environment view with the shared policy networks and
 exposes a single ``decide`` method that scores the candidate actions, samples
-(or greedily picks) one, and advances its history encoder.  The trainer and
-the beam-search inference both drive the agents exclusively through this
-interface, so training-time and inference-time behaviour cannot drift apart.
+(or greedily picks) one, and advances its history encoder.  The DARL trainer
+drives both agents through this interface; each decision carries the forward
+activations (scores, log-softmax head, LSTM step) that the trainer's
+hand-written backward pass reads.  Beam-search inference
+(:mod:`repro.darl.inference`) batches the same numpy forward of
+:class:`SharedPolicyNetworks` directly instead of calling ``decide``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..kg.pruning import Action
 from ..kg.relations import Relation
-from ..nn import Tensor
-from ..nn import functional as F
 from ..rl.environment import CategoryEnvironment, CategoryState, EntityEnvironment, EntityState
 from .collaborative import GuidanceModel, action_target_categories
-from .shared_policy import LSTMState, SharedPolicyNetworks
+from .shared_policy import (
+    HeadActivations,
+    LSTMActivations,
+    LSTMState,
+    ScoreActivations,
+    SharedPolicyNetworks,
+)
 
 
 @dataclass
@@ -31,10 +38,13 @@ class CategoryDecision:
     probabilities: np.ndarray
     chosen_index: int
     chosen_category: int
-    log_prob: Tensor
-    entropy: Tensor
-    new_hidden: Tensor
+    log_prob: float
+    entropy: float
+    new_hidden: np.ndarray
     new_lstm_state: LSTMState
+    scores: ScoreActivations
+    head: HeadActivations
+    lstm: LSTMActivations
 
     @property
     def alternative_categories(self) -> List[int]:
@@ -55,10 +65,22 @@ class EntityDecision:
     probabilities: np.ndarray
     chosen_index: int
     chosen_action: Action
-    log_prob: Tensor
-    entropy: Tensor
-    new_hidden: Tensor
+    log_prob: float
+    entropy: float
+    new_hidden: np.ndarray
     new_lstm_state: LSTMState
+    scores: ScoreActivations
+    head: HeadActivations
+    lstm: LSTMActivations
+
+
+def _pick(head: HeadActivations, rng: np.random.Generator,
+          greedy: bool) -> Tuple[np.ndarray, int]:
+    """Normalised policy and the chosen action index (sampled or argmax)."""
+    probabilities = head.probs / head.probs.sum()
+    if greedy:
+        return probabilities, int(np.argmax(probabilities))
+    return probabilities, int(rng.choice(len(probabilities), p=probabilities))
 
 
 class CategoryAgent:
@@ -68,8 +90,8 @@ class CategoryAgent:
         self.environment = environment
         self.policy = policy
 
-    def decide(self, state: CategoryState, partner_hidden: Optional[Tensor],
-               history_hidden: Tensor, lstm_state: LSTMState,
+    def decide(self, state: CategoryState, partner_hidden: Optional[np.ndarray],
+               history_hidden: np.ndarray, lstm_state: LSTMState,
                rng: np.random.Generator, greedy: bool = False) -> CategoryDecision:
         """Score candidate categories, pick one, and advance the history LSTM."""
         actions = self.environment.actions(state)
@@ -77,21 +99,14 @@ class CategoryAgent:
         user_vector = self.environment.representations.entity_vector(state.user_entity)
         current_vector = self.environment.representations.category_vector(state.current_category)
 
-        logits = self.policy.category_action_logits(user_vector, current_vector,
+        scores = self.policy.category_scores_traced(user_vector, current_vector,
                                                     history_hidden, action_matrix)
-        log_probs = F.log_softmax(logits, axis=-1)
-        entropy = -(log_probs.exp() * log_probs).sum()
-        probabilities = np.exp(log_probs.data)
-        probabilities = probabilities / probabilities.sum()
-
-        if greedy:
-            chosen_index = int(np.argmax(probabilities))
-        else:
-            chosen_index = int(rng.choice(len(actions), p=probabilities))
+        head = self.policy.policy_head(scores.logits)
+        probabilities, chosen_index = _pick(head, rng, greedy)
         chosen_category = actions[chosen_index]
 
         chosen_vector = self.environment.representations.category_vector(chosen_category)
-        new_hidden, new_lstm_state = self.policy.encode_category_step(
+        new_hidden, new_lstm_state, lstm = self.policy.encode_category_step_traced(
             chosen_vector, partner_hidden, lstm_state)
 
         return CategoryDecision(
@@ -99,10 +114,13 @@ class CategoryAgent:
             probabilities=probabilities,
             chosen_index=chosen_index,
             chosen_category=chosen_category,
-            log_prob=log_probs[chosen_index],
-            entropy=entropy,
+            log_prob=float(head.log_probs[chosen_index]),
+            entropy=head.entropy,
             new_hidden=new_hidden,
             new_lstm_state=new_lstm_state,
+            scores=scores,
+            head=head,
+            lstm=lstm,
         )
 
 
@@ -116,7 +134,7 @@ class EntityAgent:
         self.guidance = guidance or GuidanceModel()
 
     def decide(self, state: EntityState, last_relation: Relation,
-               partner_hidden: Optional[Tensor], history_hidden: Tensor,
+               partner_hidden: Optional[np.ndarray], history_hidden: np.ndarray,
                lstm_state: LSTMState, rng: np.random.Generator,
                guided_category: Optional[int] = None, greedy: bool = False) -> EntityDecision:
         """Score candidate hops (with guidance), pick one, advance the LSTM."""
@@ -125,38 +143,32 @@ class EntityAgent:
         entity_vector = self.environment.representations.entity_vector(state.current_entity)
         relation_vector = self.environment.representations.relation_vector(last_relation)
 
-        logits = self.policy.entity_action_logits(entity_vector, relation_vector,
+        scores = self.policy.entity_scores_traced(entity_vector, relation_vector,
                                                   history_hidden, action_matrix)
         target_categories = action_target_categories(self.environment.graph, actions)
         bonus = self.guidance.guidance_bonus(target_categories, guided_category)
-        guided_logits = logits + Tensor(bonus)
-
-        log_probs = F.log_softmax(guided_logits, axis=-1)
-        entropy = -(log_probs.exp() * log_probs).sum()
-        probabilities = np.exp(log_probs.data)
-        probabilities = probabilities / probabilities.sum()
-
-        if greedy:
-            chosen_index = int(np.argmax(probabilities))
-        else:
-            chosen_index = int(rng.choice(len(actions), p=probabilities))
+        head = self.policy.policy_head(scores.logits + bonus)
+        probabilities, chosen_index = _pick(head, rng, greedy)
         chosen_action = actions[chosen_index]
 
         chosen_relation_vector = self.environment.representations.relation_vector(
             chosen_action[0])
         chosen_entity_vector = self.environment.representations.entity_vector(chosen_action[1])
-        new_hidden, new_lstm_state = self.policy.encode_entity_step(
+        new_hidden, new_lstm_state, lstm = self.policy.encode_entity_step_traced(
             chosen_relation_vector, chosen_entity_vector, partner_hidden, lstm_state)
 
         return EntityDecision(
             actions=actions,
-            base_logits=np.array(logits.data, copy=True),
+            base_logits=scores.logits,
             target_categories=target_categories,
             probabilities=probabilities,
             chosen_index=chosen_index,
             chosen_action=chosen_action,
-            log_prob=log_probs[chosen_index],
-            entropy=entropy,
+            log_prob=float(head.log_probs[chosen_index]),
+            entropy=head.entropy,
             new_hidden=new_hidden,
             new_lstm_state=new_lstm_state,
+            scores=scores,
+            head=head,
+            lstm=lstm,
         )

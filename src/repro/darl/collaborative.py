@@ -58,6 +58,24 @@ class GuidanceModel:
         return np.array([self.strength if category == guided_category else 0.0
                          for category in target_categories])
 
+    def counterfactual_probabilities(self, base_logits: np.ndarray,
+                                     target_categories: Sequence[Optional[int]],
+                                     alternative_categories: Sequence[int]) -> np.ndarray:
+        """:meth:`guided_probabilities` for every alternative, one row each.
+
+        One (alternatives × actions) softmax instead of one per alternative;
+        every row is bit-identical to the single-category computation.
+        """
+        # NaN marks non-item targets: it equals no category id.
+        targets = np.array([np.nan if category is None else category
+                            for category in target_categories], dtype=np.float64)
+        alternatives = np.asarray(alternative_categories, dtype=np.float64)
+        bonus = np.where(targets == alternatives[:, None], self.strength, 0.0)
+        logits = np.asarray(base_logits, dtype=np.float64) + bonus
+        logits = logits - logits.max(axis=1, keepdims=True)
+        probabilities = np.exp(logits)
+        return probabilities / probabilities.sum(axis=1, keepdims=True)
+
     def kl_guidance_reward(self, base_logits: np.ndarray,
                            target_categories: Sequence[Optional[int]],
                            chosen_category: int,
@@ -66,8 +84,6 @@ class GuidanceModel:
         """Partner reward R^pc of Eq. 17-18 for one recommendation step."""
         conditional = self.guided_probabilities(base_logits, target_categories,
                                                 chosen_category)
-        counterfactuals = [
-            self.guided_probabilities(base_logits, target_categories, alternative)
-            for alternative in alternative_categories
-        ]
+        counterfactuals = self.counterfactual_probabilities(base_logits, target_categories,
+                                                            alternative_categories)
         return guidance_reward(conditional, counterfactuals, category_probabilities)

@@ -6,20 +6,28 @@ other agent's LSTM input (Eq. 13-14), so the two policies condition on a joint
 view of the walk.  Action scoring follows Eq. 15-16: a two-layer perceptron
 maps the (state, history) encoding to a query vector that is dotted with the
 stacked action embeddings, and a softmax turns the scores into a policy.
+
+The networks run as plain NumPy on the parameter arrays, one forward for
+training and beam-search inference alike.  Training asks for the ``*_traced``
+forms, which also return the activations the matching ``*_backward``
+functions need; those write the gradients into each parameter's ``.grad``.
+The backward functions use exactly the per-operation expressions of the
+:mod:`repro.nn` autograd engine (``grad @ W.T``, ``np.outer(x, grad)``,
+ReLU as ``grad * mask``), so a caller that adds contributions in autograd's
+order gets bit-identical gradients without building a ``Tensor`` graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn import Tensor
-from ..nn import functional as F
 
-LSTMState = Tuple[Tensor, Tensor]
+LSTMState = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -35,6 +43,48 @@ class PolicyConfig:
     def validate(self) -> None:
         if min(self.embedding_dim, self.hidden_size, self.mlp_hidden) <= 0:
             raise ValueError("policy dimensions must be positive")
+
+
+class LSTMActivations(NamedTuple):
+    """One LSTM step's forward values that its backward reads."""
+
+    step: np.ndarray            # cell input: own step embedding ++ partner hidden
+    hidden: np.ndarray          # previous hidden state
+    memory: np.ndarray          # previous memory cell
+    input_gate: np.ndarray
+    forget_gate: np.ndarray
+    candidate: np.ndarray
+    output_gate: np.ndarray
+    memory_tanh: np.ndarray     # tanh of the new memory cell
+
+
+class ScoreActivations(NamedTuple):
+    """One action-scoring pass (query MLP + action dot product)."""
+
+    state_input: np.ndarray     # [state embeddings; history hidden]
+    hidden: np.ndarray          # ReLU layer output
+    action_matrix: np.ndarray
+    logits: np.ndarray
+
+
+class HeadActivations(NamedTuple):
+    """Log-softmax and entropy of one decision's (guided) logits."""
+
+    exps: np.ndarray            # exp(logits - max)
+    norm: np.ndarray            # sum of ``exps``, shape (1,)
+    log_probs: np.ndarray
+    probs: np.ndarray           # exp(log_probs), unnormalised
+    entropy: float
+
+
+def _accumulate(parameter: Tensor, contribution: np.ndarray) -> None:
+    """Add one gradient contribution to ``parameter.grad`` (autograd's order)."""
+    parameter.grad = (contribution if parameter.grad is None
+                      else parameter.grad + contribution)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 class SharedPolicyNetworks(nn.Module):
@@ -63,91 +113,30 @@ class SharedPolicyNetworks(nn.Module):
         self.category_mlp_out = nn.Linear(m, d, rng=rng)
 
     # ------------------------------------------------------------------ #
-    # history encoding
+    # forward
     # ------------------------------------------------------------------ #
-    def initial_entity_state(self) -> LSTMState:
-        return self.entity_lstm.initial_state()
-
-    def initial_category_state(self) -> LSTMState:
-        return self.category_lstm.initial_state()
-
-    def zero_hidden(self) -> Tensor:
-        return Tensor(np.zeros(self.config.hidden_size))
-
-    def _partner(self, partner_hidden: Optional[Tensor]) -> Tensor:
-        if partner_hidden is None or not self.config.share_history:
-            return self.zero_hidden()
-        return partner_hidden
-
-    def encode_entity_step(self, relation_vector: np.ndarray, entity_vector: np.ndarray,
-                           partner_hidden: Optional[Tensor],
-                           state: LSTMState) -> Tuple[Tensor, LSTMState]:
-        """Advance the entity history encoder with the latest hop (Eq. 14)."""
-        step = nn.concat([Tensor(relation_vector), Tensor(entity_vector),
-                          self._partner(partner_hidden)], axis=-1)
-        hidden, cell = self.entity_lstm(step, state)
-        return hidden, (hidden, cell)
-
-    def encode_category_step(self, category_vector: np.ndarray,
-                             partner_hidden: Optional[Tensor],
-                             state: LSTMState) -> Tuple[Tensor, LSTMState]:
-        """Advance the category history encoder with the latest category (Eq. 13)."""
-        step = nn.concat([Tensor(category_vector), self._partner(partner_hidden)], axis=-1)
-        hidden, cell = self.category_lstm(step, state)
-        return hidden, (hidden, cell)
-
-    # ------------------------------------------------------------------ #
-    # action scoring
-    # ------------------------------------------------------------------ #
-    def entity_action_logits(self, entity_vector: np.ndarray, relation_vector: np.ndarray,
-                             history_hidden: Tensor, action_matrix: np.ndarray) -> Tensor:
-        """Unnormalised scores over the entity agent's candidate actions (Eq. 16)."""
-        state_input = nn.concat([Tensor(entity_vector), Tensor(relation_vector),
-                                 history_hidden], axis=-1)
-        query = self.entity_mlp_out(F.relu(self.entity_mlp_in(state_input)))
-        return Tensor(action_matrix) @ query
-
-    def category_action_logits(self, user_vector: np.ndarray, category_vector: np.ndarray,
-                               history_hidden: Tensor, action_matrix: np.ndarray) -> Tensor:
-        """Unnormalised scores over the category agent's candidate actions (Eq. 15)."""
-        state_input = nn.concat([Tensor(user_vector), Tensor(category_vector),
-                                 history_hidden], axis=-1)
-        query = self.category_mlp_out(F.relu(self.category_mlp_in(state_input)))
-        return Tensor(action_matrix) @ query
-
-    @staticmethod
-    def policy_distribution(logits: Tensor) -> Tensor:
-        """Softmax policy over candidate actions."""
-        return F.softmax(logits, axis=-1)
-
-    # ------------------------------------------------------------------ #
-    # inference fast path (plain NumPy, no autograd graph)
-    # ------------------------------------------------------------------ #
-    # Beam-search inference never needs gradients; these mirrors of the methods
-    # above run directly on the parameter arrays, which keeps the efficiency
-    # study (Table III) honest about CADRL's deployment cost.
-    #
     # Every method accepts either a single state (1-D vectors) or a batch of
     # states (2-D arrays with a leading batch axis) — batched inference uses
     # the batched form to vectorise one rollout step across many users.
 
-    def _lstm_step_numpy(self, cell: nn.LSTMCell, step: np.ndarray,
-                         state: Tuple[np.ndarray, np.ndarray]
-                         ) -> Tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _lstm_forward(cell: nn.LSTMCell, step: np.ndarray, state: LSTMState
+                      ) -> Tuple[np.ndarray, np.ndarray, LSTMActivations]:
         hidden, memory = state
         gates = step @ cell.weight_ih.data + hidden @ cell.weight_hh.data + cell.bias.data
         h = cell.hidden_size
-        sigmoid = lambda x: 1.0 / (1.0 + np.exp(-x))  # noqa: E731 - tiny local helper
-        input_gate = sigmoid(gates[..., 0:h])
-        forget_gate = sigmoid(gates[..., h:2 * h])
+        input_gate = _sigmoid(gates[..., 0:h])
+        forget_gate = _sigmoid(gates[..., h:2 * h])
         candidate = np.tanh(gates[..., 2 * h:3 * h])
-        output_gate = sigmoid(gates[..., 3 * h:4 * h])
+        output_gate = _sigmoid(gates[..., 3 * h:4 * h])
         new_memory = forget_gate * memory + input_gate * candidate
-        new_hidden = output_gate * np.tanh(new_memory)
-        return new_hidden, new_memory
+        memory_tanh = np.tanh(new_memory)
+        new_hidden = output_gate * memory_tanh
+        return new_hidden, new_memory, LSTMActivations(
+            step, hidden, memory, input_gate, forget_gate, candidate, output_gate,
+            memory_tanh)
 
-    def initial_state_numpy(self, batch_size: Optional[int] = None
-                            ) -> Tuple[np.ndarray, np.ndarray]:
+    def initial_state_numpy(self, batch_size: Optional[int] = None) -> LSTMState:
         h = self.config.hidden_size
         if batch_size is not None:
             return np.zeros((batch_size, h)), np.zeros((batch_size, h))
@@ -162,43 +151,84 @@ class SharedPolicyNetworks(nn.Module):
             return np.zeros(h)
         return partner_hidden
 
-    def encode_entity_step_numpy(self, relation_vector: np.ndarray, entity_vector: np.ndarray,
-                                 partner_hidden: Optional[np.ndarray],
-                                 state: Tuple[np.ndarray, np.ndarray]
-                                 ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    def encode_entity_step_traced(self, relation_vector: np.ndarray,
+                                  entity_vector: np.ndarray,
+                                  partner_hidden: Optional[np.ndarray], state: LSTMState
+                                  ) -> Tuple[np.ndarray, LSTMState, LSTMActivations]:
+        """Advance the entity history encoder with the latest hop (Eq. 14)."""
         step = np.concatenate([relation_vector, entity_vector,
                                self._partner_numpy(partner_hidden, like=entity_vector)],
                               axis=-1)
-        hidden, memory = self._lstm_step_numpy(self.entity_lstm, step, state)
-        return hidden, (hidden, memory)
+        hidden, memory, activations = self._lstm_forward(self.entity_lstm, step, state)
+        return hidden, (hidden, memory), activations
 
-    def encode_category_step_numpy(self, category_vector: np.ndarray,
-                                   partner_hidden: Optional[np.ndarray],
-                                   state: Tuple[np.ndarray, np.ndarray]
-                                   ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    def encode_category_step_traced(self, category_vector: np.ndarray,
+                                    partner_hidden: Optional[np.ndarray], state: LSTMState
+                                    ) -> Tuple[np.ndarray, LSTMState, LSTMActivations]:
+        """Advance the category history encoder with the latest category (Eq. 13)."""
         step = np.concatenate([category_vector,
                                self._partner_numpy(partner_hidden, like=category_vector)],
                               axis=-1)
-        hidden, memory = self._lstm_step_numpy(self.category_lstm, step, state)
-        return hidden, (hidden, memory)
+        hidden, memory, activations = self._lstm_forward(self.category_lstm, step, state)
+        return hidden, (hidden, memory), activations
+
+    def encode_entity_step_numpy(self, relation_vector: np.ndarray, entity_vector: np.ndarray,
+                                 partner_hidden: Optional[np.ndarray], state: LSTMState
+                                 ) -> Tuple[np.ndarray, LSTMState]:
+        hidden, state, _ = self.encode_entity_step_traced(relation_vector, entity_vector,
+                                                          partner_hidden, state)
+        return hidden, state
+
+    def encode_category_step_numpy(self, category_vector: np.ndarray,
+                                   partner_hidden: Optional[np.ndarray], state: LSTMState
+                                   ) -> Tuple[np.ndarray, LSTMState]:
+        hidden, state, _ = self.encode_category_step_traced(category_vector, partner_hidden,
+                                                            state)
+        return hidden, state
+
+    @staticmethod
+    def _query_forward(mlp_in: nn.Linear, mlp_out: nn.Linear, state_input: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        hidden = np.maximum(state_input @ mlp_in.weight.data + mlp_in.bias.data, 0.0)
+        return hidden @ mlp_out.weight.data + mlp_out.bias.data, hidden
 
     def entity_query_numpy(self, entity_vector: np.ndarray, relation_vector: np.ndarray,
                            history_hidden: np.ndarray) -> np.ndarray:
         """Entity-policy query vector(s) (Eq. 16) without the action dot-product."""
         state_input = np.concatenate([entity_vector, relation_vector, history_hidden],
                                      axis=-1)
-        hidden = np.maximum(state_input @ self.entity_mlp_in.weight.data
-                            + self.entity_mlp_in.bias.data, 0.0)
-        return hidden @ self.entity_mlp_out.weight.data + self.entity_mlp_out.bias.data
+        return self._query_forward(self.entity_mlp_in, self.entity_mlp_out, state_input)[0]
 
     def category_query_numpy(self, user_vector: np.ndarray, category_vector: np.ndarray,
                              history_hidden: np.ndarray) -> np.ndarray:
         """Category-policy query vector(s) (Eq. 15) without the action dot-product."""
         state_input = np.concatenate([user_vector, category_vector, history_hidden],
                                      axis=-1)
-        hidden = np.maximum(state_input @ self.category_mlp_in.weight.data
-                            + self.category_mlp_in.bias.data, 0.0)
-        return hidden @ self.category_mlp_out.weight.data + self.category_mlp_out.bias.data
+        return self._query_forward(self.category_mlp_in, self.category_mlp_out,
+                                   state_input)[0]
+
+    def _score(self, mlp_in: nn.Linear, mlp_out: nn.Linear, state_input: np.ndarray,
+               action_matrix: np.ndarray) -> ScoreActivations:
+        query, hidden = self._query_forward(mlp_in, mlp_out, state_input)
+        return ScoreActivations(state_input, hidden, action_matrix, action_matrix @ query)
+
+    def entity_scores_traced(self, entity_vector: np.ndarray, relation_vector: np.ndarray,
+                             history_hidden: np.ndarray,
+                             action_matrix: np.ndarray) -> ScoreActivations:
+        """Unnormalised scores over the entity agent's candidate actions (Eq. 16)."""
+        state_input = np.concatenate([entity_vector, relation_vector, history_hidden],
+                                     axis=-1)
+        return self._score(self.entity_mlp_in, self.entity_mlp_out, state_input,
+                           action_matrix)
+
+    def category_scores_traced(self, user_vector: np.ndarray, category_vector: np.ndarray,
+                               history_hidden: np.ndarray,
+                               action_matrix: np.ndarray) -> ScoreActivations:
+        """Unnormalised scores over the category agent's candidate actions (Eq. 15)."""
+        state_input = np.concatenate([user_vector, category_vector, history_hidden],
+                                     axis=-1)
+        return self._score(self.category_mlp_in, self.category_mlp_out, state_input,
+                           action_matrix)
 
     def entity_action_logits_numpy(self, entity_vector: np.ndarray,
                                    relation_vector: np.ndarray,
@@ -213,3 +243,79 @@ class SharedPolicyNetworks(nn.Module):
                                      action_matrix: np.ndarray) -> np.ndarray:
         return action_matrix @ self.category_query_numpy(user_vector, category_vector,
                                                          history_hidden)
+
+    @staticmethod
+    def policy_head(logits: np.ndarray) -> HeadActivations:
+        """Log-softmax over one decision's logits, plus the policy entropy."""
+        shifted = logits - np.max(logits, axis=-1, keepdims=True)
+        exps = np.exp(shifted)
+        norm = exps.sum(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(norm)
+        probs = np.exp(log_probs)
+        entropy = float(-(probs * log_probs).sum())
+        return HeadActivations(exps, norm, log_probs, probs, entropy)
+
+    # ------------------------------------------------------------------ #
+    # backward (single, unbatched steps)
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def policy_head_backward(head: HeadActivations, chosen_index: int,
+                             grad_log_prob: float,
+                             grad_entropy: Optional[float]) -> np.ndarray:
+        """Gradient of the logits from d loss / d log π(a) and d loss / d H."""
+        if grad_entropy is None:
+            grad_log_probs = np.zeros_like(head.log_probs)
+            grad_log_probs[chosen_index] = grad_log_prob
+        else:
+            # H = -sum(p * log p), p = exp(log p): the product, then the exp,
+            # then the chosen log-probability, in autograd's order.
+            grad_products = np.full(head.log_probs.shape, -grad_entropy)
+            grad_log_probs = (grad_products * head.probs
+                              + (grad_products * head.log_probs) * head.probs)
+            grad_log_probs[chosen_index] += grad_log_prob
+        grad_norm = (-grad_log_probs).sum(axis=0, keepdims=True) / head.norm
+        return grad_log_probs + grad_norm * head.exps
+
+    @staticmethod
+    def scores_backward(mlp_in: nn.Linear, mlp_out: nn.Linear, scores: ScoreActivations,
+                        grad_logits: np.ndarray) -> np.ndarray:
+        """Backward of query MLP + action dot product; returns d/d state input."""
+        grad_query = scores.action_matrix.T @ grad_logits
+        _accumulate(mlp_out.bias, grad_query)
+        _accumulate(mlp_out.weight, np.outer(scores.hidden, grad_query))
+        grad_pre = (grad_query @ mlp_out.weight.data.T) * (scores.hidden > 0)
+        _accumulate(mlp_in.bias, grad_pre)
+        _accumulate(mlp_in.weight, np.outer(scores.state_input, grad_pre))
+        return grad_pre @ mlp_in.weight.data.T
+
+    @staticmethod
+    def lstm_backward(cell: nn.LSTMCell, step: LSTMActivations, grad_hidden: np.ndarray,
+                      grad_memory: Optional[np.ndarray], *, first_step: bool,
+                      partner_grad: bool
+                      ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray],
+                                 Optional[np.ndarray]]:
+        """Backward of one LSTM step.
+
+        Returns the gradients of the partner hidden state (the trailing slice
+        of the cell input; ``None`` unless ``partner_grad``), the previous
+        hidden state and the previous memory cell (both ``None`` for the
+        first step, whose state is the constant zero state).
+        """
+        grad_memory_new = grad_hidden * step.output_gate * (1.0 - step.memory_tanh**2)
+        if grad_memory is not None:
+            grad_memory_new = grad_memory_new + grad_memory
+        grad_gates = np.concatenate([
+            grad_memory_new * step.candidate * step.input_gate * (1.0 - step.input_gate),
+            grad_memory_new * step.memory * step.forget_gate * (1.0 - step.forget_gate),
+            grad_memory_new * step.input_gate * (1.0 - step.candidate**2),
+            grad_hidden * step.memory_tanh * step.output_gate * (1.0 - step.output_gate),
+        ])
+        _accumulate(cell.bias, grad_gates)
+        _accumulate(cell.weight_hh, np.outer(step.hidden, grad_gates))
+        _accumulate(cell.weight_ih, np.outer(step.step, grad_gates))
+        grad_partner = ((grad_gates @ cell.weight_ih.data.T)[-cell.hidden_size:]
+                        if partner_grad else None)
+        if first_step:
+            return grad_partner, None, None
+        return (grad_partner, grad_gates @ cell.weight_hh.data.T,
+                grad_memory_new * step.forget_gate)

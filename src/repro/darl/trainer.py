@@ -6,11 +6,18 @@ entity agent's action space narrowed towards the category agent's current
 milestone.  Per-step partner rewards (KL guidance and cosine consistency) are
 combined with the binary terminal rewards (Eq. 20-21), and both policies are
 updated through the shared networks with REINFORCE.
+
+The update builds no autograd graph.  The rollout keeps each decision's
+numpy activations, and :meth:`DARLTrainer._backpropagate` runs
+backprop-through-time by hand, adding every gradient contribution in the
+order :meth:`repro.nn.Tensor.backward` would.  Gradients and trained weights
+are therefore bit-identical to the autograd episode kept as the oracle in
+:class:`repro.perf.reference.ReferenceDARLTrainer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -20,14 +27,13 @@ from ..cggnn.model import Representations
 from ..kg.category_graph import CategoryGraph
 from ..kg.graph import KnowledgeGraph
 from ..kg.relations import Relation
-from ..nn import Tensor
 from ..rl.environment import CategoryEnvironment, EntityEnvironment
-from ..rl.reinforce import MovingBaseline, ReinforceConfig, apply_update, policy_gradient_loss
+from ..rl.reinforce import MovingBaseline, ReinforceConfig
 from ..rl.rewards import collaborative_rewards, consistency_reward
-from ..rl.trajectory import CategoryStep, EntityStep, EpisodeResult
-from .agents import CategoryAgent, EntityAgent
+from ..rl.trajectory import CategoryStep, EntityStep, EpisodeResult, discounted_returns
+from .agents import CategoryAgent, CategoryDecision, EntityAgent, EntityDecision
 from .collaborative import GuidanceModel
-from .shared_policy import PolicyConfig, SharedPolicyNetworks
+from .shared_policy import LSTMActivations, PolicyConfig, SharedPolicyNetworks
 
 
 @dataclass
@@ -112,6 +118,7 @@ class DARLTrainer:
         self.reinforce_config = ReinforceConfig(gamma=self.config.gamma,
                                                 gradient_clip=self.config.gradient_clip,
                                                 entropy_weight=self.config.entropy_weight)
+        self.reinforce_config.validate()
         self._entity_baseline = MovingBaseline()
         self._category_baseline = MovingBaseline()
         self.history: List[EpochStats] = []
@@ -147,11 +154,14 @@ class DARLTrainer:
             # Empty episodes report a NaN loss (nothing was measured); average
             # only over episodes that actually performed an update.
             measured_losses = [loss for loss in losses if not np.isnan(loss)]
+            # An epoch without episodes measured nothing: its statistics are NaN.
             stats = EpochStats(
                 epoch=epoch,
-                mean_entity_reward=float(np.mean(entity_rewards)) if entity_rewards else 0.0,
-                mean_category_reward=float(np.mean(category_rewards)) if category_rewards else 0.0,
-                hit_rate=hits / max(episodes, 1),
+                mean_entity_reward=(float(np.mean(entity_rewards)) if entity_rewards
+                                    else float("nan")),
+                mean_category_reward=(float(np.mean(category_rewards)) if category_rewards
+                                      else float("nan")),
+                hit_rate=hits / episodes if episodes else float("nan"),
                 policy_loss=(float(np.mean(measured_losses))
                              if measured_losses else float("nan")),
             )
@@ -170,27 +180,25 @@ class DARLTrainer:
 
         episode = EpisodeResult(user_id=user_entity, start_entity=user_entity)
         entity_state = self.entity_environment.initial_state(user_entity)
-        entity_lstm = self.policy.initial_entity_state()
-        category_lstm = self.policy.initial_category_state()
+        rollout = _Rollout()
 
         user_vector = self.representations.entity_vector(user_entity)
-        entity_hidden, entity_lstm = self.policy.encode_entity_step(
+        entity_hidden, entity_lstm, rollout.entity_start = self.policy.encode_entity_step_traced(
             self.representations.relation_vector(Relation.SELF_LOOP), user_vector,
-            None, entity_lstm)
+            None, self.policy.initial_state_numpy())
 
         use_dual = self.config.use_dual_agent
         category_state = None
         category_hidden = None
+        category_lstm = None
         if use_dual:
             start_category = self.category_environment.start_category_for(user_entity)
             category_state = self.category_environment.initial_state(user_entity, start_category)
-            category_hidden, category_lstm = self.policy.encode_category_step(
-                self.representations.category_vector(start_category), None, category_lstm)
+            category_hidden, category_lstm, rollout.category_start = (
+                self.policy.encode_category_step_traced(
+                    self.representations.category_vector(start_category), None,
+                    self.policy.initial_state_numpy()))
 
-        entity_log_probs: List[Tensor] = []
-        category_log_probs: List[Tensor] = []
-        entity_entropies: List[Tensor] = []
-        category_entropies: List[Tensor] = []
         guidance_rewards: List[float] = []
         consistency_rewards: List[float] = []
         last_relation = Relation.SELF_LOOP
@@ -234,17 +242,13 @@ class DARLTrainer:
 
             guidance_rewards.append(step_guidance)
             consistency_rewards.append(step_consistency)
-            entity_log_probs.append(entity_decision.log_prob)
-            entity_entropies.append(entity_decision.entropy)
-            if use_dual:
-                category_log_probs.append(category_decision.log_prob)
-                category_entropies.append(category_decision.entropy)
-
+            rollout.entity.append(entity_decision)
             episode.entity_steps.append(EntityStep(
                 entity_id=entity_decision.chosen_action[1],
                 relation=entity_decision.chosen_action[0],
                 log_prob=entity_decision.log_prob))
             if use_dual:
+                rollout.category.append(category_decision)
                 episode.category_steps.append(CategoryStep(
                     category_id=category_decision.chosen_category,
                     log_prob=category_decision.log_prob))
@@ -277,30 +281,132 @@ class DARLTrainer:
         for step, reward in zip(episode.category_steps, rewards["category"]):
             step.reward = reward
 
-        category_reward_stream = rewards["category"] if category_log_probs else []
-        loss_value = self._update_policy(entity_log_probs, rewards["entity"],
-                                         category_log_probs, category_reward_stream,
-                                         entity_entropies, category_entropies)
+        loss_value = self._update_policy(rollout, rewards["entity"], rewards["category"])
         return episode, loss_value
 
-    def _update_policy(self, entity_log_probs: List[Tensor], entity_rewards: List[float],
-                       category_log_probs: List[Tensor], category_rewards: List[float],
-                       entity_entropies: Optional[List[Tensor]] = None,
-                       category_entropies: Optional[List[Tensor]] = None) -> float:
-        """One REINFORCE update over both agents' losses."""
-        entity_loss = policy_gradient_loss(entity_log_probs, entity_rewards,
-                                           self.reinforce_config, self._entity_baseline,
-                                           entropies=entity_entropies)
-        category_loss = policy_gradient_loss(category_log_probs, category_rewards,
-                                             self.reinforce_config, self._category_baseline,
-                                             entropies=category_entropies)
-        if entity_loss is None and category_loss is None:
-            return float("nan")  # neither agent recorded a decision: no loss measured
-        if entity_loss is None:
-            total = category_loss
-        elif category_loss is None:
-            total = entity_loss
-        else:
-            total = entity_loss + category_loss
-        return apply_update(total, self.policy.parameters(), self.optimiser,
-                            self.reinforce_config)
+    def _advantages(self, rewards: List[float], baseline: MovingBaseline) -> List[float]:
+        """REINFORCE advantages ``G_l - b``; the baseline then absorbs ``G_0``."""
+        returns = discounted_returns(rewards, self.reinforce_config.gamma)
+        baseline_value = baseline.value
+        baseline.update(returns[0])
+        return [step_return - baseline_value for step_return in returns]
+
+    def _loss(self, decisions: List, advantages: List[float]) -> float:
+        """``-Σ_l A_l log π(a_l|s_l) - w Σ_l H_l``, summed in the autograd order."""
+        loss: Optional[float] = None
+        for decision, advantage in zip(decisions, advantages):
+            term = decision.log_prob * (-advantage)
+            loss = term if loss is None else loss + term
+        if self.reinforce_config.entropy_weight > 0.0:
+            for decision in decisions:
+                loss = loss + decision.entropy * (-self.reinforce_config.entropy_weight)
+        return loss
+
+    def _update_policy(self, rollout: "_Rollout", entity_rewards: List[float],
+                       category_rewards: List[float]) -> float:
+        """One REINFORCE update over both agents' losses; returns the loss.
+
+        The gradient of ``-Σ A log π - w Σ H`` is back-propagated by hand
+        through both policy heads and both LSTMs, including the partner
+        links between them, then clipped and applied exactly as
+        ``loss.backward()`` + :func:`repro.nn.clip_grad_norm` + Adam would.
+        """
+        if not rollout.entity:
+            return float("nan")  # no decision was recorded: no loss measured
+        entity_advantages = self._advantages(entity_rewards, self._entity_baseline)
+        total = self._loss(rollout.entity, entity_advantages)
+        category_advantages: List[float] = []
+        if rollout.category:
+            category_advantages = self._advantages(category_rewards,
+                                                   self._category_baseline)
+            total = total + self._loss(rollout.category, category_advantages)
+
+        self.optimiser.zero_grad()
+        self._backpropagate(rollout, entity_advantages, category_advantages)
+        nn.clip_grad_norm(self.policy.parameters(), self.reinforce_config.gradient_clip)
+        self.optimiser.step()
+        return float(total)
+
+    def _backpropagate(self, rollout: "_Rollout", entity_advantages: List[float],
+                       category_advantages: List[float]) -> None:
+        """Backprop-through-time over one episode, writing every ``.grad``.
+
+        Walks the steps backwards.  At step ``t`` the LSTM steps that produced
+        ``h_t`` run first (they need the complete gradient of ``h_t``), then
+        the two policy heads, whose history inputs are ``h_{t-1}``.  Every
+        sum follows the order in which :meth:`repro.nn.Tensor.backward`
+        accumulates, so the gradients are bit-identical to autograd's:
+        parameters add their per-step contributions latest step first; the
+        entity hidden state adds (category-LSTM partner + entity-LSTM
+        recurrence) + entity head, the category hidden state adds
+        (category-LSTM recurrence + category head) + entity-LSTM partner.
+        """
+        policy = self.policy
+        share = self.config.share_history
+        entropy_weight = self.reinforce_config.entropy_weight
+        grad_entropy = -entropy_weight if entropy_weight > 0.0 else None
+        history = slice(-self.config.hidden_size, None)
+        entity_hidden = entity_memory = None      # d loss / d (h^e_t, c^e_t)
+        category_hidden = category_memory = None  # d loss / d (h^c_t, c^c_t)
+
+        for t in range(len(rollout.entity) - 1, -1, -1):
+            entity = rollout.entity[t]
+            category = rollout.category[t] if rollout.category else None
+            to_entity_from_category = to_category_from_entity = None
+            entity_recurrent = category_recurrent = None
+            if category is not None and category_hidden is not None:
+                to_entity_from_category, category_recurrent, category_memory = (
+                    policy.lstm_backward(policy.category_lstm, category.lstm,
+                                         category_hidden, category_memory,
+                                         first_step=False, partner_grad=share))
+            if entity_hidden is not None:
+                to_category_from_entity, entity_recurrent, entity_memory = (
+                    policy.lstm_backward(policy.entity_lstm, entity.lstm, entity_hidden,
+                                         entity_memory, first_step=False,
+                                         partner_grad=share and category is not None))
+
+            category_head = None
+            if category is not None:
+                grad_logits = policy.policy_head_backward(
+                    category.head, category.chosen_index, -category_advantages[t],
+                    grad_entropy)
+                category_head = policy.scores_backward(
+                    policy.category_mlp_in, policy.category_mlp_out, category.scores,
+                    grad_logits)[history]
+            grad_logits = policy.policy_head_backward(
+                entity.head, entity.chosen_index, -entity_advantages[t], grad_entropy)
+            entity_head = policy.scores_backward(
+                policy.entity_mlp_in, policy.entity_mlp_out, entity.scores,
+                grad_logits)[history]
+
+            entity_hidden = _sum_in_order(to_entity_from_category, entity_recurrent,
+                                          entity_head)
+            if category is not None:
+                category_hidden = _sum_in_order(category_recurrent, category_head,
+                                                to_category_from_entity)
+
+        if rollout.category_start is not None:
+            policy.lstm_backward(policy.category_lstm, rollout.category_start,
+                                 category_hidden, category_memory,
+                                 first_step=True, partner_grad=False)
+        policy.lstm_backward(policy.entity_lstm, rollout.entity_start, entity_hidden,
+                             entity_memory, first_step=True, partner_grad=False)
+
+
+def _sum_in_order(*terms: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Left-to-right sum of the present gradient contributions."""
+    total = None
+    for term in terms:
+        if term is not None:
+            total = term if total is None else total + term
+    return total
+
+
+@dataclass
+class _Rollout:
+    """The decisions of one training episode, in step order."""
+
+    entity: List[EntityDecision] = field(default_factory=list)
+    category: List[CategoryDecision] = field(default_factory=list)
+    entity_start: Optional[LSTMActivations] = None    # LSTM step from the user
+    category_start: Optional[LSTMActivations] = None  # LSTM step from the start category

@@ -2,7 +2,8 @@
 
 ``python -m repro bench`` is the CLI entry point; :mod:`repro.perf.bench`
 holds the harness and :mod:`repro.perf.reference` the pre-vectorisation
-implementations that serve as equivalence oracles and in-run baselines.
+implementations (and the autograd DARL training episode) that serve as
+equivalence oracles and in-run baselines.
 """
 
 from .bench import (
@@ -18,12 +19,13 @@ from .bench import (
     run_bench,
     write_bench_json,
 )
-from .reference import ScalarPathRecommender, train_transe_reference
+from .reference import ReferenceDARLTrainer, ScalarPathRecommender, train_transe_reference
 
 __all__ = [
     "GATED_METRICS",
     "PROFILES",
     "BenchProfile",
+    "ReferenceDARLTrainer",
     "Regression",
     "ScalarPathRecommender",
     "build_stack",

@@ -4,8 +4,10 @@
 
 * **TransE pre-training** — the vectorised trainer against the frozen scalar
   reference (:mod:`repro.perf.reference`), reported as epochs/s;
-* **DARL rollouts** — REINFORCE episodes/s of the dual-agent trainer
-  (tracked for trend, no reference pair);
+* **DARL training** — one epoch of the stack's own DARL configuration,
+  the fused numpy episode against the autograd reference
+  (:class:`repro.perf.reference.ReferenceDARLTrainer`), reported as
+  episodes/s; gated on the speedup, and checked for bit-identical weights;
 * **Beam-search serving QPS** — ``serve_many`` bursts through a
   :class:`repro.serving.RecommendationService`, cold (all caches empty) and
   warm (milestone/action caches hot, result cache cleared so the search
@@ -39,7 +41,7 @@ import json
 import platform
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -47,17 +49,19 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..darl.model import CADRLConfig
-from ..darl.trainer import DARLConfig, DARLTrainer
+from ..darl.trainer import DARLTrainer
 from ..embeddings import TransEConfig, train_transe
 from ..kg.entities import EntityType
 from ..pipeline import Pipeline, PipelineResult, RunConfig
 from ..serving import RecommendationService, ServingConfig
-from .reference import ScalarPathRecommender, train_transe_reference
+from .reference import ReferenceDARLTrainer, ScalarPathRecommender, train_transe_reference
 
 #: Metrics (dotted paths into the ``metrics`` dict) guarded by the regression
-#: gate.  Ratios only: absolute epochs/s and QPS depend on the machine.
-GATED_METRICS = ("transe.speedup", "beam_cold.speedup", "beam_warm.speedup",
-                 "csr_patch.speedup")
+#: gate.  Ratios only, since absolute epochs/s and QPS depend on the machine,
+#: plus the fused DARL trainer's 0/1 ``identical_weights`` (baseline 1.0, so
+#: any divergence from the autograd reference fails the gate).
+GATED_METRICS = ("transe.speedup", "darl_train.speedup", "darl_train.identical_weights",
+                 "beam_cold.speedup", "beam_warm.speedup", "csr_patch.speedup")
 
 
 @dataclass
@@ -76,7 +80,7 @@ class BenchProfile:
     transe_epochs: int = 2       # per timed run; epoch time = wall / epochs
     beam_users: int = 60
     beam_top_k: int = 10
-    rollout_users: int = 20
+    rollout_users: int = 20      # users (one episode each) per DARL training run
     cluster_shards: int = 4      # N-shard side of the cluster-throughput pair
     cluster_replicas: int = 2
     patch_deltas: int = 10       # streaming-burst size for the CSR patch bench
@@ -117,12 +121,12 @@ class BenchProfile:
 PROFILES: Dict[str, BenchProfile] = {
     # smoke: the CI-sized preset — the exact smoke-pipeline stack, tiny data.
     "smoke": BenchProfile(name="smoke", scale=0.4, beam_users=20,
-                          rollout_users=10, repeats=3),
+                          rollout_users=40, repeats=3),
     # medium: paper-sized search hyper-parameters (beam 20, |A^e| <= 50,
     # L = 6) on the full synthetic Beauty preset.
     "medium": BenchProfile(name="medium", scale=1.0, embedding_dim=64,
                            beam_width=20, max_entity_actions=50,
-                           beam_users=60, rollout_users=20, repeats=5),
+                           beam_users=60, rollout_users=40, repeats=5),
 }
 
 
@@ -141,16 +145,6 @@ def _median_ab(first: Callable[[], None], second: Callable[[], None],
         second()
         times_second.append(time.perf_counter() - start)
     return statistics.median(times_first), statistics.median(times_second)
-
-
-def _median(callable_: Callable[[], None], repeats: int) -> float:
-    callable_()
-    times: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
 
 
 # --------------------------------------------------------------------------- #
@@ -175,23 +169,43 @@ def bench_transe(result: PipelineResult, profile: BenchProfile) -> Dict[str, flo
     }
 
 
-def bench_rollouts(result: PipelineResult, profile: BenchProfile) -> Dict[str, float]:
-    """DARL REINFORCE rollouts per second (trend metric, no reference pair)."""
+def bench_darl_train(result: PipelineResult, profile: BenchProfile) -> Dict[str, float]:
+    """Fused vs autograd-reference DARL training, episodes per second.
+
+    Both sides train one epoch of the stack's DARL configuration over the
+    same users from the same seed, so they must end with bit-identical
+    weights; ``identical_weights`` records whether they did.
+    """
     from ..pipeline.stages import _entity_train_items
 
     positives = _entity_train_items(result.context)
-    users = dict(list(positives.items())[: profile.rollout_users])
-    episodes = max(len(users), 1)
+    users = {user: items for user, items in positives.items() if items}
+    users = dict(list(users.items())[: profile.rollout_users])
+    config = replace(result.config.model.darl, epochs=1)
+    episodes = max(len(users) * config.episodes_per_user, 1)
+    weights: Dict[type, Dict[str, np.ndarray]] = {}
 
-    def run() -> None:
-        trainer = DARLTrainer(result.graph, result.context.category_graph,
-                              result.representations,
-                              DARLConfig(epochs=1, seed=profile.seed,
-                                         max_path_length=6))
-        trainer.train(users)
+    def training(trainer_type: type) -> Callable[[], None]:
+        def run() -> None:
+            trainer = trainer_type(result.graph, result.context.category_graph,
+                                   result.representations, config)
+            trainer.train(users)
+            weights[trainer_type] = trainer.policy.state_dict()
+        return run
 
-    elapsed = _median(run, max(profile.repeats - 2, 1))
-    return {"episodes_per_s": episodes / elapsed, "episodes": float(episodes)}
+    fused, reference = _median_ab(training(DARLTrainer), training(ReferenceDARLTrainer),
+                                  profile.repeats)
+    fused_weights, reference_weights = weights[DARLTrainer], weights[ReferenceDARLTrainer]
+    identical = fused_weights.keys() == reference_weights.keys() and all(
+        np.array_equal(array, reference_weights[name])
+        for name, array in fused_weights.items())
+    return {
+        "fused_episodes_per_s": episodes / fused,
+        "reference_episodes_per_s": episodes / reference,
+        "speedup": reference / fused,
+        "identical_weights": float(identical),
+        "episodes": float(episodes),
+    }
 
 
 def _service_pair(result: PipelineResult,
@@ -594,7 +608,7 @@ def run_bench(profile: Union[str, BenchProfile],
 
     metrics: Dict[str, Dict[str, float]] = {}
     metrics["transe"] = bench_transe(result, profile)
-    metrics["rollouts"] = bench_rollouts(result, profile)
+    metrics["darl_train"] = bench_darl_train(result, profile)
     metrics.update(bench_beam_search(result, profile))
     metrics["cluster"] = bench_cluster(result, profile)
     metrics["csr_patch"] = bench_csr_patch(result, profile)
@@ -656,8 +670,9 @@ def compare_with_baseline(document: Dict, baseline: Dict,
                           threshold: float = 0.30) -> List[Regression]:
     """Gated-ratio comparison: current must stay within ``threshold`` of baseline.
 
-    Only the dimensionless speedup ratios are gated — they survive machine
-    changes, unlike absolute QPS.  A metric missing on either side is skipped
+    Only dimensionless values are gated — the speedup ratios, which survive
+    machine changes unlike absolute QPS, and the 0/1 DARL weight-identity
+    check.  A metric missing on either side is skipped
     (new benchmarks must not fail old baselines and vice versa).
     """
     if not 0.0 < threshold < 1.0:
@@ -703,6 +718,7 @@ def render_report(document: Dict) -> str:
     """Human-readable summary of one bench run."""
     metrics = document["metrics"]
     meta = document["meta"]
+    darl = metrics["darl_train"]
     lines = [
         f"bench profile={meta['profile']} dataset={meta['dataset']} "
         f"scale={meta['scale']} seed={meta['seed']} "
@@ -710,7 +726,10 @@ def render_report(document: Dict) -> str:
         f"  transe     {metrics['transe']['vectorised_epochs_per_s']:8.1f} epochs/s "
         f"(reference {metrics['transe']['reference_epochs_per_s']:.1f}, "
         f"speedup {metrics['transe']['speedup']:.2f}x)",
-        f"  rollouts   {metrics['rollouts']['episodes_per_s']:8.1f} episodes/s",
+        f"  darl train {darl['fused_episodes_per_s']:8.1f} episodes/s "
+        f"(reference {darl['reference_episodes_per_s']:.1f}, "
+        f"speedup {darl['speedup']:.2f}x, "
+        f"{'identical weights' if darl['identical_weights'] else 'WEIGHTS DIVERGED'})",
         f"  beam cold  {metrics['beam_cold']['vectorised_qps']:8.1f} QPS "
         f"(reference {metrics['beam_cold']['reference_qps']:.1f}, "
         f"speedup {metrics['beam_cold']['speedup']:.2f}x)",

@@ -1,12 +1,16 @@
-"""Frozen scalar reference implementations of the vectorised hot paths.
+"""Frozen reference implementations of the vectorised hot paths.
 
 When the beam search, the milestone rollout, the pruning and the TransE
 trainer were vectorised, their original one-Python-iteration-per-beam/
--user/-neighbour/-triplet implementations moved here.  They serve two purposes:
+-user/-neighbour/-triplet implementations moved here; so did the autograd
+DARL training episode (:class:`ReferenceDARLTrainer`, with the ``Tensor``
+policy forward it differentiates) when training switched to a hand-written
+numpy backward.  They serve two purposes:
 
 * **equivalence oracles** — ``tests/test_perf_equivalence.py`` pins the
   vectorised implementations to these references (identical top-k items and
-  explanation paths, all-close embeddings, identical pruned action sets);
+  explanation paths, all-close embeddings, identical pruned action sets,
+  bit-identical DARL gradients, training histories and weights);
 * **in-run benchmark baselines** — ``python -m repro bench`` measures both
   sides in the same process on the same data, so the reported speedups are
   machine-independent ratios rather than absolute timings.
@@ -21,14 +25,22 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .. import nn
+from ..darl.agents import CategoryAgent, EntityAgent
 from ..darl.collaborative import action_target_categories
 from ..darl.inference import PathRecommender
+from ..darl.shared_policy import SharedPolicyNetworks
+from ..darl.trainer import DARLTrainer
 from ..embeddings.transe import TransEConfig, TransEModel
 from ..kg.graph import KnowledgeGraph
 from ..kg.pruning import Action
 from ..kg.relations import Relation
+from ..nn import Tensor
+from ..nn import functional as F
 from ..rl.environment import EntityState
-from ..rl.trajectory import RecommendationPath
+from ..rl.reinforce import apply_update, policy_gradient_loss
+from ..rl.rewards import collaborative_rewards, consistency_reward
+from ..rl.trajectory import CategoryStep, EntityStep, EpisodeResult, RecommendationPath
 
 NumpyLSTMState = Tuple[np.ndarray, np.ndarray]
 
@@ -365,3 +377,292 @@ def _margin_step_reference(model: TransEModel, config: TransEConfig,
     np.add.at(rel, relations[active], lr * neg_grad)
 
     return float(np.mean(violation[active]))
+
+
+# --------------------------------------------------------------------------- #
+# autograd DARL training episode (pre-fusion DARLTrainer)
+# --------------------------------------------------------------------------- #
+# The Tensor-path policy forward the autograd episode differentiates through:
+# the pre-fusion ``SharedPolicyNetworks`` methods of the same names.
+TensorLSTMState = Tuple[Tensor, Tensor]
+
+
+def _partner(policy: SharedPolicyNetworks, partner_hidden: Optional[Tensor]) -> Tensor:
+    if partner_hidden is None or not policy.config.share_history:
+        return Tensor(np.zeros(policy.config.hidden_size))
+    return partner_hidden
+
+
+def encode_entity_step(policy: SharedPolicyNetworks, relation_vector: np.ndarray,
+                       entity_vector: np.ndarray, partner_hidden: Optional[Tensor],
+                       state: TensorLSTMState) -> Tuple[Tensor, TensorLSTMState]:
+    """Advance the entity history encoder with the latest hop (Eq. 14)."""
+    step = nn.concat([Tensor(relation_vector), Tensor(entity_vector),
+                      _partner(policy, partner_hidden)], axis=-1)
+    hidden, cell = policy.entity_lstm(step, state)
+    return hidden, (hidden, cell)
+
+
+def encode_category_step(policy: SharedPolicyNetworks, category_vector: np.ndarray,
+                         partner_hidden: Optional[Tensor],
+                         state: TensorLSTMState) -> Tuple[Tensor, TensorLSTMState]:
+    """Advance the category history encoder with the latest category (Eq. 13)."""
+    step = nn.concat([Tensor(category_vector), _partner(policy, partner_hidden)], axis=-1)
+    hidden, cell = policy.category_lstm(step, state)
+    return hidden, (hidden, cell)
+
+
+def entity_action_logits(policy: SharedPolicyNetworks, entity_vector: np.ndarray,
+                         relation_vector: np.ndarray, history_hidden: Tensor,
+                         action_matrix: np.ndarray) -> Tensor:
+    """Unnormalised scores over the entity agent's candidate actions (Eq. 16)."""
+    state_input = nn.concat([Tensor(entity_vector), Tensor(relation_vector),
+                             history_hidden], axis=-1)
+    query = policy.entity_mlp_out(F.relu(policy.entity_mlp_in(state_input)))
+    return Tensor(action_matrix) @ query
+
+
+def category_action_logits(policy: SharedPolicyNetworks, user_vector: np.ndarray,
+                           category_vector: np.ndarray, history_hidden: Tensor,
+                           action_matrix: np.ndarray) -> Tensor:
+    """Unnormalised scores over the category agent's candidate actions (Eq. 15)."""
+    state_input = nn.concat([Tensor(user_vector), Tensor(category_vector),
+                             history_hidden], axis=-1)
+    query = policy.category_mlp_out(F.relu(policy.category_mlp_in(state_input)))
+    return Tensor(action_matrix) @ query
+
+
+def policy_distribution(logits: Tensor) -> Tensor:
+    """Softmax policy over candidate actions."""
+    return F.softmax(logits, axis=-1)
+
+
+@dataclass
+class _AutogradDecision:
+    """One agent step of the autograd episode (either agent)."""
+
+    chosen_index: int
+    choice: object                 # category id or (relation, entity) action
+    log_prob: Tensor
+    entropy: Tensor
+    new_hidden: Tensor
+    new_lstm_state: TensorLSTMState
+    actions: list
+    probabilities: np.ndarray
+    base_logits: Optional[np.ndarray] = None
+    target_categories: Optional[List[Optional[int]]] = None
+
+    @property
+    def alternative_categories(self) -> List[int]:
+        return [c for i, c in enumerate(self.actions) if i != self.chosen_index]
+
+    @property
+    def alternative_probabilities(self) -> List[float]:
+        return [float(p) for i, p in enumerate(self.probabilities) if i != self.chosen_index]
+
+
+def _sample(log_probs: Tensor, rng: np.random.Generator) -> Tuple[np.ndarray, int]:
+    probabilities = np.exp(log_probs.data)
+    probabilities = probabilities / probabilities.sum()
+    return probabilities, int(rng.choice(len(probabilities), p=probabilities))
+
+
+def _category_decide(agent: CategoryAgent, state, partner_hidden: Optional[Tensor],
+                     history_hidden: Tensor, lstm_state: TensorLSTMState,
+                     rng: np.random.Generator) -> _AutogradDecision:
+    actions = agent.environment.actions(state)
+    action_matrix = agent.environment.action_matrix(actions)
+    user_vector = agent.environment.representations.entity_vector(state.user_entity)
+    current_vector = agent.environment.representations.category_vector(state.current_category)
+
+    logits = category_action_logits(agent.policy, user_vector, current_vector,
+                                    history_hidden, action_matrix)
+    log_probs = F.log_softmax(logits, axis=-1)
+    entropy = -(log_probs.exp() * log_probs).sum()
+    probabilities, chosen_index = _sample(log_probs, rng)
+    chosen_category = actions[chosen_index]
+
+    chosen_vector = agent.environment.representations.category_vector(chosen_category)
+    new_hidden, new_lstm_state = encode_category_step(agent.policy, chosen_vector,
+                                                      partner_hidden, lstm_state)
+    return _AutogradDecision(chosen_index, chosen_category, log_probs[chosen_index],
+                             entropy, new_hidden, new_lstm_state, actions, probabilities)
+
+
+def _entity_decide(agent: EntityAgent, state, last_relation: Relation,
+                   partner_hidden: Optional[Tensor], history_hidden: Tensor,
+                   lstm_state: TensorLSTMState, rng: np.random.Generator,
+                   guided_category: Optional[int]) -> _AutogradDecision:
+    actions = agent.environment.actions(state, target_category=guided_category)
+    action_matrix = agent.environment.action_matrix(actions)
+    entity_vector = agent.environment.representations.entity_vector(state.current_entity)
+    relation_vector = agent.environment.representations.relation_vector(last_relation)
+
+    logits = entity_action_logits(agent.policy, entity_vector, relation_vector,
+                                  history_hidden, action_matrix)
+    target_categories = action_target_categories(agent.environment.graph, actions)
+    bonus = agent.guidance.guidance_bonus(target_categories, guided_category)
+    guided_logits = logits + Tensor(bonus)
+
+    log_probs = F.log_softmax(guided_logits, axis=-1)
+    entropy = -(log_probs.exp() * log_probs).sum()
+    probabilities, chosen_index = _sample(log_probs, rng)
+    chosen_action = actions[chosen_index]
+
+    chosen_relation_vector = agent.environment.representations.relation_vector(
+        chosen_action[0])
+    chosen_entity_vector = agent.environment.representations.entity_vector(chosen_action[1])
+    new_hidden, new_lstm_state = encode_entity_step(
+        agent.policy, chosen_relation_vector, chosen_entity_vector, partner_hidden,
+        lstm_state)
+    return _AutogradDecision(chosen_index, chosen_action, log_probs[chosen_index], entropy,
+                             new_hidden, new_lstm_state, actions, probabilities,
+                             base_logits=np.array(logits.data, copy=True),
+                             target_categories=target_categories)
+
+
+class ReferenceDARLTrainer(DARLTrainer):
+    """A :class:`DARLTrainer` whose episodes build and walk an autograd graph.
+
+    Same configuration, environments, random streams, policy and optimiser
+    as the fused trainer; only the episode differs: the log-probabilities
+    and entropies are ``Tensor`` s, the REINFORCE loss is assembled with
+    :func:`repro.rl.reinforce.policy_gradient_loss` and differentiated by
+    ``loss.backward()``.  The fused trainer must reproduce its gradients,
+    histories and weights bit for bit.
+    """
+
+    def _run_training_episode(self, user_entity: int, positives: Set[int]
+                              ) -> Tuple[EpisodeResult, float]:
+        target_categories = {
+            category for category in
+            (self.graph.category_of(item) for item in positives)
+            if category is not None
+        }
+
+        episode = EpisodeResult(user_id=user_entity, start_entity=user_entity)
+        entity_state = self.entity_environment.initial_state(user_entity)
+        entity_lstm = self.policy.entity_lstm.initial_state()
+        category_lstm = self.policy.category_lstm.initial_state()
+
+        user_vector = self.representations.entity_vector(user_entity)
+        entity_hidden, entity_lstm = encode_entity_step(
+            self.policy, self.representations.relation_vector(Relation.SELF_LOOP),
+            user_vector, None, entity_lstm)
+
+        use_dual = self.config.use_dual_agent
+        category_state = None
+        category_hidden = None
+        if use_dual:
+            start_category = self.category_environment.start_category_for(user_entity)
+            category_state = self.category_environment.initial_state(user_entity, start_category)
+            category_hidden, category_lstm = encode_category_step(
+                self.policy, self.representations.category_vector(start_category), None,
+                category_lstm)
+
+        entity_log_probs: List[Tensor] = []
+        category_log_probs: List[Tensor] = []
+        entity_entropies: List[Tensor] = []
+        category_entropies: List[Tensor] = []
+        guidance_rewards: List[float] = []
+        consistency_rewards: List[float] = []
+        last_relation = Relation.SELF_LOOP
+
+        for _ in range(self.config.max_path_length):
+            guided_category: Optional[int] = None
+            category_decision = None
+            if use_dual:
+                category_decision = _category_decide(
+                    self.category_agent, category_state, entity_hidden, category_hidden,
+                    category_lstm, self.rng)
+                guided_category = category_decision.choice
+
+            entity_decision = _entity_decide(
+                self.entity_agent, entity_state, last_relation, category_hidden,
+                entity_hidden, entity_lstm, self.rng, guided_category)
+
+            if use_dual and self.config.use_collaborative_rewards:
+                step_guidance = self.guidance.kl_guidance_reward(
+                    entity_decision.base_logits, entity_decision.target_categories,
+                    category_decision.choice,
+                    category_decision.alternative_categories,
+                    category_decision.alternative_probabilities)
+            else:
+                step_guidance = 0.0
+
+            next_entity_state = self.entity_environment.step(entity_state,
+                                                             entity_decision.choice)
+            if use_dual:
+                next_category_state = self.category_environment.step(
+                    category_state, category_decision.choice)
+                if self.config.use_collaborative_rewards:
+                    step_consistency = consistency_reward(
+                        self.category_environment.state_vector(next_category_state),
+                        self.entity_environment.state_vector(next_entity_state))
+                else:
+                    step_consistency = 0.0
+            else:
+                next_category_state = None
+                step_consistency = 0.0
+
+            guidance_rewards.append(step_guidance)
+            consistency_rewards.append(step_consistency)
+            entity_log_probs.append(entity_decision.log_prob)
+            entity_entropies.append(entity_decision.entropy)
+            if use_dual:
+                category_log_probs.append(category_decision.log_prob)
+                category_entropies.append(category_decision.entropy)
+
+            episode.entity_steps.append(EntityStep(
+                entity_id=entity_decision.choice[1],
+                relation=entity_decision.choice[0],
+                log_prob=entity_decision.log_prob.item()))
+            if use_dual:
+                episode.category_steps.append(CategoryStep(
+                    category_id=category_decision.choice,
+                    log_prob=category_decision.log_prob.item()))
+
+            entity_state = next_entity_state
+            last_relation = entity_decision.choice[0]
+            entity_hidden = entity_decision.new_hidden
+            entity_lstm = entity_decision.new_lstm_state
+            if use_dual:
+                category_state = next_category_state
+                category_hidden = category_decision.new_hidden
+                category_lstm = category_decision.new_lstm_state
+
+        terminal_entity = self.entity_environment.terminal_reward(entity_state, positives)
+        terminal_category = (
+            self.category_environment.terminal_reward(category_state, target_categories)
+            if use_dual else 0.0)
+
+        rewards = collaborative_rewards(
+            terminal_category=terminal_category,
+            terminal_entity=terminal_entity,
+            guidance=guidance_rewards,
+            consistency=consistency_rewards,
+            alpha_pe=self.config.alpha_pe if self.config.use_collaborative_rewards else 0.0,
+            alpha_pc=self.config.alpha_pc if self.config.use_collaborative_rewards else 0.0,
+        )
+        for step, reward in zip(episode.entity_steps, rewards["entity"]):
+            step.reward = reward
+        for step, reward in zip(episode.category_steps, rewards["category"]):
+            step.reward = reward
+
+        category_reward_stream = rewards["category"] if category_log_probs else []
+        entity_loss = policy_gradient_loss(entity_log_probs, rewards["entity"],
+                                           self.reinforce_config, self._entity_baseline,
+                                           entropies=entity_entropies)
+        category_loss = policy_gradient_loss(category_log_probs, category_reward_stream,
+                                             self.reinforce_config, self._category_baseline,
+                                             entropies=category_entropies)
+        if entity_loss is None and category_loss is None:
+            return episode, float("nan")
+        if entity_loss is None:
+            total = category_loss
+        elif category_loss is None:
+            total = entity_loss
+        else:
+            total = entity_loss + category_loss
+        return episode, apply_update(total, self.policy.parameters(), self.optimiser,
+                                     self.reinforce_config)

@@ -1,11 +1,16 @@
 """REINFORCE policy-gradient utilities (Williams, 1992).
 
 Both CADRL's dual agents and the single-agent baselines update their policies
-with REINFORCE over discounted returns with a moving-average baseline to cut
-variance.  The loss is assembled from the log-probability tensors recorded
-during the rollout, so one ``backward()`` call back-propagates through the
-shared policy networks (and, for CADRL, through nothing else — the
-representations are frozen by that point).
+with REINFORCE over discounted returns with a moving-average baseline
+(:class:`MovingBaseline`) to cut variance.
+
+Only the single-agent baselines (:mod:`repro.baselines.rl_single`) still use
+:func:`policy_gradient_loss` / :func:`apply_update`: the loss is assembled
+from the log-probability tensors recorded during the rollout, and one
+``backward()`` call back-propagates through their policy networks.  CADRL's
+:class:`repro.darl.trainer.DARLTrainer` computes the same loss's gradient by
+hand, without a ``Tensor`` graph; its autograd original, which does call
+these two functions, is kept as the oracle in :mod:`repro.perf.reference`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..kg.relations import Relation
-from ..nn import Tensor
 
 
 @dataclass
@@ -15,7 +14,7 @@ class EntityStep:
 
     entity_id: int                 # entity occupied *after* taking the action
     relation: Relation             # relation traversed to get there
-    log_prob: Optional[Tensor]     # log π(a|s) — None during evaluation rollouts
+    log_prob: Optional[float]      # log π(a|s) — None during evaluation rollouts
     reward: float = 0.0
 
 
@@ -24,7 +23,7 @@ class CategoryStep:
     """One decision of the category agent."""
 
     category_id: int
-    log_prob: Optional[Tensor]
+    log_prob: Optional[float]      # log π(a|s) — None during evaluation rollouts
     reward: float = 0.0
 
 

@@ -6,6 +6,8 @@ import pytest
 from repro.darl import CADRL, CADRLConfig, DARLConfig, DARLTrainer, GuidanceModel, InferenceConfig, PathRecommender, PolicyConfig, SharedPolicyNetworks, build_variant, VARIANT_FACTORIES
 from repro.kg import Relation
 from repro.nn import Tensor
+from repro.nn import functional as F
+from repro.perf import reference
 
 
 @pytest.fixture(scope="module")
@@ -29,54 +31,68 @@ class TestSharedPolicy:
             PolicyConfig(embedding_dim=0).validate()
 
     def test_entity_logits_shape(self, policy, rng):
-        logits = policy.entity_action_logits(np.ones(16), np.ones(16), Tensor(np.zeros(8)),
-                                             rng.random((5, 32)))
+        logits = policy.entity_action_logits_numpy(np.ones(16), np.ones(16), np.zeros(8),
+                                                   rng.random((5, 32)))
         assert logits.shape == (5,)
 
     def test_category_logits_shape(self, policy, rng):
-        logits = policy.category_action_logits(np.ones(16), np.ones(16), Tensor(np.zeros(8)),
-                                               rng.random((3, 16)))
+        logits = policy.category_action_logits_numpy(np.ones(16), np.ones(16), np.zeros(8),
+                                                     rng.random((3, 16)))
         assert logits.shape == (3,)
 
     def test_history_encoding_changes_hidden(self, policy):
-        state = policy.initial_entity_state()
-        hidden1, state1 = policy.encode_entity_step(np.ones(16), np.ones(16), None, state)
-        hidden2, _ = policy.encode_entity_step(np.ones(16) * -1, np.ones(16), None, state1)
-        assert not np.allclose(hidden1.data, hidden2.data)
+        state = policy.initial_state_numpy()
+        hidden1, state1 = policy.encode_entity_step_numpy(np.ones(16), np.ones(16), None, state)
+        hidden2, _ = policy.encode_entity_step_numpy(np.ones(16) * -1, np.ones(16), None,
+                                                     state1)
+        assert not np.allclose(hidden1, hidden2)
 
     def test_share_history_flag_zeroes_partner(self):
         no_share = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
                                                      mlp_hidden=16, share_history=False, seed=0))
-        partner = Tensor(np.ones(8) * 5)
-        with_partner, _ = no_share.encode_category_step(np.ones(16), partner,
-                                                        no_share.initial_category_state())
-        without_partner, _ = no_share.encode_category_step(np.ones(16), None,
-                                                           no_share.initial_category_state())
-        assert np.allclose(with_partner.data, without_partner.data)
+        partner = np.ones(8) * 5
+        with_partner, _ = no_share.encode_category_step_numpy(np.ones(16), partner,
+                                                              no_share.initial_state_numpy())
+        without_partner, _ = no_share.encode_category_step_numpy(
+            np.ones(16), None, no_share.initial_state_numpy())
+        assert np.array_equal(with_partner, without_partner)
 
     def test_numpy_fast_path_matches_tensor_path(self, policy, rng):
         entity_vec, relation_vec = rng.random(16), rng.random(16)
         actions = rng.random((6, 32))
         hidden = rng.random(8)
-        slow = policy.entity_action_logits(entity_vec, relation_vec, Tensor(hidden), actions)
+        slow = reference.entity_action_logits(policy, entity_vec, relation_vec,
+                                              Tensor(hidden), actions)
         fast = policy.entity_action_logits_numpy(entity_vec, relation_vec, hidden, actions)
-        assert np.allclose(slow.data, fast)
+        assert np.array_equal(slow.data, fast)
+        traced = policy.entity_scores_traced(entity_vec, relation_vec, hidden, actions)
+        assert np.array_equal(traced.logits, fast)
 
     def test_numpy_lstm_matches_tensor_lstm(self, policy, rng):
         relation_vec, entity_vec = rng.random(16), rng.random(16)
-        slow_hidden, _ = policy.encode_entity_step(relation_vec, entity_vec, None,
-                                                   policy.initial_entity_state())
+        slow_hidden, _ = reference.encode_entity_step(policy, relation_vec, entity_vec, None,
+                                                      policy.entity_lstm.initial_state())
         fast_hidden, _ = policy.encode_entity_step_numpy(relation_vec, entity_vec, None,
                                                          policy.initial_state_numpy())
-        assert np.allclose(slow_hidden.data, fast_hidden)
+        assert np.array_equal(slow_hidden.data, fast_hidden)
 
     def test_category_numpy_matches_tensor(self, policy, rng):
         user_vec, category_vec = rng.random(16), rng.random(16)
         actions = rng.random((4, 16))
         hidden = rng.random(8)
-        slow = policy.category_action_logits(user_vec, category_vec, Tensor(hidden), actions)
+        slow = reference.category_action_logits(policy, user_vec, category_vec,
+                                                Tensor(hidden), actions)
         fast = policy.category_action_logits_numpy(user_vec, category_vec, hidden, actions)
-        assert np.allclose(slow.data, fast)
+        assert np.array_equal(slow.data, fast)
+
+    def test_policy_head_matches_tensor_log_softmax(self, policy, rng):
+        logits = rng.normal(size=7)
+        head = policy.policy_head(logits)
+        log_probs = F.log_softmax(Tensor(logits))
+        assert np.array_equal(head.log_probs, log_probs.data)
+        assert head.entropy == float(-(log_probs.exp() * log_probs).sum().data)
+        assert np.array_equal(reference.policy_distribution(Tensor(logits)).data,
+                              F.softmax(Tensor(logits)).data)
 
 
 class TestGuidanceModel:
@@ -116,9 +132,9 @@ class TestAgents:
         user = builder.user_to_entity(0)
         start = trainer.category_environment.start_category_for(user)
         state = trainer.category_environment.initial_state(user, start)
-        hidden, lstm = trainer.policy.encode_category_step(
+        hidden, lstm = trainer.policy.encode_category_step_numpy(
             trainer.representations.category_vector(start), None,
-            trainer.policy.initial_category_state())
+            trainer.policy.initial_state_numpy())
         decision = trainer.category_agent.decide(state, None, hidden, lstm, rng)
         assert decision.chosen_category in decision.actions
         assert decision.probabilities.sum() == pytest.approx(1.0)
@@ -128,24 +144,25 @@ class TestAgents:
         trainer, builder = darl_setup
         user = builder.user_to_entity(0)
         state = trainer.entity_environment.initial_state(user)
-        hidden, lstm = trainer.policy.encode_entity_step(
+        hidden, lstm = trainer.policy.encode_entity_step_numpy(
             trainer.representations.relation_vector(Relation.SELF_LOOP),
             trainer.representations.entity_vector(user), None,
-            trainer.policy.initial_entity_state())
+            trainer.policy.initial_state_numpy())
         decision = trainer.entity_agent.decide(state, Relation.SELF_LOOP, None, hidden, lstm,
                                                rng, guided_category=0)
         assert decision.chosen_action in decision.actions
         assert decision.base_logits.shape == (len(decision.actions),)
-        assert decision.log_prob.item() <= 0.0
+        assert isinstance(decision.log_prob, float) and decision.log_prob <= 0.0
+        assert isinstance(decision.entropy, float) and decision.entropy >= 0.0
 
     def test_greedy_decision_is_deterministic(self, darl_setup, rng):
         trainer, builder = darl_setup
         user = builder.user_to_entity(1)
         state = trainer.entity_environment.initial_state(user)
-        hidden, lstm = trainer.policy.encode_entity_step(
+        hidden, lstm = trainer.policy.encode_entity_step_numpy(
             trainer.representations.relation_vector(Relation.SELF_LOOP),
             trainer.representations.entity_vector(user), None,
-            trainer.policy.initial_entity_state())
+            trainer.policy.initial_state_numpy())
         first = trainer.entity_agent.decide(state, Relation.SELF_LOOP, None, hidden, lstm,
                                             rng, greedy=True)
         second = trainer.entity_agent.decide(state, Relation.SELF_LOOP, None, hidden, lstm,
@@ -172,6 +189,18 @@ class TestTrainer:
         history = trainer.train(user_items)
         assert len(history) == trainer.config.epochs
         assert 0.0 <= history[0].hit_rate <= 1.0
+
+    def test_epoch_without_episodes_reports_nan(self, tiny_kg, tiny_representations):
+        graph, category_graph, _ = tiny_kg
+        config = DARLConfig(max_path_length=2, epochs=2, hidden_size=8, mlp_hidden=16, seed=0)
+        trainer = DARLTrainer(graph, category_graph, tiny_representations, config)
+        history = trainer.train({})
+        assert [stats.epoch for stats in history] == [0, 1]
+        for stats in history:
+            assert np.isnan(stats.mean_entity_reward)
+            assert np.isnan(stats.mean_category_reward)
+            assert np.isnan(stats.hit_rate)
+            assert np.isnan(stats.policy_loss)
 
     def test_single_agent_mode_has_no_category_steps(self, tiny_kg, tiny_representations):
         graph, category_graph, builder = tiny_kg

@@ -1,9 +1,11 @@
 """Vectorised ≡ scalar equivalence, CSR adjacency, cache bounds, bench harness.
 
-The vectorised hot paths (CSR pruning, frontier beam search, fast TransE)
-must be *behaviour-preserving* rewrites: every test here pins them against
-either the frozen scalar references in :mod:`repro.perf.reference` or the
-list-based originals that remain in the codebase.
+The vectorised hot paths (CSR pruning, frontier beam search, fast TransE,
+the fused DARL training episode, the vectorised KL guidance reward) must be
+*behaviour-preserving* rewrites: every test here pins them against either the
+frozen references in :mod:`repro.perf.reference` or the list-based originals
+that remain in the codebase.  DARL training is pinned bit for bit: gradients,
+histories and weights equal the autograd reference exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.darl.collaborative import GuidanceModel
 from repro.darl.inference import InferenceConfig, PathRecommender
+from repro.darl.trainer import DARLConfig, DARLTrainer
 from repro.darl.shared_policy import PolicyConfig, SharedPolicyNetworks
 from repro.embeddings import TransEConfig, train_transe
 from repro.kg import (
@@ -32,8 +36,10 @@ from repro.perf import (
     train_transe_reference,
     write_bench_json,
 )
-from repro.perf.reference import category_guided_prune, degree_prune
+from repro.nn import Tensor
+from repro.perf.reference import ReferenceDARLTrainer, category_guided_prune, degree_prune
 from repro.rl.environment import EntityEnvironment, LRUCache
+from repro.rl.rewards import guidance_reward
 from repro.serving import RecommendationService, ServingConfig, ServingTier
 
 
@@ -177,6 +183,125 @@ class TestPruningEquivalence:
         assert relation_from_index(int(out_relations[-1])) is Relation.SELF_LOOP
         again = ensure_self_loop_arrays((out_relations, out_targets), 3)
         assert len(again[0]) == 2  # idempotent
+
+
+# --------------------------------------------------------------------------- #
+# fused DARL training ≡ autograd reference, bit for bit
+# --------------------------------------------------------------------------- #
+DARL_VARIANTS = {
+    "dual": {},
+    "single-agent": {"use_dual_agent": False},
+    "no-shared-history": {"share_history": False},
+    "no-collaborative-rewards": {"use_collaborative_rewards": False},
+    "no-entropy-bonus": {"entropy_weight": 0.0},
+}
+
+
+def _darl_config(variant, seed=3, **overrides):
+    return DARLConfig(**{**dict(max_path_length=4, epochs=2, hidden_size=8, mlp_hidden=16,
+                                max_entity_actions=8, max_category_actions=4, seed=seed),
+                         **DARL_VARIANTS[variant], **overrides})
+
+
+@pytest.fixture(scope="module")
+def darl_users(tiny_kg):
+    graph, _, builder = tiny_kg
+    users = {}
+    for user_id in range(30):
+        user = builder.user_to_entity(user_id)
+        items = graph.purchased_items(user)
+        if items:
+            users[user] = items
+    return users
+
+
+class TestDARLTrainingEquivalence:
+    @pytest.mark.parametrize("variant", sorted(DARL_VARIANTS))
+    def test_gradients_bit_identical_per_episode(self, variant, tiny_kg,
+                                                 tiny_representations, darl_users):
+        graph, category_graph, _ = tiny_kg
+        fused = DARLTrainer(graph, category_graph, tiny_representations,
+                            _darl_config(variant))
+        reference = ReferenceDARLTrainer(graph, category_graph, tiny_representations,
+                                         _darl_config(variant))
+        episodes = list(darl_users.items())[:24]
+        assert len(episodes) >= 20
+        for user, items in episodes:
+            fused_episode, fused_loss = fused._run_training_episode(user, set(items))
+            reference_episode, reference_loss = reference._run_training_episode(
+                user, set(items))
+            assert fused_episode == reference_episode
+            assert fused_loss == reference_loss
+            for (name, mine), (_, theirs) in zip(fused.policy.named_parameters(),
+                                                 reference.policy.named_parameters()):
+                assert (mine.grad is None) == (theirs.grad is None), name
+                if mine.grad is not None:
+                    assert np.array_equal(mine.grad, theirs.grad), name
+        if variant == "single-agent":
+            assert fused.policy.category_lstm.weight_ih.grad is None
+
+    @pytest.mark.parametrize("variant", sorted(DARL_VARIANTS))
+    def test_histories_and_weights_bit_identical(self, variant, tiny_kg,
+                                                 tiny_representations, darl_users):
+        graph, category_graph, _ = tiny_kg
+        fused = DARLTrainer(graph, category_graph, tiny_representations,
+                            _darl_config(variant, seed=5))
+        reference = ReferenceDARLTrainer(graph, category_graph, tiny_representations,
+                                         _darl_config(variant, seed=5))
+        assert fused.train(darl_users) == reference.train(darl_users)
+        fused_state = fused.policy.state_dict()
+        reference_state = reference.policy.state_dict()
+        assert fused_state.keys() == reference_state.keys()
+        for name, array in fused_state.items():
+            assert np.array_equal(array, reference_state[name]), name
+
+    def test_fused_episode_builds_no_tensors(self, tiny_kg, tiny_representations,
+                                             darl_users, monkeypatch):
+        graph, category_graph, _ = tiny_kg
+        trainer = DARLTrainer(graph, category_graph, tiny_representations,
+                              _darl_config("dual"))
+        user, items = next(iter(darl_users.items()))
+        created = []
+        original = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        _, loss = trainer._run_training_episode(user, set(items))
+        assert np.isfinite(loss)
+        assert created == []
+        ReferenceDARLTrainer(graph, category_graph, tiny_representations,
+                             _darl_config("dual"))._run_training_episode(user, set(items))
+        assert created  # the counter does see the autograd episode's tensors
+
+
+class TestKLGuidanceEquivalence:
+    def test_vectorised_counterfactuals_equal_the_loop(self):
+        rng = np.random.default_rng(11)
+        guidance = GuidanceModel(strength=2.0)
+        for _ in range(300):
+            actions = int(rng.integers(1, 40))
+            categories = int(rng.integers(2, 10))
+            base = rng.normal(size=actions) * rng.choice([0.1, 1.0, 30.0])
+            targets = [None if rng.random() < 0.3 else int(rng.integers(categories))
+                       for _ in range(actions)]
+            alternatives = [int(c) for c in rng.choice(categories,
+                                                       size=int(rng.integers(categories)),
+                                                       replace=False)]
+            weights = list(rng.random(len(alternatives))) if rng.random() < 0.8 else None
+            chosen = int(rng.integers(categories))
+            loop = [guidance.guided_probabilities(base, targets, alternative)
+                    for alternative in alternatives]
+            matrix = guidance.counterfactual_probabilities(base, targets, alternatives)
+            assert matrix.shape == (len(alternatives), actions)
+            for row, expected in zip(matrix, loop):
+                assert np.array_equal(row, expected)
+            expected_reward = guidance_reward(
+                guidance.guided_probabilities(base, targets, chosen), loop, weights)
+            assert guidance.kl_guidance_reward(base, targets, chosen, alternatives,
+                                               weights) == expected_reward
 
 
 class TestCSRAdjacency:
@@ -340,6 +465,13 @@ class TestBenchHarness:
         assert [r.metric for r in regressions] == ["beam_warm.speedup"]
         assert "beam_warm" in regressions[0].describe()
 
+    def test_diverged_darl_weights_flagged(self):
+        baseline = {"metrics": {"darl_train": {"identical_weights": 1.0}}}
+        current = {"metrics": {"darl_train": {"identical_weights": 0.0}}}
+        regressions = compare_with_baseline(current, baseline, threshold=0.30)
+        assert [r.metric for r in regressions] == ["darl_train.identical_weights"]
+        assert compare_with_baseline(baseline, baseline, threshold=0.30) == []
+
     def test_missing_metrics_are_skipped(self):
         baseline = {"metrics": {}}
         assert compare_with_baseline(self._document(), baseline) == []
@@ -378,10 +510,14 @@ class TestBenchEndToEnd:
                                scenario_requests=120)
         document = run_bench(profile)
         metrics = document["metrics"]
-        for section in ("transe", "rollouts", "beam_cold", "beam_warm",
+        for section in ("transe", "darl_train", "beam_cold", "beam_warm",
                         "adversarial"):
             assert section in metrics
         assert metrics["transe"]["speedup"] > 0
+        assert metrics["darl_train"]["speedup"] > 0
+        assert metrics["darl_train"]["identical_weights"] == 1.0
+        assert "darl_train.speedup" in document["gated"]
+        assert "darl_train.identical_weights" in document["gated"]
         assert metrics["beam_warm"]["vectorised_qps"] > 0
         adversarial = metrics["adversarial"]
         assert adversarial["deterministic"] == 1.0

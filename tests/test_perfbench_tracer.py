@@ -2,9 +2,11 @@
 
 ``perfbench/workloads.py:instrument`` patches each layer's entry points by
 name (``recommend_many``, ``warm_milestones``, ``serve_many``,
-``fallback_items``, …).  Renaming one would otherwise break
-``perfbench/run.py --trace 1`` only when the benchmark runs; this test
-catches it in the tier-1 suite.
+``fallback_items``, the DARL agents' ``decide``, ``Adam.step``, …).
+Renaming one would otherwise break ``perfbench/run.py --trace 1`` (or
+silently zero a per-layer figure such as ``darl.rollout_s`` or
+``darl.optim_s``) only when the benchmark runs; this test catches it in the
+tier-1 suite.
 """
 
 import inspect
@@ -38,6 +40,8 @@ def test_instrument_wraps_every_entry_point_and_uninstall_restores(monkeypatch):
             ("PathRecommender", "recommend_requests"),
             ("PathRecommender", "warm_milestones"),
             ("RecommendationService", "serve_many"), ("ClusterService", "serve_many"),
-            ("TieredRanker", "fallback_items")} <= names
+            ("TieredRanker", "fallback_items"),
+            ("EntityAgent", "decide"), ("CategoryAgent", "decide"),
+            ("EntityEnvironment", "step"), ("Adam", "step")} <= names
     for owner, attr, original in patched:
         assert inspect.getattr_static(owner, attr) is original, (owner, attr)
