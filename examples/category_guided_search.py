@@ -11,7 +11,7 @@ Run with:  python examples/category_guided_search.py
 
 import numpy as np
 
-from repro.darl import CADRL, CADRLConfig
+from repro.darl import CADRL, CADRLConfig, DARLTrainer
 from repro.data import load_dataset, split_interactions
 
 
@@ -45,8 +45,10 @@ def main() -> None:
     print(f"  guided candidates:   {len(guided)} "
           f"({in_target} inside milestone '{graph.category_name(milestones[0])}')")
 
-    # (3) rewards exchanged during one training-style episode
-    trainer = model.trainer
+    # (3) rewards exchanged during one training-style episode, replayed by a
+    #     trainer over the model's graph, representations and trained policy
+    trainer = DARLTrainer(graph, model.category_graph, model.representations, config.darl)
+    trainer.policy.load_state_dict(model.policy.state_dict())
     positives = set(graph.purchased_items(user_entity))
     episode, _ = trainer._run_training_episode(user_entity, positives)
     print("\none dual-agent episode:")

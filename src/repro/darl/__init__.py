@@ -3,10 +3,10 @@
 from .agents import CategoryAgent, CategoryDecision, EntityAgent, EntityDecision
 from .collaborative import GuidanceModel, action_target_categories
 from .inference import InferenceConfig, PathRecommender
-from .model import CADRL, CADRLConfig
+from .model import CADRL, CADRLConfig, apply_overrides
 from .shared_policy import PolicyConfig, SharedPolicyNetworks
 from .trainer import DARLConfig, DARLTrainer, EpochStats
-from .variants import VARIANT_FACTORIES, build_variant
+from .variants import VARIANT_OVERRIDES
 
 __all__ = [
     "CADRL",
@@ -23,7 +23,7 @@ __all__ = [
     "PathRecommender",
     "PolicyConfig",
     "SharedPolicyNetworks",
-    "VARIANT_FACTORIES",
+    "VARIANT_OVERRIDES",
     "action_target_categories",
-    "build_variant",
+    "apply_overrides",
 ]

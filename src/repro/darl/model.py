@@ -1,28 +1,49 @@
 """The CADRL model facade: TransE → CGGNN → DARL → beam-search recommendations.
 
-``CADRL.fit`` runs the full pipeline of the paper on a dataset split and the
-resulting object answers ``recommend_items`` / ``recommend_paths`` queries in
-terms of *dataset* user/item ids, which is what the evaluation harness and the
-examples consume.
+``CADRL.fit`` trains the paper's chain on a dataset split by running the
+:mod:`repro.pipeline` stages (``kg`` → ``embed`` → ``cggnn`` → ``train``), the
+only code that trains the model; the resulting object answers
+``recommend_items`` / ``recommend_paths`` queries in terms of *dataset*
+user/item ids, which is what the evaluation harness and the examples consume.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
-from ..cggnn import CGGNN, CGGNNConfig, CGGNNTrainingConfig, Representations, train_cggnn
+from ..cggnn import CGGNNConfig, CGGNNTrainingConfig, Representations
 from ..data.schema import InteractionDataset, TrainTestSplit
-from ..data.splits import train_user_items
-from ..embeddings import TransEConfig, train_transe
-from ..kg import build_knowledge_graph
+from ..embeddings import TransEConfig, TransEModel
 from ..rl.trajectory import RecommendationPath
 from .collaborative import GuidanceModel
 from .inference import InferenceConfig, PathRecommender
 from .shared_policy import SharedPolicyNetworks
-from .trainer import DARLConfig, DARLTrainer, EpochStats
+from .trainer import DARLConfig, EpochStats
+
+
+def apply_overrides(config: Any, overrides: Mapping[str, Any]) -> Any:
+    """Set ``section__field``-style paths on a nested config dataclass.
+
+    ``{"darl__max_path_length": 3}`` sets ``config.darl.max_path_length``.
+    A path naming no field raises ``ValueError``, so a misspelled override
+    fails instead of silently training (and fingerprinting) the default.
+    Returns ``config``, edited in place.
+    """
+    for key, value in overrides.items():
+        parts = key.split("__")
+        target = config
+        for part in parts:
+            if not (dataclasses.is_dataclass(target)
+                    and part in {f.name for f in dataclasses.fields(target)}):
+                raise ValueError(f"unknown config override {key!r}: "
+                                 f"{type(target).__name__} has no field {part!r}")
+            owner, target = target, getattr(target, part)
+        setattr(owner, parts[-1], value)
+    return config
 
 
 @dataclass
@@ -68,9 +89,7 @@ class CADRLConfig:
                             max_entity_actions=25, seed=seed),
             inference=InferenceConfig(beam_width=12, expansions_per_beam=3),
         )
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
+        return apply_overrides(config, overrides)
 
 
 class CADRL:
@@ -84,8 +103,8 @@ class CADRL:
         self.builder = None
         self.graph = None
         self.category_graph = None
+        self.transe: Optional[TransEModel] = None
         self.representations: Optional[Representations] = None
-        self.trainer: Optional[DARLTrainer] = None
         self.recommender: Optional[PathRecommender] = None
         self.training_history: List[EpochStats] = []
         self.transe_losses: List[float] = []
@@ -94,96 +113,54 @@ class CADRL:
 
     # ------------------------------------------------------------------ #
     def fit(self, dataset: InteractionDataset, split: TrainTestSplit) -> "CADRL":
-        """Run the full training pipeline on the training split."""
-        self.dataset = dataset
-        self.graph, self.category_graph, self.builder = build_knowledge_graph(
-            dataset, split.train)
+        """Train the full chain on the training split (the pipeline's stages)."""
+        # Deferred: repro.pipeline builds on this module.
+        from ..pipeline.config import RunConfig
+        from ..pipeline.stages import (CGGNNStage, EmbedStage, KGStage,
+                                       PipelineContext, TrainStage)
 
-        transe_model, self.transe_losses = train_transe(self.graph, self.config.transe)
-
-        cggnn = CGGNN(self.graph, transe_model, self.config.cggnn)
-        if self.config.use_cggnn:
-            self.representations, self.cggnn_losses = train_cggnn(
-                self.graph, cggnn, self.config.cggnn_training)
-        else:
-            self.representations = cggnn.static_representations()
-            self.cggnn_losses = []
-
-        self.trainer = DARLTrainer(self.graph, self.category_graph, self.representations,
-                                   self.config.darl)
-        user_items = self._entity_level_train_items(split)
-        self.training_history = self.trainer.train(user_items)
-        self._train_items = {user: set(items) for user, items in user_items.items()}
-
-        self.recommender = self._build_recommender(self.trainer.policy)
+        context = PipelineContext(config=RunConfig(model=self.config),
+                                  dataset=dataset, split=split, cadrl=self)
+        for stage in (KGStage(), EmbedStage(), CGGNNStage(), TrainStage()):
+            stage.run(context)
         return self
 
-    def _build_recommender(self, policy: SharedPolicyNetworks) -> PathRecommender:
-        """A fresh beam-search recommender over ``policy`` (no shared caches)."""
-        return PathRecommender(
-            self.graph, self.category_graph, self.representations, policy,
-            guidance=GuidanceModel(strength=self.config.darl.guidance_strength),
-            max_path_length=self.config.darl.max_path_length,
-            max_entity_actions=self.config.darl.max_entity_actions,
-            max_category_actions=self.config.darl.max_category_actions,
-            use_dual_agent=self.config.darl.use_dual_agent,
+    def adopt(self, context) -> "CADRL":
+        """Take over the trained components of a pipeline context.
+
+        The one assembly path, shared by :meth:`fit` and the pipeline's
+        ``train`` stage (run, restored from disk or from a stage memo): the
+        facade gets a fresh :class:`PathRecommender` with cold caches.
+        """
+        from ..pipeline.stages import entity_train_items  # deferred, as in fit
+
+        self.dataset = context.dataset
+        self.graph = context.graph
+        self.category_graph = context.category_graph
+        self.builder = context.builder
+        self.transe = context.transe
+        self.representations = context.representations
+        self.training_history = list(context.training_history)
+        self.transe_losses = list(context.transe_losses)
+        self.cggnn_losses = list(context.cggnn_losses)
+        self._train_items = {user: set(items) for user, items in
+                             entity_train_items(context.split, context.builder).items()}
+        darl = self.config.darl
+        self.recommender = PathRecommender(
+            context.graph, context.category_graph, context.representations, context.policy,
+            guidance=GuidanceModel(strength=darl.guidance_strength),
+            max_path_length=darl.max_path_length,
+            max_entity_actions=darl.max_entity_actions,
+            max_category_actions=darl.max_category_actions,
+            use_dual_agent=darl.use_dual_agent,
             config=self.config.inference,
         )
-
-    @classmethod
-    def from_components(cls, config: CADRLConfig, dataset: InteractionDataset,
-                        split: TrainTestSplit, graph, category_graph, builder,
-                        representations: Representations,
-                        policy: SharedPolicyNetworks,
-                        training_history: Optional[List[EpochStats]] = None
-                        ) -> "CADRL":
-        """Assemble a ready-to-recommend facade from pre-trained components.
-
-        This is the restore path of :mod:`repro.pipeline`: the components come
-        from an artifact directory (or another process) instead of a live
-        :meth:`fit` call, so ``trainer`` stays ``None`` — everything else
-        behaves exactly like a fitted model, including a fresh
-        :class:`PathRecommender` with cold caches.
-        """
-        model = cls(config)
-        model.dataset = dataset
-        model.graph = graph
-        model.category_graph = category_graph
-        model.builder = builder
-        model.representations = representations
-        model.training_history = list(training_history or [])
-        user_items = model._entity_level_train_items(split)
-        model._train_items = {user: set(items) for user, items in user_items.items()}
-        model.recommender = model._build_recommender(policy)
-        return model
-
-    def reset_recommender(self) -> None:
-        """Replace the recommender with a fresh one (all inference caches cold).
-
-        Timing studies that receive a shared stack (e.g. via
-        ``experiments.common.trained_cadrl``) call this so their cold-path
-        measurements do not benefit from milestone/action caches warmed by
-        earlier consumers.
-        """
-        self._require_fitted()
-        self.recommender = self._build_recommender(self.recommender.policy)
+        return self
 
     @property
     def policy(self) -> Optional[SharedPolicyNetworks]:
-        """The trained shared policy (from the live trainer or the restore path)."""
-        if self.recommender is not None:
-            return self.recommender.policy
-        if self.trainer is not None:
-            return self.trainer.policy
-        return None
-
-    def _entity_level_train_items(self, split: TrainTestSplit) -> Dict[int, List[int]]:
-        items_by_user = train_user_items(split)
-        return {
-            self.builder.user_to_entity(user): [self.builder.item_to_entity(item)
-                                                for item in items]
-            for user, items in items_by_user.items()
-        }
+        """The trained shared policy (``None`` before :meth:`fit`)."""
+        return self.recommender.policy if self.recommender is not None else None
 
     def _require_fitted(self) -> None:
         if self.recommender is None:

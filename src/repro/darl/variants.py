@@ -1,91 +1,30 @@
 """Ablation variants of CADRL used by Table IV and Figures 3-4.
 
-Every variant is just a :class:`CADRLConfig` with the relevant switch flipped,
-so the ablations exercise the same code paths as the full model — exactly how
-the paper constructs them:
+Every variant is the full model with the relevant switches flipped, written as
+``section__field`` config overrides (see :func:`repro.darl.apply_overrides`),
+so the ablations train through the same pipeline stages as the full model —
+exactly how the paper constructs them:
 
-* ``without_darl``   — single entity agent, binary terminal reward only
-                       ("CADRL w/o DARL", Table IV).
-* ``without_cggnn``  — static TransE representations ("CADRL w/o CGGNN").
-* ``rggnn``          — CGGNN without the gated GNN module (Fig. 3, "RGGNN").
-* ``rcgan``          — CGGNN without the category attention module (Fig. 3, "RCGAN").
-* ``rshi``           — no shared history between the agents (Fig. 4, "RSHI").
-* ``rcrm``           — no collaborative reward mechanism (Fig. 4, "RCRM").
+* ``CADRL w/o DARL``  — single entity agent, binary terminal reward only
+                        (Table IV).
+* ``CADRL w/o CGGNN`` — static TransE representations (Table IV).
+* ``RGGNN``           — CGGNN without the gated GNN module (Fig. 3).
+* ``RCGAN``           — CGGNN without the category attention module (Fig. 3).
+* ``RSHI``            — no shared history between the agents (Fig. 4).
+* ``RCRM``            — no collaborative reward mechanism (Fig. 4).
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Dict
+from typing import Any, Dict
 
-from .model import CADRL, CADRLConfig
-
-
-def _clone(config: CADRLConfig) -> CADRLConfig:
-    return copy.deepcopy(config)
-
-
-def full(config: CADRLConfig) -> CADRL:
-    """The complete CADRL model."""
-    return CADRL(_clone(config))
-
-
-def without_darl(config: CADRLConfig) -> CADRL:
-    """CADRL w/o DARL: single-agent walker with only the binary terminal reward."""
-    variant = _clone(config)
-    variant.darl.use_dual_agent = False
-    variant.darl.use_collaborative_rewards = False
-    return CADRL(variant)
-
-
-def without_cggnn(config: CADRLConfig) -> CADRL:
-    """CADRL w/o CGGNN: items keep their static TransE representation."""
-    variant = _clone(config)
-    variant.use_cggnn = False
-    return CADRL(variant)
-
-
-def rggnn(config: CADRLConfig) -> CADRL:
-    """RGGNN: remove the gated GNN, keep only category attention."""
-    variant = _clone(config)
-    variant.cggnn.use_ggnn = False
-    return CADRL(variant)
-
-
-def rcgan(config: CADRLConfig) -> CADRL:
-    """RCGAN: remove the category attention, keep only the gated GNN."""
-    variant = _clone(config)
-    variant.cggnn.use_category_attention = False
-    return CADRL(variant)
-
-
-def rshi(config: CADRLConfig) -> CADRL:
-    """RSHI: dual agents without shared history in the policy networks."""
-    variant = _clone(config)
-    variant.darl.share_history = False
-    return CADRL(variant)
-
-
-def rcrm(config: CADRLConfig) -> CADRL:
-    """RCRM: dual agents without the collaborative (partner) rewards."""
-    variant = _clone(config)
-    variant.darl.use_collaborative_rewards = False
-    return CADRL(variant)
-
-
-VARIANT_FACTORIES: Dict[str, Callable[[CADRLConfig], CADRL]] = {
-    "CADRL": full,
-    "CADRL w/o DARL": without_darl,
-    "CADRL w/o CGGNN": without_cggnn,
-    "RGGNN": rggnn,
-    "RCGAN": rcgan,
-    "RSHI": rshi,
-    "RCRM": rcrm,
+VARIANT_OVERRIDES: Dict[str, Dict[str, Any]] = {
+    "CADRL": {},
+    "CADRL w/o DARL": {"darl__use_dual_agent": False,
+                       "darl__use_collaborative_rewards": False},
+    "CADRL w/o CGGNN": {"use_cggnn": False},
+    "RGGNN": {"cggnn__use_ggnn": False},
+    "RCGAN": {"cggnn__use_category_attention": False},
+    "RSHI": {"darl__share_history": False},
+    "RCRM": {"darl__use_collaborative_rewards": False},
 }
-
-
-def build_variant(name: str, config: CADRLConfig) -> CADRL:
-    """Instantiate a named variant; raises ``KeyError`` for unknown names."""
-    if name not in VARIANT_FACTORIES:
-        raise KeyError(f"unknown CADRL variant {name!r}; available: {sorted(VARIANT_FACTORIES)}")
-    return VARIANT_FACTORIES[name](config)

@@ -6,12 +6,15 @@ uniform way to print result tables.  The ``profile`` argument scales the
 experiments: ``"smoke"`` is sized for CI/benchmarks (seconds), ``"paper"``
 uses the full presets (minutes).
 
-Experiments that need the *standard* trained CADRL stack go through
-:func:`trained_cadrl`, which builds on :mod:`repro.pipeline`: identical
-(dataset, configuration) pairs are memoised per process by their pipeline
-fingerprint, so running several tables/figures in one ``python -m repro
-experiments`` invocation trains each stack exactly once instead of once per
-experiment.
+Every CADRL stack an experiment needs — the standard model, an ablation
+variant (:data:`repro.darl.VARIANT_OVERRIDES`) or a hyper-parameter point — comes
+from :func:`trained_cadrl`, which runs the :mod:`repro.pipeline` stages with one
+process-wide :class:`~repro.pipeline.StageMemo`.  The memo holds each stage's
+outputs under that stage's own fingerprint, so a DARL-only override reuses the
+dataset, KG, TransE and CGGNN of the standard stack, and running several
+tables/figures in one ``python -m repro experiments`` invocation trains each
+distinct stage exactly once.  Every call still gets a fresh ``CADRL`` facade
+with cold recommender caches.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..darl import CADRL, CADRLConfig
-from ..data import load_dataset, split_interactions
+from ..darl import CADRL, CADRLConfig, apply_overrides
 from ..data.schema import TrainTestSplit
 from ..data.synthetic import SyntheticDataset
+from ..pipeline import DataConfig, EvalConfig, Pipeline, PipelineResult, RunConfig, StageMemo
 
 PROFILES = ("smoke", "paper")
 
@@ -50,36 +53,34 @@ class ExperimentSetting:
 def prepare_dataset(name: str, setting: ExperimentSetting, seed: int = 0,
                     dataset_seed: Optional[int] = None
                     ) -> Tuple[SyntheticDataset, TrainTestSplit]:
-    """Generate a preset dataset at the profile's scale and split it 70/30.
+    """A preset dataset at the profile's scale and its 70/30 split.
 
-    ``seed`` controls the split; ``dataset_seed`` (optional) threads through
-    to :func:`repro.data.load_dataset` for alternate deterministic dataset
-    draws.
+    The pipeline's (memoised) ``data`` stage: the same objects every stack of
+    this dataset trains on.  ``seed`` controls the split; ``dataset_seed``
+    (optional) threads through to :func:`repro.data.load_dataset` for
+    alternate deterministic dataset draws.
     """
-    dataset = load_dataset(name, scale=setting.dataset_scale, seed=dataset_seed)
-    split = split_interactions(dataset, seed=seed)
-    return dataset, split
+    config = experiment_run_config(name, setting, seed=seed)
+    config.data.dataset_seed = dataset_seed
+    result = Pipeline(config, memo=_STAGE_MEMO).run(until=("data",))
+    return result.dataset, result.split
 
 
 def cadrl_config(setting: ExperimentSetting, seed: int = 0, **overrides) -> CADRLConfig:
-    """The CADRL configuration used across experiments (fast preset + profile scale)."""
+    """The CADRL configuration used across experiments (fast preset + profile scale).
+
+    ``overrides`` are ``section__field`` paths (:func:`repro.darl.apply_overrides`);
+    an unknown one raises ``ValueError``.
+    """
     config = CADRLConfig.fast(embedding_dim=32, seed=seed)
     config.darl.epochs = setting.darl_epochs
-    for key, value in overrides.items():
-        parts = key.split("__")
-        target = config
-        for part in parts[:-1]:
-            target = getattr(target, part)
-        setattr(target, parts[-1], value)
-    return config
+    return apply_overrides(config, overrides)
 
 
 def experiment_run_config(name: str, setting: ExperimentSetting, seed: int = 0,
                           **overrides):
     """The :class:`repro.pipeline.RunConfig` equivalent of the classic recipe
     (``prepare_dataset`` + ``cadrl_config``) for one experiment stack."""
-    from ..pipeline import DataConfig, EvalConfig, RunConfig
-
     return RunConfig(
         data=DataConfig(dataset=name, scale=setting.dataset_scale, split_seed=seed),
         model=cadrl_config(setting, seed=seed, **overrides),
@@ -87,61 +88,35 @@ def experiment_run_config(name: str, setting: ExperimentSetting, seed: int = 0,
     )
 
 
-#: Process-level cache of trained stacks.  The key covers everything the
-#: returned result depends on: the chained ``train`` fingerprint (data + all
-#: training stages) plus the inference configuration the recommender is
-#: assembled with.  Only un-overridden (standard) stacks are inserted, so the
-#: cache stays bounded at one entry per (dataset, profile, seed) even when
-#: sweeps like fig5 request many override variants.
-_STACK_CACHE: Dict[str, object] = {}
-
-
-def _stack_cache_key(config) -> str:
-    import json
-
-    from ..pipeline import config_to_dict
-
-    return json.dumps([config.stage_fingerprints()["train"],
-                       config_to_dict(config.model.inference)], sort_keys=True)
+#: Stage outputs shared by every experiment stack in this process.
+_STAGE_MEMO = StageMemo()
 
 
 def trained_stack(name: str, setting: ExperimentSetting, seed: int = 0,
-                  store=None, **overrides):
-    """A :class:`repro.pipeline.PipelineResult` with the standard CADRL stack.
+                  **overrides) -> PipelineResult:
+    """The pipeline run (through ``train``) of one experiment stack.
 
-    Identical requests within one process hit the in-memory cache instead of
-    re-training; pass ``store`` (a directory) to additionally persist/reuse
-    the artifacts across processes.
+    Stages whose fingerprint an earlier stack in this process already
+    produced are restored from the stage memo instead of retrained.
     """
-    from ..pipeline import Pipeline
-
     config = experiment_run_config(name, setting, seed=seed, **overrides)
-    key = _stack_cache_key(config)
-    cached = _STACK_CACHE.get(key)
-    if cached is not None and store is None:
-        return cached
-    result = Pipeline(config, store=store).run(until=("train",))
-    # Overridden variants (e.g. fig5's per-length sweeps) are one-shot: keep
-    # them out of the cache so it cannot grow one full stack per variant.
-    if not overrides:
-        _STACK_CACHE[key] = result
-    return result
+    return Pipeline(config, memo=_STAGE_MEMO).run(until=("train",))
 
 
 def trained_cadrl(name: str, setting: ExperimentSetting, seed: int = 0,
                   **overrides) -> Tuple[SyntheticDataset, TrainTestSplit, CADRL]:
-    """Dataset, split and the fitted standard CADRL model for one experiment.
+    """Dataset, split and a fitted CADRL model for one experiment stack.
 
-    Drop-in replacement for ``CADRL(cadrl_config(...)).fit(*prepare_dataset(...))``
-    that de-duplicates training across experiments via :func:`trained_stack`.
+    Equal to ``CADRL(cadrl_config(...)).fit(*prepare_dataset(...))`` bit for
+    bit, with training de-duplicated across experiments via the stage memo.
     """
     result = trained_stack(name, setting, seed=seed, **overrides)
     return result.dataset, result.split, result.cadrl
 
 
-def clear_stack_cache() -> None:
-    """Drop the process-level trained-stack cache (tests, memory pressure)."""
-    _STACK_CACHE.clear()
+def clear_stage_memo() -> None:
+    """Drop the process-wide stage memo (tests, memory pressure)."""
+    _STAGE_MEMO.clear()
 
 
 def eval_users(split: TrainTestSplit, setting: ExperimentSetting) -> Optional[List[int]]:

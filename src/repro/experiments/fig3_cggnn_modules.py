@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..baselines import SingleAgentConfig, build_baseline
-from ..darl.variants import build_variant
+from ..darl import VARIANT_OVERRIDES
 from ..eval import evaluate_recommender
 from .common import (
     ExperimentSetting,
-    cadrl_config,
     eval_users,
     format_table,
     metric_row,
     prepare_dataset,
+    trained_cadrl,
 )
 
 FIG3_DATASETS = ["cellphones", "beauty"]
@@ -47,10 +47,10 @@ def run(profile: str = "smoke", datasets: Optional[Sequence[str]] = None,
         for model_name in FIG3_MODELS:
             if model_name == "UCPR":
                 model = build_baseline("UCPR", config=SingleAgentConfig(
-                    epochs=setting.baseline_rl_epochs, seed=seed), seed=seed)
+                    epochs=setting.baseline_rl_epochs, seed=seed), seed=seed).fit(dataset, split)
             else:
-                model = build_variant(model_name, cadrl_config(setting, seed=seed))
-            model.fit(dataset, split)
+                _, _, model = trained_cadrl(dataset_name, setting, seed=seed,
+                                            **VARIANT_OVERRIDES[model_name])
             evaluation = evaluate_recommender(model, split, users=users)
             result.metrics[dataset_name][model_name] = evaluation.metrics
     return result

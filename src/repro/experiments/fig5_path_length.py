@@ -54,8 +54,8 @@ def run(profile: str = "smoke", datasets: Optional[Sequence[str]] = None,
         for length in lengths:
             for model_name in models:
                 if model_name == "CADRL":
-                    # Pipeline-backed with a per-length override; the L=6
-                    # point shares the standard stack with table1/table3.
+                    # A DARL-only override: every length reuses the standard
+                    # stack's data, KG, TransE and CGGNN; L=6 is that stack.
                     _, _, model = trained_cadrl(dataset_name, setting, seed=seed,
                                                 darl__max_path_length=length)
                 elif model_name == "CAFE":

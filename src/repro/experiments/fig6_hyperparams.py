@@ -12,12 +12,14 @@ import argparse
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..darl import CADRL
 from ..eval import evaluate_recommender
-from .common import ExperimentSetting, cadrl_config, eval_users, format_table, prepare_dataset
+from .common import ExperimentSetting, eval_users, format_table, trained_cadrl
 
 DEFAULT_VALUES = [0.1, 0.3, 0.5, 0.7, 0.9]
-PARAMETERS = ["delta", "alpha_pe", "alpha_pc"]
+#: Each swept factor's config override path (δ is CGGNN's, α_pe/α_pc DARL's).
+OVERRIDE_PATHS = {"delta": "cggnn__delta", "alpha_pe": "darl__alpha_pe",
+                  "alpha_pc": "darl__alpha_pc"}
+PARAMETERS = list(OVERRIDE_PATHS)
 
 
 @dataclass
@@ -32,17 +34,6 @@ class Fig6Result:
         return max(curve, key=curve.get)
 
 
-def _apply(config, parameter: str, value: float) -> None:
-    if parameter == "delta":
-        config.cggnn.delta = value
-    elif parameter == "alpha_pe":
-        config.darl.alpha_pe = value
-    elif parameter == "alpha_pc":
-        config.darl.alpha_pc = value
-    else:
-        raise ValueError(f"unknown hyper-parameter {parameter!r}")
-
-
 def run(profile: str = "smoke", datasets: Optional[Sequence[str]] = None,
         parameters: Optional[Sequence[str]] = None, values: Optional[Sequence[float]] = None,
         seed: int = 0) -> Fig6Result:
@@ -50,18 +41,19 @@ def run(profile: str = "smoke", datasets: Optional[Sequence[str]] = None,
     datasets = list(datasets or ["beauty"])
     parameters = list(parameters or PARAMETERS)
     values = list(values or DEFAULT_VALUES)
+    unknown = [parameter for parameter in parameters if parameter not in OVERRIDE_PATHS]
+    if unknown:
+        raise ValueError(f"unknown hyper-parameters {unknown}; choose from {PARAMETERS}")
     result = Fig6Result(values=values)
 
     for dataset_name in datasets:
-        dataset, split = prepare_dataset(dataset_name, setting, seed=seed)
-        users = eval_users(split, setting)
         result.precision[dataset_name] = {parameter: {} for parameter in parameters}
         for parameter in parameters:
             for value in values:
-                config = cadrl_config(setting, seed=seed)
-                _apply(config, parameter, value)
-                model = CADRL(config).fit(dataset, split)
-                evaluation = evaluate_recommender(model, split, users=users)
+                _, split, model = trained_cadrl(
+                    dataset_name, setting, seed=seed, **{OVERRIDE_PATHS[parameter]: value})
+                evaluation = evaluate_recommender(model, split,
+                                                  users=eval_users(split, setting))
                 result.precision[dataset_name][parameter][value] = (
                     evaluation.metrics["precision"])
     return result

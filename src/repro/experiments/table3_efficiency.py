@@ -62,13 +62,11 @@ def run(profile: str = "smoke", datasets: Optional[Sequence[str]] = None,
             result.timings[dataset_name][baseline_name] = measure_efficiency(
                 model, users, paths_per_user=paths_per_user)
 
-        # Pipeline-backed: reuses the stack trained by other experiments in
-        # the same process instead of re-fitting it (common.trained_cadrl).
-        # A shared stack may arrive with warm inference caches (milestones,
-        # pruned-action/matrix tables), so swap in a completely fresh
-        # recommender before timing — this row measures the cold per-user loop.
+        # Pipeline-backed: reuses the stages trained by other experiments in
+        # the same process (common.trained_cadrl).  The facade is fresh, so
+        # its recommender caches are cold — this row measures the cold
+        # per-user loop.
         _, _, cadrl = trained_cadrl(dataset_name, setting, seed=seed)
-        cadrl.reset_recommender()
         result.timings[dataset_name]["CADRL"] = measure_efficiency(
             cadrl, users, paths_per_user=paths_per_user)
 

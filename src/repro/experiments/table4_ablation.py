@@ -13,17 +13,10 @@ import argparse
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..darl.variants import build_variant
+from ..darl import VARIANT_OVERRIDES
 from ..data import DATASET_NAMES
 from ..eval import evaluate_recommender
-from .common import (
-    ExperimentSetting,
-    cadrl_config,
-    eval_users,
-    format_table,
-    metric_row,
-    prepare_dataset,
-)
+from .common import ExperimentSetting, eval_users, format_table, metric_row, trained_cadrl
 
 TABLE4_VARIANTS = ["CADRL w/o DARL", "CADRL w/o CGGNN", "CADRL"]
 
@@ -48,13 +41,12 @@ def run(profile: str = "smoke", datasets: Optional[Sequence[str]] = None,
     result = Table4Result()
 
     for dataset_name in datasets:
-        dataset, split = prepare_dataset(dataset_name, setting, seed=seed)
-        users = eval_users(split, setting)
         result.metrics[dataset_name] = {}
         for variant_name in variants:
-            model = build_variant(variant_name, cadrl_config(setting, seed=seed))
-            model.fit(dataset, split)
-            evaluation = evaluate_recommender(model, split, users=users)
+            _, split, model = trained_cadrl(dataset_name, setting, seed=seed,
+                                            **VARIANT_OVERRIDES[variant_name])
+            evaluation = evaluate_recommender(model, split,
+                                              users=eval_users(split, setting))
             result.metrics[dataset_name][variant_name] = evaluation.metrics
     return result
 

@@ -176,9 +176,9 @@ def bench_darl_train(result: PipelineResult, profile: BenchProfile) -> Dict[str,
     same users from the same seed, so they must end with bit-identical
     weights; ``identical_weights`` records whether they did.
     """
-    from ..pipeline.stages import _entity_train_items
+    from ..pipeline.stages import entity_train_items
 
-    positives = _entity_train_items(result.context)
+    positives = entity_train_items(result.split, result.context.builder)
     users = {user: items for user, items in positives.items() if items}
     users = dict(list(users.items())[: profile.rollout_users])
     config = replace(result.config.model.darl, epochs=1)

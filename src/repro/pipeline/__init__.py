@@ -10,7 +10,7 @@ JSON-round-trippable :class:`RunConfig`:
   per stage.
 * :class:`Pipeline` — executes the stages in dependency order; stages whose
   fingerprint already exists in the :class:`ArtifactStore` are restored from
-  disk instead of recomputed.
+  disk instead of recomputed, or from a bounded in-memory :class:`StageMemo`.
 * :class:`ArtifactStore` — the on-disk layout: every trained component is
   persisted through the existing ``state_dict`` / numpy-table machinery plus
   dataset/KG metadata, gated by an atomic manifest.
@@ -33,7 +33,8 @@ from .config import (
     config_from_dict,
     config_to_dict,
 )
-from .pipeline import Pipeline, PipelineError, PipelineResult, load_pipeline, save_pipeline
+from .pipeline import (Pipeline, PipelineError, PipelineResult, StageMemo, load_pipeline,
+                       save_pipeline)
 from .stages import ALL_STAGES, PipelineContext, Stage
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "STAGE_DEPENDENCIES",
     "STAGE_NAMES",
     "Stage",
+    "StageMemo",
     "config_from_dict",
     "config_to_dict",
     "load_pipeline",

@@ -5,7 +5,9 @@
 whose output already exists in the artifact store *under the current
 fingerprint* is restored from disk instead of recomputed, so re-running the
 same :class:`RunConfig` is (nearly) free and editing one stage's knobs only
-re-runs that stage and its dependants.
+re-runs that stage and its dependants.  A :class:`StageMemo` does the same
+in memory: stacks that share a prefix of the chain (the ablation variants of
+one dataset, say) share that prefix's outputs instead of retraining it.
 
 ``save_pipeline`` / ``load_pipeline`` are the first-class persistence API: a
 trained stack round-trips through a plain directory, and a fresh process can
@@ -15,6 +17,7 @@ any training code (see ``RecommendationService.from_artifacts``).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -26,13 +29,45 @@ from .stages import ALL_STAGES, PipelineContext, Stage
 
 PathLike = Union[str, Path]
 
+#: Most stage outputs a :class:`StageMemo` holds before it evicts the least
+#: recently used one.
+MEMO_CAPACITY = 64
+
+
+class StageMemo:
+    """In-memory stage outputs keyed by each stage's own fingerprint.
+
+    The fingerprints chain through the stage DAG, so a hit on ``cggnn``
+    implies identical data, KG and TransE inputs.  Bounded by
+    :data:`MEMO_CAPACITY` with least-recently-used eviction.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
+
+    def get(self, fingerprint: str) -> Optional[tuple]:
+        values = self._entries.get(fingerprint)
+        if values is not None:
+            self._entries.move_to_end(fingerprint)
+        return values
+
+    def put(self, fingerprint: str, values: tuple) -> None:
+        self._entries[fingerprint] = values
+        self._entries.move_to_end(fingerprint)
+        while len(self._entries) > MEMO_CAPACITY:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
 
 @dataclass
 class PipelineResult:
     """Everything a pipeline run produced, plus per-stage provenance.
 
     ``statuses`` maps stage name → ``"ran"`` (computed fresh), ``"cached"``
-    (restored from the artifact store) or ``"skipped"`` (not requested).
+    (restored from the artifact store or the memo) or ``"skipped"`` (not
+    requested).
     """
 
     config: RunConfig
@@ -131,18 +166,24 @@ class Pipeline:
         fully in memory with no persistence and no caching.
     force:
         Recompute every requested stage even when a matching artifact exists.
+    memo:
+        A :class:`StageMemo` to restore stages from and record computed
+        stages in: the in-memory alternative to ``store`` (pass at most one).
     """
 
     def __init__(self, config: RunConfig,
                  store: Optional[Union[PathLike, ArtifactStore]] = None,
-                 force: bool = False) -> None:
+                 force: bool = False, memo: Optional[StageMemo] = None) -> None:
         config.validate()
+        if store is not None and memo is not None:
+            raise ValueError("pass an artifact store or a stage memo, not both")
         self.config = config
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
         else:
             self.store = ArtifactStore(store)
         self.force = force
+        self.memo = memo
         self.stages: Dict[str, Stage] = {cls.name: cls() for cls in ALL_STAGES}
 
     # ------------------------------------------------------------------ #
@@ -186,12 +227,7 @@ class Pipeline:
         for name in self.resolve(until):
             stage = self.stages[name]
             fingerprint = fingerprints[name]
-            cached = (self.store is not None
-                      and not self.force
-                      and self.store.is_complete(name, fingerprint)
-                      and stage.loadable(self.store))
-            if cached:
-                stage.load(context)
+            if not self.force and self._restore(stage, context, fingerprint):
                 statuses[name] = "cached"
                 continue
             if require_cached:
@@ -207,6 +243,9 @@ class Pipeline:
                 self.store.begin(name)
                 metadata = stage.save(context)
                 self.store.complete(name, fingerprint, metadata)
+            if self.memo is not None:
+                self.memo.put(fingerprint, tuple(getattr(context, output)
+                                                 for output in stage.outputs))
             statuses[name] = "ran"
         # The config is recorded only once the requested stages completed: an
         # interrupted run under a *new* config must not clobber the record of
@@ -217,6 +256,20 @@ class Pipeline:
             self.store.write_config(self.config.to_json() + "\n")
         return PipelineResult(config=self.config, context=context,
                               statuses=statuses)
+
+    def _restore(self, stage: Stage, context: PipelineContext,
+                 fingerprint: str) -> bool:
+        """Fill the context from the memo or the store; ``False`` on a miss."""
+        if self.memo is not None:
+            values = self.memo.get(fingerprint)
+            if values is not None:
+                stage.recall(context, values)
+            return values is not None
+        if (self.store is not None and self.store.is_complete(stage.name, fingerprint)
+                and stage.loadable(self.store)):
+            stage.load(context)
+            return True
+        return False
 
 
 # --------------------------------------------------------------------------- #

@@ -9,7 +9,12 @@ Each :class:`Stage` implements
 Stages communicate exclusively through the :class:`PipelineContext`, so the
 :class:`~repro.pipeline.pipeline.Pipeline` can swap a ``run`` for a ``load``
 whenever the artifact store already holds the stage's output under the current
-fingerprint.
+fingerprint, or for a ``recall`` of the context fields named by ``outputs``
+when an in-memory :class:`~repro.pipeline.pipeline.StageMemo` does.
+
+These stages are the only code that trains the model: ``CADRL.fit`` runs the
+``kg`` → ``embed`` → ``cggnn`` → ``train`` stage objects on a context seeded
+with the caller's dataset and split.
 
 The stage set mirrors the paper's system diagram: ``data`` → ``kg`` →
 ``embed`` (TransE) → ``cggnn`` → ``train`` (DARL) → ``eval`` /
@@ -28,7 +33,7 @@ from ..darl.trainer import DARLTrainer, EpochStats
 from ..data import load_dataset, split_interactions
 from ..data.io import load_dataset_from_directory, save_dataset
 from ..data.schema import Interaction, InteractionDataset, TrainTestSplit
-from ..data.splits import test_user_items
+from ..data.splits import test_user_items, train_user_items
 from ..embeddings import TransEModel, train_transe
 from ..eval import evaluate_recommender
 from ..kg import build_knowledge_graph
@@ -70,9 +75,16 @@ class Stage:
 
     name: str = ""
     requires: tuple = ()
+    #: The context fields the stage computes (what a memo entry holds).
+    outputs: tuple = ()
 
     def run(self, context: PipelineContext) -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def recall(self, context: PipelineContext, values: tuple) -> None:
+        """Restore the stage's ``outputs`` from a memo entry without recomputing."""
+        for name, value in zip(self.outputs, values):
+            setattr(context, name, value)
 
     def save(self, context: PipelineContext) -> Dict[str, Any]:
         """Persist outputs; returns manifest metadata.  No-op by default."""
@@ -90,6 +102,7 @@ class DataStage(Stage):
     """Generate (or restore) the dataset and its 70/30 per-user split."""
 
     name = "data"
+    outputs = ("dataset", "split")
 
     def run(self, context: PipelineContext) -> None:
         data = context.config.data
@@ -137,6 +150,7 @@ class KGStage(Stage):
 
     name = "kg"
     requires = ("data",)
+    outputs = ("graph", "category_graph", "builder")
 
     def run(self, context: PipelineContext) -> None:
         context.require("dataset", "split")
@@ -157,6 +171,7 @@ class EmbedStage(Stage):
 
     name = "embed"
     requires = ("kg",)
+    outputs = ("transe", "transe_losses")
 
     def run(self, context: PipelineContext) -> None:
         context.require("graph")
@@ -193,6 +208,7 @@ class CGGNNStage(Stage):
 
     name = "cggnn"
     requires = ("embed",)
+    outputs = ("representations", "cggnn_losses")
 
     def run(self, context: PipelineContext) -> None:
         context.require("graph", "transe")
@@ -231,21 +247,22 @@ class CGGNNStage(Stage):
 class TrainStage(Stage):
     """DARL training of the shared dual-agent policy (Section IV-C).
 
-    After ``run`` *or* ``load``, the stage assembles the :class:`CADRL`
-    facade (a fresh :class:`~repro.darl.inference.PathRecommender` over the
-    restored components), so downstream stages and callers never distinguish a
-    trained stack from a reloaded one.
+    After ``run``, ``load`` *or* ``recall``, the stage assembles the
+    :class:`CADRL` facade (a fresh :class:`~repro.darl.inference.PathRecommender`
+    with cold caches over the components), so downstream stages and callers
+    never distinguish a trained stack from a reloaded or memoised one.
     """
 
     name = "train"
     requires = ("cggnn",)
+    outputs = ("policy", "training_history")
 
     def run(self, context: PipelineContext) -> None:
         context.require("graph", "category_graph", "representations", "builder")
         model_config = context.config.model
         trainer = DARLTrainer(context.graph, context.category_graph,
                               context.representations, model_config.darl)
-        user_items = _entity_train_items(context)
+        user_items = entity_train_items(context.split, context.builder)
         context.training_history = trainer.train(user_items)
         context.policy = trainer.policy
         self._assemble(context)
@@ -285,19 +302,14 @@ class TrainStage(Stage):
     def loadable(self, store: ArtifactStore) -> bool:
         return store.has_file(self.name, "policy.npz")
 
+    def recall(self, context: PipelineContext, values: tuple) -> None:
+        super().recall(context, values)
+        self._assemble(context)
+
     @staticmethod
     def _assemble(context: PipelineContext) -> None:
-        context.cadrl = CADRL.from_components(
-            config=context.config.model,
-            dataset=context.dataset,
-            split=context.split,
-            graph=context.graph,
-            category_graph=context.category_graph,
-            builder=context.builder,
-            representations=context.representations,
-            policy=context.policy,
-            training_history=context.training_history,
-        )
+        """Hand the components to the facade ``CADRL.fit`` seeded, else a new one."""
+        context.cadrl = (context.cadrl or CADRL(context.config.model)).adopt(context)
 
 
 class EvalStage(Stage):
@@ -305,6 +317,7 @@ class EvalStage(Stage):
 
     name = "eval"
     requires = ("train",)
+    outputs = ("eval_metrics",)
 
     def run(self, context: PipelineContext) -> None:
         context.require("cadrl", "split")
@@ -346,6 +359,7 @@ class ServeCheckStage(Stage):
 
     name = "serve-check"
     requires = ("train",)
+    outputs = ("serve_report",)
     sample_users = 5
 
     def run(self, context: PipelineContext) -> None:
@@ -363,7 +377,8 @@ class ServeCheckStage(Stage):
 
             service = RecommendationService.from_cadrl(
                 cadrl, transe=context.transe, config=context.config.serving)
-        users = sorted(_entity_train_items(context))[: self.sample_users]
+        train_items = entity_train_items(context.split, context.builder)
+        users = sorted(train_items)[: self.sample_users]
         top_k = context.config.serving.default_top_k
         requests = service.build_requests(users, top_k=top_k)
 
@@ -411,12 +426,9 @@ class ServeCheckStage(Stage):
         return store.has_file(self.name, "report.json")
 
 
-def _entity_train_items(context: PipelineContext) -> Dict[int, List[int]]:
+def entity_train_items(split: TrainTestSplit, builder) -> Dict[int, List[int]]:
     """User entity → training item entities (the DARL reward targets)."""
-    from ..data.splits import train_user_items
-
-    items_by_user = train_user_items(context.split)
-    builder = context.builder
+    items_by_user = train_user_items(split)
     return {builder.user_to_entity(user): [builder.item_to_entity(item)
                                            for item in items]
             for user, items in items_by_user.items()}

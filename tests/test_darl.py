@@ -1,9 +1,11 @@
 """Unit and integration tests for the DARL framework and the CADRL facade."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.darl import CADRL, CADRLConfig, DARLConfig, DARLTrainer, GuidanceModel, InferenceConfig, PathRecommender, PolicyConfig, SharedPolicyNetworks, build_variant, VARIANT_FACTORIES
+from repro.darl import CADRL, CADRLConfig, DARLConfig, DARLTrainer, GuidanceModel, InferenceConfig, PathRecommender, PolicyConfig, SharedPolicyNetworks, VARIANT_OVERRIDES, apply_overrides
 from repro.kg import Relation
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -294,30 +296,51 @@ class TestInference:
         assert recommender.recommend_requests([(user, set(), None)]) == [default]
 
 
-class TestVariants:
-    def test_all_variant_factories_produce_cadrl(self):
-        config = CADRLConfig.fast(embedding_dim=16)
-        for name in VARIANT_FACTORIES:
-            model = build_variant(name, config)
-            assert isinstance(model, CADRL)
+def variant(name, config):
+    """``config`` with the named ablation's overrides, on a copy."""
+    return apply_overrides(copy.deepcopy(config), VARIANT_OVERRIDES[name])
 
-    def test_unknown_variant_raises(self):
-        with pytest.raises(KeyError):
-            build_variant("CADRL w/o everything", CADRLConfig.fast())
+
+class TestVariants:
+    def test_every_variant_override_names_a_field(self):
+        config = CADRLConfig.fast(embedding_dim=16)
+        assert set(VARIANT_OVERRIDES) == {"CADRL", "CADRL w/o DARL", "CADRL w/o CGGNN",
+                                          "RGGNN", "RCGAN", "RSHI", "RCRM"}
+        for name in VARIANT_OVERRIDES:
+            assert isinstance(variant(name, config), CADRLConfig)
+        assert variant("CADRL", config) == config
+
+    def test_misspelled_override_raises(self):
+        """A typo used to be ignored (or set a stray attribute) and train the default."""
+        from repro.experiments.common import ExperimentSetting, cadrl_config
+
+        setting = ExperimentSetting.from_profile("smoke")
+        with pytest.raises(ValueError, match="darl__max_path_lenght"):
+            cadrl_config(setting, darl__max_path_lenght=3)
+        with pytest.raises(ValueError, match="embeding_dim"):
+            CADRLConfig.fast(embeding_dim=8)
+        with pytest.raises(ValueError, match="DARLConfig has no field 'nope'"):
+            apply_overrides(CADRLConfig(), {"darl__nope": 1})
+        with pytest.raises(ValueError, match="int has no field 'deeper'"):
+            apply_overrides(CADRLConfig(), {"darl__seed__deeper": 1})
+        assert cadrl_config(setting, darl__max_path_length=3).darl.max_path_length == 3
+        assert CADRLConfig.fast(use_cggnn=False).use_cggnn is False
 
     def test_variant_flags(self):
         config = CADRLConfig.fast(embedding_dim=16)
-        assert build_variant("CADRL w/o DARL", config).config.darl.use_dual_agent is False
-        assert build_variant("CADRL w/o CGGNN", config).config.use_cggnn is False
-        assert build_variant("RGGNN", config).config.cggnn.use_ggnn is False
-        assert build_variant("RCGAN", config).config.cggnn.use_category_attention is False
-        assert build_variant("RSHI", config).config.darl.share_history is False
-        assert build_variant("RCRM", config).config.darl.use_collaborative_rewards is False
+        assert variant("CADRL w/o DARL", config).darl.use_dual_agent is False
+        assert variant("CADRL w/o DARL", config).darl.use_collaborative_rewards is False
+        assert variant("CADRL w/o CGGNN", config).use_cggnn is False
+        assert variant("RGGNN", config).cggnn.use_ggnn is False
+        assert variant("RCGAN", config).cggnn.use_category_attention is False
+        assert variant("RSHI", config).darl.share_history is False
+        assert variant("RCRM", config).darl.use_collaborative_rewards is False
 
     def test_variant_configs_do_not_alias(self):
         config = CADRLConfig.fast(embedding_dim=16)
-        build_variant("RSHI", config)
+        variant("RSHI", config)
         assert config.darl.share_history is True
+        assert VARIANT_OVERRIDES["RSHI"] == {"darl__share_history": False}
 
 
 class TestCADRLFacade:

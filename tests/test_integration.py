@@ -1,11 +1,12 @@
 """End-to-end integration tests across substrates, the core model and baselines."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.baselines import SingleAgentConfig, build_baseline
-from repro.darl import CADRL, CADRLConfig
-from repro.darl.variants import build_variant
+from repro.darl import VARIANT_OVERRIDES, CADRL, CADRLConfig, apply_overrides
 from repro.data import SyntheticConfig, generate, split_interactions
 from repro.eval import evaluate_recommender, measure_efficiency
 from repro.eval.explanations import explain_recommendations
@@ -83,7 +84,9 @@ class TestFullPipeline:
 
     def test_ablation_variant_trains_on_same_data(self, pipeline_dataset, fast_config):
         dataset, split = pipeline_dataset
-        variant = build_variant("CADRL w/o DARL", fast_config).fit(dataset, split)
+        config = apply_overrides(copy.deepcopy(fast_config), VARIANT_OVERRIDES["CADRL w/o DARL"])
+        variant = CADRL(config).fit(dataset, split)
+        assert variant.config.darl.use_dual_agent is False
         result = evaluate_recommender(variant, split)
         assert result.num_users > 0
 

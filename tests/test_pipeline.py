@@ -16,6 +16,7 @@ from repro.pipeline import (
     Pipeline,
     PipelineError,
     RunConfig,
+    StageMemo,
     load_pipeline,
     save_pipeline,
 )
@@ -34,6 +35,19 @@ def tiny_config() -> RunConfig:
     config.model.cggnn_training.epochs = 3
     config.model.darl.epochs = 2
     return config
+
+
+def assert_same_weights(left, right) -> None:
+    """Two trained CADRL facades hold equal TransE, representation and policy arrays."""
+    assert np.array_equal(left.transe.entity_embeddings, right.transe.entity_embeddings)
+    assert np.array_equal(left.transe.relation_embeddings, right.transe.relation_embeddings)
+    for table in ("entity", "relation", "category"):
+        assert np.array_equal(getattr(left.representations, table),
+                              getattr(right.representations, table))
+    left_state, right_state = left.policy.state_dict(), right.policy.state_dict()
+    assert left_state.keys() == right_state.keys()
+    for name in left_state:
+        assert np.array_equal(left_state[name], right_state[name]), name
 
 
 @pytest.fixture(scope="module")
@@ -369,28 +383,92 @@ class TestSatellites:
             table2_datasets.run(profile="huge")
 
     def test_trained_cadrl_is_memoised_per_fingerprint(self):
-        from repro.experiments.common import (
-            ExperimentSetting,
-            clear_stack_cache,
-            trained_cadrl,
-        )
+        from repro.experiments.common import ExperimentSetting, clear_stage_memo, trained_stack
 
-        clear_stack_cache()
+        clear_stage_memo()
         setting = ExperimentSetting.from_profile("smoke")
         setting.dataset_scale = 0.25
         setting.darl_epochs = 1
-        _, _, first = trained_cadrl("beauty", setting, seed=0)
-        _, _, again = trained_cadrl("beauty", setting, seed=0)
-        assert first is again  # same object: no second training happened
-        _, _, other = trained_cadrl("beauty", setting, seed=1)
-        assert other is not first
-        # An inference override must not be served from the standard cache…
-        _, _, wide = trained_cadrl("beauty", setting, seed=0,
-                                   inference__beam_width=30)
-        assert wide is not first
-        assert wide.config.inference.beam_width == 30
-        # …and override variants are one-shot (not retained).
-        from repro.experiments.common import _STACK_CACHE
+        first = trained_stack("beauty", setting, seed=0)
+        again = trained_stack("beauty", setting, seed=0)
+        assert set(again.statuses.values()) == {"cached"}  # no second training
+        assert_same_weights(first.cadrl, again.cadrl)
+        assert again.cadrl is not first.cadrl  # a fresh facade, cold caches
+        assert again.cadrl.recommender is not first.cadrl.recommender
+        other = trained_stack("beauty", setting, seed=1)
+        assert other.statuses["train"] == "ran"
+        # An inference override reuses every trained stage but gets its own
+        # facade, assembled with the overridden inference configuration.
+        wide = trained_stack("beauty", setting, seed=0, inference__beam_width=30)
+        assert set(wide.statuses.values()) == {"cached"}
+        assert wide.cadrl.config.inference.beam_width == 30
+        assert first.cadrl.config.inference.beam_width != 30
+        clear_stage_memo()
 
-        assert len(_STACK_CACHE) == 2  # seed=0 and seed=1 standard stacks only
-        clear_stack_cache()
+
+class TestSingleTrainingChain:
+    """``CADRL.fit``, the experiment harness and the stage memo share one chain."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        from repro.experiments.common import ExperimentSetting
+
+        setting = ExperimentSetting.from_profile("smoke")
+        setting.dataset_scale = 0.25
+        setting.darl_epochs = 1
+        return setting
+
+    @pytest.mark.parametrize("variant", ["CADRL", "RCGAN", "RSHI"])
+    def test_fit_equals_the_pipeline_stack(self, setting, variant):
+        from repro.darl import CADRL, VARIANT_OVERRIDES
+        from repro.experiments.common import cadrl_config, prepare_dataset, trained_stack
+
+        overrides = VARIANT_OVERRIDES[variant]
+        fitted = CADRL(cadrl_config(setting, seed=0, **overrides)).fit(
+            *prepare_dataset("beauty", setting, seed=0))
+        stacked = trained_stack("beauty", setting, seed=0, **overrides).cadrl
+        assert_same_weights(fitted, stacked)
+        assert fitted.training_history == stacked.training_history
+        assert fitted.recommend_items(0) == stacked.recommend_items(0)
+
+    def test_memo_hit_is_a_fresh_facade_over_equal_arrays(self):
+        memo = StageMemo()
+        first = Pipeline(tiny_config(), memo=memo).run(until=("train",))
+        hit = Pipeline(tiny_config(), memo=memo).run(until=("train",))
+        fresh = Pipeline(tiny_config()).run(until=("train",))
+        assert set(first.statuses.values()) == set(fresh.statuses.values()) == {"ran"}
+        assert set(hit.statuses.values()) == {"cached"}
+        assert_same_weights(hit.cadrl, fresh.cadrl)
+        assert hit.cadrl is not first.cadrl
+        assert hit.cadrl.recommender is not first.cadrl.recommender
+        user = sorted(hit.cadrl._train_items)[0]
+        assert (hit.cadrl.recommender.recommend(user)
+                == fresh.cadrl.recommender.recommend(user))
+
+    def test_override_reruns_only_the_stages_it_reaches(self):
+        memo = StageMemo()
+        Pipeline(tiny_config(), memo=memo).run(until=("train",))
+        darl_only = tiny_config()
+        darl_only.model.darl.share_history = False
+        statuses = Pipeline(darl_only, memo=memo).run(until=("train",)).statuses
+        assert statuses == {"data": "cached", "kg": "cached", "embed": "cached",
+                            "cggnn": "cached", "train": "ran"}
+        cggnn = tiny_config()
+        cggnn.model.cggnn.use_ggnn = False
+        statuses = Pipeline(cggnn, memo=memo).run(until=("train",)).statuses
+        assert statuses == {"data": "cached", "kg": "cached", "embed": "cached",
+                            "cggnn": "ran", "train": "ran"}
+
+    def test_memo_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr("repro.pipeline.pipeline.MEMO_CAPACITY", 2)
+        memo = StageMemo()
+        memo.put("a", (1,))
+        memo.put("b", (2,))
+        assert memo.get("a") == (1,)  # "a" is now the most recent
+        memo.put("c", (3,))
+        assert memo.get("b") is None
+        assert memo.get("a") == (1,) and memo.get("c") == (3,)
+
+    def test_memo_and_store_are_exclusive(self, tmp_path):
+        with pytest.raises(ValueError, match="not both"):
+            Pipeline(tiny_config(), store=tmp_path, memo=StageMemo())
