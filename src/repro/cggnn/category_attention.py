@@ -9,14 +9,13 @@ category context ``h_v^c`` is the attention-weighted sum of category vectors
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .. import nn
-from ..nn import Tensor
-from ..nn import functional as F
 from ..nn.init import ensure_rng
+from .propagation import bias_grad, input_grad, linear_weight_grad
 
 _MASK_FILL = -1e9
 
@@ -33,27 +32,66 @@ class CategoryAttentionLayer(nn.Module):
         self.negative_slope = negative_slope
         self.score_transform = nn.Linear(2 * embedding_dim, 1, rng=rng)
 
-    def forward(self, item_states: Tensor, category_states: Tensor,
-                category_mask: np.ndarray) -> Tensor:
+    def forward(self, item_states: np.ndarray, category_states: np.ndarray,
+                category_mask: np.ndarray) -> np.ndarray:
         """Return the category context vector ``h_v^c`` for every item.
 
         ``item_states`` (I, d); ``category_states`` (I, C, d);
         ``category_mask`` (I, C).  Output (I, d).
         """
-        num_items, max_categories, dim = category_states.shape
-        item_tiled = item_states.reshape(num_items, 1, dim) * Tensor(
-            np.ones((1, max_categories, 1)))
+        return self.forward_traced(item_states, category_states, category_mask)[0]
 
-        pair = nn.concat([item_tiled, category_states], axis=-1)
-        scores = F.leaky_relu(self.score_transform(pair), self.negative_slope)  # Eq. 8 (I, C, 1)
-        scores = scores.reshape(num_items, max_categories)
+    def forward_traced(self, item_states, category_states, category_mask
+                       ) -> Tuple[np.ndarray, tuple]:
+        """:meth:`forward` plus the activations :meth:`backward` needs."""
+        num_items, max_categories, dim = category_states.shape
+        pair = np.concatenate([
+            np.broadcast_to(item_states.reshape(num_items, 1, dim),
+                            (num_items, max_categories, dim)),
+            category_states], axis=-1)
+        logits = pair @ self.score_transform.weight.data + self.score_transform.bias.data
+        positive = logits > 0
+        scores = np.where(positive, logits, self.negative_slope * logits)       # Eq. 8 (I, C, 1)
 
         # Masked softmax (Eq. 9): padded category slots get a large negative score.
-        masked_scores = scores + Tensor((1.0 - category_mask) * _MASK_FILL)
-        attention = F.softmax(masked_scores, axis=-1)
-        attention = attention * Tensor(category_mask)
-        normaliser = attention.sum(axis=-1, keepdims=True) + 1e-12
-        attention = attention / normaliser
+        masked_scores = scores.reshape(num_items, max_categories) + (
+            (1.0 - category_mask) * _MASK_FILL)
+        shifted = masked_scores - np.max(masked_scores, axis=-1, keepdims=True)
+        exps = np.exp(shifted)
+        exp_sum = exps.sum(axis=-1, keepdims=True)
+        masked = exps / exp_sum * category_mask
+        normaliser = masked.sum(axis=-1, keepdims=True) + 1e-12
+        attention = (masked / normaliser).reshape(num_items, max_categories, 1)
 
-        weighted = category_states * attention.reshape(num_items, max_categories, 1)
-        return weighted.sum(axis=1)                                             # Eq. 10
+        context = (category_states * attention).sum(axis=1)                    # Eq. 10
+        return context, (pair, positive, exps, exp_sum, masked, normaliser,
+                         attention, category_states, category_mask)
+
+    def backward(self, trace: tuple, grad_context: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Write the parameter gradients; return the input gradients.
+
+        Returns ``(grad_item_states, grad_weighted, grad_paired)``: the
+        category-state gradient arrives through two consumers (the weighted
+        sum of Eq. 10 and the pair of Eq. 8), which the caller adds up across
+        layers in the autograd engine's order.
+        """
+        (pair, positive, exps, exp_sum, masked, normaliser, attention,
+         category_states, category_mask) = trace
+        num_items, max_categories, dim = category_states.shape
+        grad = grad_context[:, None, :]
+        grad_weighted = grad * attention
+        grad_attention = (grad * category_states).sum(axis=2).reshape(
+            num_items, max_categories)
+        grad_normaliser = (-grad_attention * masked / (normaliser ** 2)).sum(
+            axis=1, keepdims=True)
+        grad_masked = grad_attention / normaliser + grad_normaliser
+        grad_softmax = grad_masked * category_mask
+        grad_exp_sum = (-grad_softmax * exps / (exp_sum ** 2)).sum(axis=1, keepdims=True)
+        grad_shifted = (grad_softmax / exp_sum + grad_exp_sum) * exps
+        grad_logits = grad_shifted.reshape(num_items, max_categories, 1) * np.where(
+            positive, 1.0, self.negative_slope)
+        self.score_transform.bias.grad = bias_grad(grad_logits)
+        self.score_transform.weight.grad = linear_weight_grad(pair, grad_logits)
+        grad_pair = input_grad(grad_logits, self.score_transform.weight.data)
+        return grad_pair[..., :dim].sum(axis=1), grad_weighted, grad_pair[..., dim:]

@@ -13,7 +13,7 @@ while item neighbours contribute the representation of the previous GNN layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -126,69 +126,108 @@ class CGGNN(nn.Module):
 
     # ------------------------------------------------------------------ #
     def _prepare_index_arrays(self) -> None:
-        """Pre-compute gather indices for neighbour states and categories."""
+        """Pre-compute gather indices and the constant per-neighbour tables."""
         table = self.table
-        is_item = np.zeros_like(table.neighbor_mask)
-        item_positions = np.zeros_like(table.neighbor_entities)
-        for row in range(table.num_items):
-            for column in range(table.max_neighbors):
-                if table.neighbor_mask[row, column] == 0.0:
-                    continue
-                neighbor = int(table.neighbor_entities[row, column])
-                if self.graph.entities.type_of(neighbor) == EntityType.ITEM:
-                    is_item[row, column] = 1.0
-                    item_positions[row, column] = table.item_position[neighbor]
-        self._neighbor_is_item = is_item
-        self._neighbor_item_positions = item_positions
+        dim = self.config.embedding_dim
+        neighbors = table.neighbor_entities
+        item_type = np.zeros(self.graph.num_entities, dtype=bool)
+        item_type[self.graph.entities.ids_of_type(EntityType.ITEM)] = True
+        is_item = (table.neighbor_mask != 0.0) & item_type[neighbors]
+        positions = np.zeros(len(item_type), dtype=neighbors.dtype)
+        positions[table.item_ids] = np.arange(table.num_items, dtype=neighbors.dtype)
+        self._neighbor_is_item = is_item.astype(table.neighbor_mask.dtype)
+        self._neighbor_item_positions = np.where(is_item, positions[neighbors], 0)
+
+        # Constants of every forward pass (no gradient flows into them).
+        self._item_gather = self._neighbor_item_positions.reshape(-1)
+        self._is_item_column = self._neighbor_is_item[..., None]
+        self._static_neighbor_part = (self._static_entities[neighbors]
+                                      * (1.0 - self._is_item_column))
+        self._relation_states = self._static_relations[table.neighbor_relations]
+        self._purchase_state = self._static_relations[relation_index(Relation.PURCHASE)]
+        self._category_gather = table.category_ids.reshape(-1)
+        self._gathered_shape = (table.num_items, table.max_neighbors, dim)
 
     # ------------------------------------------------------------------ #
-    def forward(self) -> Tensor:
+    def forward(self) -> np.ndarray:
         """Return the refined item representation matrix ``(num_items, dim)``."""
-        table = self.table
-        item_states = self.item_embeddings
-        purchase_state = Tensor(self._static_relations[relation_index(Relation.PURCHASE)])
-        relation_states = Tensor(self._static_relations[table.neighbor_relations])
-        static_neighbor_states = self._static_entities[table.neighbor_entities]
+        return self.forward_traced()[0]
 
+    def forward_traced(self) -> Tuple[np.ndarray, tuple]:
+        """:meth:`forward` plus the activations :meth:`backward` needs."""
+        table = self.table
+        item_states = self.item_embeddings.data
+        hops = []
         if self.config.use_ggnn:
             for propagation, gating in zip(self.propagation_layers, self.gating_layers):
-                neighbor_states = self._neighbor_states(item_states, static_neighbor_states)
-                message = propagation(item_states, neighbor_states, relation_states,
-                                      purchase_state, table.neighbor_mask,
-                                      table.neighbor_is_outgoing)
-                item_states = gating(message, item_states)
+                neighbor_states = self._neighbor_states(item_states)
+                message, propagation_trace = propagation.forward_traced(
+                    item_states, neighbor_states, self._relation_states,
+                    self._purchase_state, table.neighbor_mask,
+                    table.neighbor_is_outgoing)
+                item_states, gating_trace = gating.forward_traced(message, item_states)
+                hops.append((propagation_trace, gating_trace))
 
+        category_traces = []
         if self.config.use_category_attention and self.config.num_category_layers > 0:
-            category_context = self._category_context(item_states)
-            item_states = item_states + self.config.delta * category_context   # Eq. 11
-        return item_states
+            category_states = self.category_table.data[self._category_gather].reshape(
+                table.num_items, table.max_categories, self.config.embedding_dim)
+            context = item_states
+            for layer in self.category_layers:
+                context, layer_trace = layer.forward_traced(
+                    context, category_states, table.category_mask)
+                category_traces.append(layer_trace)
+            item_states = item_states + context * self.config.delta         # Eq. 11
+        return item_states, (hops, category_traces)
 
-    def _neighbor_states(self, item_states: Tensor,
-                         static_neighbor_states: np.ndarray) -> Tensor:
+    def _neighbor_states(self, item_states: np.ndarray) -> np.ndarray:
         """Neighbour representations: current item states for item neighbours,
         static TransE vectors for attributes."""
-        gathered_items = item_states.index_select(
-            self._neighbor_item_positions.reshape(-1)
-        ).reshape(self.table.num_items, self.table.max_neighbors, self.config.embedding_dim)
-        is_item = Tensor(self._neighbor_is_item[..., None])
-        static = Tensor(static_neighbor_states)
-        return gathered_items * is_item + static * (1.0 - is_item)
+        gathered_items = item_states[self._item_gather].reshape(self._gathered_shape)
+        return gathered_items * self._is_item_column + self._static_neighbor_part
 
-    def _category_context(self, item_states: Tensor) -> Tensor:
-        """Stacked category attention hops (Eq. 8-10)."""
-        table = self.table
-        context = item_states
-        category_states = self.category_table.index_select(
-            table.category_ids.reshape(-1)
-        ).reshape(table.num_items, table.max_categories, self.config.embedding_dim)
-        for layer in self.category_layers:
-            context = layer(context, category_states, table.category_mask)
-        return context
+    def backward(self, trace: tuple, grad_output: np.ndarray) -> None:
+        """Write every parameter gradient reachable from ``grad_output``.
+
+        ``grad_output`` is d(loss)/d(:meth:`forward`).  Parameters the
+        configuration leaves out of the forward pass keep ``grad = None``,
+        exactly as after ``Tensor.backward``.  Every gradient with several
+        consumers is added up in the autograd engine's order, so the result
+        is bit-identical to it.
+        """
+        hops, category_traces = trace
+        grad_items = grad_output
+        if category_traces:
+            grad_context = grad_output * self.config.delta
+            grad_categories = None
+            for layer, layer_trace in zip(reversed(self.category_layers),
+                                          reversed(category_traces)):
+                grad_context, grad_weighted, grad_paired = layer.backward(
+                    layer_trace, grad_context)
+                grad_categories = (grad_weighted if grad_categories is None
+                                   else grad_categories + grad_weighted)
+                grad_categories = grad_categories + grad_paired
+            grad_items = grad_output + grad_context
+            self.category_table.grad = scatter_rows(
+                self.category_table.data, self._category_gather,
+                grad_categories.reshape(-1, self.config.embedding_dim))
+        for (propagation_trace, gating_trace), propagation, gating in zip(
+                reversed(hops), reversed(self.propagation_layers),
+                reversed(self.gating_layers)):
+            grad_message, grad_from_gating = gating.backward(gating_trace, grad_items)
+            grad_from_tile, grad_neighbors = propagation.backward(
+                propagation_trace, grad_message)
+            grad_gathered = grad_neighbors * self._is_item_column
+            grad_items = (grad_from_gating
+                          + scatter_rows(self.item_embeddings.data, self._item_gather,
+                                          grad_gathered.reshape(-1, self.config.embedding_dim))
+                          + grad_from_tile)
+        self.item_embeddings.grad = grad_items.copy()
 
     # ------------------------------------------------------------------ #
     def export_representations(self) -> Representations:
         """Freeze current outputs into numpy tables for the RL stage."""
-        item_matrix = self.forward().data
+        item_matrix = self.forward()
         entity = np.array(self._static_entities, copy=True)
         entity[self.table.item_ids] = item_matrix
         return Representations(
@@ -204,3 +243,17 @@ class CGGNN(nn.Module):
             relation=np.array(self._static_relations, copy=True),
             category=np.array(self._static_categories, copy=True),
         )
+
+
+def scatter_rows(like: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient of ``like[rows]``: ``grad`` scatter-added in index order.
+
+    ``np.bincount`` over flattened ``(row, column)`` cells adds each cell's
+    contributions one by one in ``rows`` order onto 0.0 — exactly the
+    sequence ``np.add.at`` (the autograd gather's backward) performs, at a
+    fraction of its cost.
+    """
+    num_rows, dim = like.shape
+    cells = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    return np.bincount(cells, weights=grad.reshape(-1),
+                       minlength=num_rows * dim).reshape(num_rows, dim)

@@ -21,9 +21,8 @@ import numpy as np
 
 from .. import nn
 from ..kg.graph import KnowledgeGraph
-from ..kg.relations import Relation, relation_index
-from ..nn import Tensor
-from .model import CGGNN, Representations
+from ..kg.relations import Relation
+from .model import CGGNN, Representations, scatter_rows
 
 
 @dataclass
@@ -45,6 +44,12 @@ class CGGNNTrainingConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self.negatives_per_positive < 1:
+            raise ValueError("negatives_per_positive must be at least 1")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+        if self.gradient_clip <= 0:
+            raise ValueError("gradient_clip must be positive")
 
 
 class CGGNNTrainer:
@@ -75,11 +80,9 @@ class CGGNNTrainer:
         if len(self._pairs) == 0 or self.config.epochs == 0:
             return []
         rng = np.random.default_rng(self.config.seed)
-        optimiser = nn.Adam(self.model.parameters(), lr=self.config.learning_rate,
+        parameters = self.model.parameters()
+        optimiser = nn.Adam(parameters, lr=self.config.learning_rate,
                             weight_decay=self.config.weight_decay)
-        user_vectors = self.model._static_entities  # users keep TransE vectors
-        purchase_vector = self.model._static_relations[
-            relation_index(Relation.PURCHASE)]
         num_items = self.model.table.num_items
 
         losses: List[float] = []
@@ -89,38 +92,62 @@ class CGGNNTrainer:
             batches = 0
             for start in range(0, len(order), self.config.batch_size):
                 batch = self._pairs[order[start:start + self.config.batch_size]]
-                users = batch[:, 0]
-                positives = batch[:, 1]
                 negatives = rng.integers(0, num_items,
                                          size=(len(batch), self.config.negatives_per_positive))
-
                 optimiser.zero_grad()
-                item_matrix = self.model.forward()
-                # Translated user query u + r_purchase (static per batch).
-                query_tensor = Tensor(user_vectors[users] + purchase_vector)   # (B, d)
-                positive_states = item_matrix.index_select(positives)          # (B, d)
-
-                positive_diff = query_tensor - positive_states
-                positive_scores = -(positive_diff * positive_diff).sum(axis=1)
-                loss_terms = []
-                for column in range(self.config.negatives_per_positive):
-                    negative_states = item_matrix.index_select(negatives[:, column])
-                    negative_diff = query_tensor - negative_states
-                    negative_scores = -(negative_diff * negative_diff).sum(axis=1)
-                    margin = positive_scores - negative_scores
-                    loss_terms.append((-(margin.sigmoid().clip(1e-9, 1.0).log())).mean())
-                loss = loss_terms[0]
-                for term in loss_terms[1:]:
-                    loss = loss + term
-                loss = loss * (1.0 / len(loss_terms))
-
-                loss.backward()
-                nn.clip_grad_norm(self.model.parameters(), self.config.gradient_clip)
+                epoch_loss += self._loss_and_gradients(batch[:, 0], batch[:, 1], negatives)
+                nn.clip_grad_norm(parameters, self.config.gradient_clip)
                 optimiser.step()
-                epoch_loss += loss.item()
                 batches += 1
             losses.append(epoch_loss / max(batches, 1))
         return losses
+
+    def _loss_and_gradients(self, users: np.ndarray, positives: np.ndarray,
+                            negatives: np.ndarray) -> float:
+        """One BPR step: write every parameter's ``.grad``, return the loss.
+
+        The forward pass scores each purchase against each column of
+        ``negatives``; the backward pass is hand-written and adds up every
+        multi-consumer gradient in the order the autograd engine did, so the
+        gradients are bit-identical to the reference trainer's.
+        """
+        item_matrix, trace = self.model.forward_traced()
+        # Translated user query u + r_purchase; users keep their TransE vectors.
+        query = self.model._static_entities[users] + self.model._purchase_state  # (B, d)
+        positive_diff = query - item_matrix[positives]
+        positive_scores = -(positive_diff * positive_diff).sum(axis=1)
+        columns = negatives.shape[1]
+        scale = 1.0 / columns
+        loss = None
+        steps = []
+        for column in range(columns):
+            negative_diff = query - item_matrix[negatives[:, column]]
+            margin = positive_scores - -(negative_diff * negative_diff).sum(axis=1)
+            likelihood = 1.0 / (1.0 + np.exp(-margin))
+            clipped = np.clip(likelihood, 1e-9, 1.0)
+            term = (-np.log(clipped)).sum() * (1.0 / len(margin))
+            loss = term if loss is None else loss + term
+            steps.append((negative_diff, likelihood, clipped))
+
+        # Backward, newest negative column first (the engine's visit order).
+        grad_items = None
+        grad_positive = None
+        for column in reversed(range(columns)):
+            negative_diff, likelihood, clipped = steps[column]
+            grad_term = -(scale * (1.0 / len(likelihood))) / clipped
+            in_range = (likelihood >= 1e-9) & (likelihood <= 1.0)
+            grad_margin = grad_term * in_range * likelihood * (1.0 - likelihood)
+            grad_positive = (grad_margin if grad_positive is None
+                             else grad_positive + grad_margin)
+            grad_negative = grad_margin[:, None] * negative_diff
+            grad_rows = scatter_rows(item_matrix, negatives[:, column],
+                                      -(grad_negative + grad_negative))
+            grad_items = grad_rows if grad_items is None else grad_items + grad_rows
+        grad_query = -grad_positive[:, None] * positive_diff
+        grad_items = grad_items + scatter_rows(item_matrix, positives,
+                                                -(grad_query + grad_query))
+        self.model.backward(trace, grad_items)
+        return float(loss * scale)
 
     # ------------------------------------------------------------------ #
     def export(self) -> Representations:

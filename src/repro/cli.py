@@ -57,10 +57,10 @@ Commands
     hazards in signature code (SIG001).  Exit 0 clean, 1 findings, 2 usage.
 ``bench``
     Run the seeded performance benchmarks (``repro.perf``): TransE epochs/s,
-    DARL training episodes/s and beam-search serving QPS (cold & warm), each
-    measured against the frozen reference in the same run.  Writes
-    ``BENCH_<timestamp>.json`` and fails on regressions vs the committed
-    baseline.
+    DARL training episodes/s, CGGNN training steps/s and beam-search serving
+    QPS (cold & warm), each measured against the frozen reference in the
+    same run, on one BLAS thread.  Writes ``BENCH_<timestamp>.json`` and
+    fails on regressions vs the committed baseline.
 
 Examples
 --------
@@ -715,9 +715,13 @@ def _command_bench(arguments: argparse.Namespace) -> int:
         load_baseline,
         render_report,
         run_bench,
+        set_blas_threads,
         write_bench_json,
     )
 
+    # One BLAS thread: with two, OpenBLAS made the gated serving ratios
+    # bimodal between runs of the same commit.
+    set_blas_threads(1)
     document = run_bench(arguments.profile, artifacts=arguments.artifacts)
     path = write_bench_json(document, arguments.out)
     print(render_report(document))

@@ -59,6 +59,13 @@ class CSRAdjacency:
     is_item: np.ndarray          # bool,  shape (num_entities,)
     triplets: np.ndarray         # int64, shape (num_edges, 3) — [head, rel_idx, tail]
 
+    def __post_init__(self) -> None:
+        # A view is shared between a graph and its copies (and read by every
+        # walker), so its arrays are frozen: in-place writes raise.
+        for array in (self.indptr, self.relations, self.targets, self.degrees,
+                      self.entity_category, self.is_item, self.triplets):
+            array.flags.writeable = False
+
     @property
     def num_entities(self) -> int:
         return len(self.indptr) - 1

@@ -67,6 +67,18 @@ class EntityStore:
     def __contains__(self, entity_id: int) -> bool:
         return 0 <= entity_id < len(self._entities)
 
+    def copy(self) -> "EntityStore":
+        """An independent registry over the same (immutable) :class:`Entity` records.
+
+        The containers are copied and the frozen entities shared, so adding
+        entities to either store never shows in the other.
+        """
+        clone = type(self).__new__(type(self))
+        clone._entities = list(self._entities)
+        clone._by_type = {etype: list(ids) for etype, ids in self._by_type.items()}
+        clone._by_name = dict(self._by_name)
+        return clone
+
     def add(self, entity_type: EntityType, name: str) -> Entity:
         """Register a new entity and return it.
 

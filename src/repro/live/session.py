@@ -3,12 +3,14 @@
 :class:`LiveSession` wraps a running :class:`repro.cluster.ClusterService`
 and manages the whole zero-downtime update loop:
 
-* a **staging graph** — a private deepcopy of the serving generation's graph
+* a **staging graph** — a private structural copy
+  (:meth:`repro.kg.KnowledgeGraph.copy`) of the serving generation's graph
   that ingestion mutates.  The serving generation's graph object is never
   touched, so every in-flight and cached answer stays internally consistent;
-  the staging graph's CSR view is kept fresh *incrementally*
-  (:func:`repro.kg.patch_adjacency` folds each burst in instead of
-  recompiling from scratch);
+  the two share only immutable records and the read-only CSR view they start
+  from, and the staging graph's view is kept fresh *incrementally*
+  (:func:`repro.kg.patch_adjacency` folds each burst into a new view instead
+  of recompiling from scratch);
 * an **update log** recording every ingested delta in replayable order;
 * **scheduled events** on the serving clock: :class:`IngestEvent` (apply a
   delta burst — given explicitly or synthesized from a seed) and
@@ -28,7 +30,6 @@ drives it unchanged.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,7 +94,7 @@ class LiveSession:
         #: Every generation ever served, by number (the oracle ledger).
         self.bundles: Dict[int, GenerationBundle] = {base.generation: base}
         self.current = base
-        self._staging = copy.deepcopy(base.graph)
+        self._staging = base.graph.copy()
         self._touched: Set[int] = set()
         self._pending = sorted(schedule, key=lambda event: event.at_s)
         if self._pending and clock is None:
@@ -289,7 +290,7 @@ class LiveSession:
     def _finalize_swap(self, bundle: GenerationBundle) -> None:
         self.bundles[bundle.generation] = bundle
         self.current = bundle
-        self._staging = copy.deepcopy(bundle.graph)
+        self._staging = bundle.graph.copy()
         self._touched = set()
         self._fault_note = None
 

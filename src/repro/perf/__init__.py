@@ -2,7 +2,7 @@
 
 ``python -m repro bench`` is the CLI entry point; :mod:`repro.perf.bench`
 holds the harness and :mod:`repro.perf.reference` the pre-vectorisation
-implementations (and the autograd DARL training episode) that serve as
+implementations (and the autograd DARL episode and CGGNN step) that serve as
 equivalence oracles and in-run baselines.
 """
 
@@ -17,14 +17,21 @@ from .bench import (
     load_baseline,
     render_report,
     run_bench,
+    set_blas_threads,
     write_bench_json,
 )
-from .reference import ReferenceDARLTrainer, ScalarPathRecommender, train_transe_reference
+from .reference import (
+    ReferenceCGGNNTrainer,
+    ReferenceDARLTrainer,
+    ScalarPathRecommender,
+    train_transe_reference,
+)
 
 __all__ = [
     "GATED_METRICS",
     "PROFILES",
     "BenchProfile",
+    "ReferenceCGGNNTrainer",
     "ReferenceDARLTrainer",
     "Regression",
     "ScalarPathRecommender",
@@ -34,6 +41,7 @@ __all__ = [
     "load_baseline",
     "render_report",
     "run_bench",
+    "set_blas_threads",
     "train_transe_reference",
     "write_bench_json",
 ]

@@ -8,6 +8,10 @@
   the fused numpy episode against the autograd reference
   (:class:`repro.perf.reference.ReferenceDARLTrainer`), reported as
   episodes/s; gated on the speedup, and checked for bit-identical weights;
+* **CGGNN training** — the stack's own CGGNN configuration for
+  ``CGGNN_BENCH_EPOCHS`` epochs, the fused numpy step against the autograd
+  reference (:class:`repro.perf.reference.ReferenceCGGNNTrainer`), reported
+  as steps/s; gated on the speedup, and checked for bit-identical weights;
 * **Beam-search serving QPS** — ``serve_many`` bursts through a
   :class:`repro.serving.RecommendationService`, cold (all caches empty) and
   warm (milestone/action caches hot, result cache cleared so the search
@@ -32,11 +36,17 @@ Both sides of every pair run interleaved in the same process on the same
 data, and the gateable numbers are the *speedup ratios* — machine-independent
 by construction, unlike raw QPS.  Results land in ``BENCH_<timestamp>.json``;
 :func:`compare_with_baseline` flags any gated ratio that fell more than the
-threshold below the committed baseline.
+threshold below the committed baseline.  The document's ``meta`` block
+fingerprints the stack it measured, BLAS library and thread count included;
+``python -m repro bench`` pins BLAS to one thread (:func:`set_blas_threads`)
+before it builds anything, since a two-thread OpenBLAS made the serving
+ratios bimodal from run to run.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import platform
 import statistics
@@ -48,20 +58,31 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..cggnn import CGGNN, CGGNNTrainer
 from ..darl.model import CADRLConfig
 from ..darl.trainer import DARLTrainer
 from ..embeddings import TransEConfig, train_transe
 from ..kg.entities import EntityType
 from ..pipeline import Pipeline, PipelineResult, RunConfig
 from ..serving import RecommendationService, ServingConfig
-from .reference import ReferenceDARLTrainer, ScalarPathRecommender, train_transe_reference
+from .reference import (
+    ReferenceCGGNNTrainer,
+    ReferenceDARLTrainer,
+    ScalarPathRecommender,
+    train_transe_reference,
+)
 
 #: Metrics (dotted paths into the ``metrics`` dict) guarded by the regression
 #: gate.  Ratios only, since absolute epochs/s and QPS depend on the machine,
-#: plus the fused DARL trainer's 0/1 ``identical_weights`` (baseline 1.0, so
-#: any divergence from the autograd reference fails the gate).
+#: plus the fused DARL and CGGNN trainers' 0/1 ``identical_weights`` (baseline
+#: 1.0, so any divergence from the autograd reference fails the gate).
 GATED_METRICS = ("transe.speedup", "darl_train.speedup", "darl_train.identical_weights",
+                 "cggnn_train.speedup", "cggnn_train.identical_weights",
                  "beam_cold.speedup", "beam_warm.speedup", "csr_patch.speedup")
+
+#: Epochs per CGGNN training run in :func:`bench_cggnn_train` (10 optimiser
+#: steps on the smoke stack, 25 on medium).
+CGGNN_BENCH_EPOCHS = 5
 
 
 @dataclass
@@ -208,6 +229,44 @@ def bench_darl_train(result: PipelineResult, profile: BenchProfile) -> Dict[str,
     }
 
 
+def bench_cggnn_train(result: PipelineResult, profile: BenchProfile) -> Dict[str, float]:
+    """Fused vs autograd-reference CGGNN training, optimiser steps per second.
+
+    Both sides train a fresh CGGNN of the stack's own configuration on the
+    stack's graph and TransE tables, from the same seed, so they must end
+    with bit-identical weights and loss histories; ``identical_weights``
+    records whether they did.
+    """
+    model_config = result.config.model.cggnn
+    config = replace(result.config.model.cggnn_training, epochs=CGGNN_BENCH_EPOCHS)
+    graph, transe = result.graph, result.transe
+    outcome: Dict[type, Tuple[List[float], Dict[str, np.ndarray], int]] = {}
+
+    def training(trainer_type: type) -> Callable[[], None]:
+        def run() -> None:
+            trainer = trainer_type(CGGNN(graph, transe, model_config), graph, config)
+            outcome[trainer_type] = (trainer.train(), trainer.model.state_dict(),
+                                     len(trainer._pairs))
+        return run
+
+    fused, reference = _median_ab(training(CGGNNTrainer), training(ReferenceCGGNNTrainer),
+                                  profile.repeats)
+    fused_losses, fused_weights, pairs = outcome[CGGNNTrainer]
+    reference_losses, reference_weights, _ = outcome[ReferenceCGGNNTrainer]
+    steps = config.epochs * -(-pairs // config.batch_size)
+    identical = (fused_losses == reference_losses
+                 and fused_weights.keys() == reference_weights.keys()
+                 and all(np.array_equal(array, reference_weights[name])
+                         for name, array in fused_weights.items()))
+    return {
+        "fused_steps_per_s": steps / fused,
+        "reference_steps_per_s": steps / reference,
+        "speedup": reference / fused,
+        "identical_weights": float(identical),
+        "steps": float(steps),
+    }
+
+
 def _service_pair(result: PipelineResult,
                   profile: BenchProfile) -> Tuple[RecommendationService,
                                                   RecommendationService]:
@@ -338,12 +397,10 @@ def bench_csr_patch(result: PipelineResult,
     else, so the speedup grows with graph size; gated because the ratio is
     machine-independent.
     """
-    import copy
-
     from ..kg.adjacency import compile_adjacency, patch_adjacency
     from ..live import UpdateLog, synthesize_deltas
 
-    graph = copy.deepcopy(result.graph)
+    graph = result.graph.copy()
     old = graph.adjacency()
     log = UpdateLog(synthesize_deltas(graph, profile.patch_deltas,
                                       seed=profile.seed))
@@ -572,6 +629,50 @@ def bench_adversarial(result: PipelineResult,
 
 
 # --------------------------------------------------------------------------- #
+# BLAS threading
+# --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled scipy-openblas, or ``None`` when numpy links another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            library = ctypes.CDLL(str(path))
+            set_threads = library.scipy_openblas_set_num_threads64_
+            get_threads = library.scipy_openblas_get_num_threads64_
+            get_config = library.scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        return library
+    return None
+
+
+def set_blas_threads(threads: int) -> bool:
+    """Pin numpy's OpenBLAS to ``threads`` threads; ``False`` if it cannot be reached."""
+    library = _openblas()
+    if library is None:
+        return False
+    library.scipy_openblas_set_num_threads64_(threads)
+    return True
+
+
+def blas_fingerprint() -> Dict[str, object]:
+    """The BLAS library numpy runs on and its current thread count.
+
+    Both are ``None`` when numpy does not bundle scipy-openblas (another
+    BLAS, or an older wheel): the run is then not pinned either.
+    """
+    library = _openblas()
+    if library is None:
+        return {"blas": None, "blas_threads": None}
+    return {"blas": library.scipy_openblas_get_config64_().decode().strip(),
+            "blas_threads": int(library.scipy_openblas_get_num_threads64_())}
+
+
+# --------------------------------------------------------------------------- #
 # orchestration
 # --------------------------------------------------------------------------- #
 def build_stack(profile: BenchProfile,
@@ -609,6 +710,7 @@ def run_bench(profile: Union[str, BenchProfile],
     metrics: Dict[str, Dict[str, float]] = {}
     metrics["transe"] = bench_transe(result, profile)
     metrics["darl_train"] = bench_darl_train(result, profile)
+    metrics["cggnn_train"] = bench_cggnn_train(result, profile)
     metrics.update(bench_beam_search(result, profile))
     metrics["cluster"] = bench_cluster(result, profile)
     metrics["csr_patch"] = bench_csr_patch(result, profile)
@@ -627,6 +729,7 @@ def run_bench(profile: Union[str, BenchProfile],
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),
+            **blas_fingerprint(),
         },
         "metrics": metrics,
         "gated": list(GATED_METRICS),
@@ -719,10 +822,12 @@ def render_report(document: Dict) -> str:
     metrics = document["metrics"]
     meta = document["meta"]
     darl = metrics["darl_train"]
+    cggnn = metrics["cggnn_train"]
     lines = [
         f"bench profile={meta['profile']} dataset={meta['dataset']} "
         f"scale={meta['scale']} seed={meta['seed']} "
-        f"(stack build {meta['stack_build_s']:.1f}s)",
+        f"(stack build {meta['stack_build_s']:.1f}s, "
+        f"BLAS threads {meta.get('blas_threads')})",
         f"  transe     {metrics['transe']['vectorised_epochs_per_s']:8.1f} epochs/s "
         f"(reference {metrics['transe']['reference_epochs_per_s']:.1f}, "
         f"speedup {metrics['transe']['speedup']:.2f}x)",
@@ -730,6 +835,10 @@ def render_report(document: Dict) -> str:
         f"(reference {darl['reference_episodes_per_s']:.1f}, "
         f"speedup {darl['speedup']:.2f}x, "
         f"{'identical weights' if darl['identical_weights'] else 'WEIGHTS DIVERGED'})",
+        f"  cggnn train {cggnn['fused_steps_per_s']:7.1f} steps/s "
+        f"(reference {cggnn['reference_steps_per_s']:.1f}, "
+        f"speedup {cggnn['speedup']:.2f}x, "
+        f"{'identical weights' if cggnn['identical_weights'] else 'WEIGHTS DIVERGED'})",
         f"  beam cold  {metrics['beam_cold']['vectorised_qps']:8.1f} QPS "
         f"(reference {metrics['beam_cold']['reference_qps']:.1f}, "
         f"speedup {metrics['beam_cold']['speedup']:.2f}x)",

@@ -4,13 +4,15 @@ When the beam search, the milestone rollout, the pruning and the TransE
 trainer were vectorised, their original one-Python-iteration-per-beam/
 -user/-neighbour/-triplet implementations moved here; so did the autograd
 DARL training episode (:class:`ReferenceDARLTrainer`, with the ``Tensor``
-policy forward it differentiates) when training switched to a hand-written
-numpy backward.  They serve two purposes:
+policy forward it differentiates) and the autograd CGGNN training step
+(:class:`ReferenceCGGNNTrainer`, with the ``Tensor`` CGGNN forward,
+:func:`cggnn_forward`) when training switched to hand-written numpy
+backwards.  They serve two purposes:
 
 * **equivalence oracles** — ``tests/test_perf_equivalence.py`` pins the
   vectorised implementations to these references (identical top-k items and
   explanation paths, all-close embeddings, identical pruned action sets,
-  bit-identical DARL gradients, training histories and weights);
+  bit-identical DARL and CGGNN gradients, training histories and weights);
 * **in-run benchmark baselines** — ``python -m repro bench`` measures both
   sides in the same process on the same data, so the reported speedups are
   machine-independent ratios rather than absolute timings.
@@ -26,6 +28,10 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .. import nn
+from ..cggnn import CGGNN, CGGNNTrainer
+from ..cggnn.category_attention import _MASK_FILL, CategoryAttentionLayer
+from ..cggnn.gating import GatedAggregationLayer
+from ..cggnn.propagation import AdaptivePropagationLayer
 from ..darl.agents import CategoryAgent, EntityAgent
 from ..darl.collaborative import action_target_categories
 from ..darl.inference import PathRecommender
@@ -34,7 +40,7 @@ from ..darl.trainer import DARLTrainer
 from ..embeddings.transe import TransEConfig, TransEModel
 from ..kg.graph import KnowledgeGraph
 from ..kg.pruning import Action
-from ..kg.relations import Relation
+from ..kg.relations import Relation, relation_index
 from ..nn import Tensor
 from ..nn import functional as F
 from ..rl.environment import EntityState
@@ -666,3 +672,129 @@ class ReferenceDARLTrainer(DARLTrainer):
             total = entity_loss + category_loss
         return episode, apply_update(total, self.policy.parameters(), self.optimiser,
                                      self.reinforce_config)
+
+
+# --------------------------------------------------------------------------- #
+# autograd CGGNN training step (pre-fusion CGGNN.forward + loss.backward())
+# --------------------------------------------------------------------------- #
+def propagation_forward(layer: AdaptivePropagationLayer, item_states: Tensor,
+                        neighbor_states: Tensor, relation_states: Tensor,
+                        purchase_state: Tensor, neighbor_mask: np.ndarray,
+                        neighbor_is_outgoing: np.ndarray) -> Tensor:
+    """The ``Tensor`` form of :meth:`AdaptivePropagationLayer.forward` (Eq. 1-3)."""
+    num_items, max_neighbors, dim = neighbor_states.shape
+    item_tiled = item_states.reshape(num_items, 1, dim) * Tensor(
+        np.ones((1, max_neighbors, 1)))
+    purchase_tiled = purchase_state.reshape(1, 1, dim) * Tensor(
+        np.ones((num_items, max_neighbors, 1)))
+    triplet_input = nn.concat(
+        [item_tiled, neighbor_states, relation_states, purchase_tiled], axis=-1)
+    triplet_repr = F.sigmoid(layer.triplet_transform(triplet_input))
+    attention = F.sigmoid(layer.attention(triplet_repr))
+    mask = Tensor(neighbor_mask[..., None])
+    outgoing = Tensor(neighbor_is_outgoing[..., None])
+    incoming = Tensor((1.0 - neighbor_is_outgoing)[..., None])
+    interaction = neighbor_states * relation_states
+    message_out = layer.transform_out(interaction) * outgoing
+    message_in = layer.transform_in(interaction) * incoming
+    weighted = attention * mask * (message_out + message_in)
+    return weighted.sum(axis=1)
+
+
+def gating_forward(layer: GatedAggregationLayer, message: Tensor,
+                   item_states: Tensor) -> Tensor:
+    """The ``Tensor`` form of :meth:`GatedAggregationLayer.forward` (Eq. 4-7)."""
+    update_gate = F.sigmoid(layer.update_from_message(message)
+                            + layer.update_from_self(item_states))
+    reset_gate = F.sigmoid(layer.reset_from_message(message)
+                           + layer.reset_from_self(item_states))
+    candidate = F.tanh(layer.candidate_from_message(message)
+                       + layer.candidate_from_gated(reset_gate * item_states))
+    return (1.0 - update_gate) * item_states + update_gate * candidate
+
+
+def category_attention_forward(layer: CategoryAttentionLayer, item_states: Tensor,
+                               category_states: Tensor,
+                               category_mask: np.ndarray) -> Tensor:
+    """The ``Tensor`` form of :meth:`CategoryAttentionLayer.forward` (Eq. 8-10)."""
+    num_items, max_categories, dim = category_states.shape
+    item_tiled = item_states.reshape(num_items, 1, dim) * Tensor(
+        np.ones((1, max_categories, 1)))
+    pair = nn.concat([item_tiled, category_states], axis=-1)
+    scores = F.leaky_relu(layer.score_transform(pair), layer.negative_slope)
+    scores = scores.reshape(num_items, max_categories)
+    masked_scores = scores + Tensor((1.0 - category_mask) * _MASK_FILL)
+    attention = F.softmax(masked_scores, axis=-1)
+    attention = attention * Tensor(category_mask)
+    normaliser = attention.sum(axis=-1, keepdims=True) + 1e-12
+    attention = attention / normaliser
+    weighted = category_states * attention.reshape(num_items, max_categories, 1)
+    return weighted.sum(axis=1)
+
+
+def cggnn_forward(model: CGGNN) -> Tensor:
+    """The ``Tensor`` form of :meth:`CGGNN.forward`: the refined item matrix."""
+    table = model.table
+    config = model.config
+    item_states = model.item_embeddings
+    purchase_state = Tensor(model._static_relations[relation_index(Relation.PURCHASE)])
+    relation_states = Tensor(model._static_relations[table.neighbor_relations])
+    static_neighbor_states = model._static_entities[table.neighbor_entities]
+
+    if config.use_ggnn:
+        for propagation, gating in zip(model.propagation_layers, model.gating_layers):
+            gathered_items = item_states.index_select(
+                model._neighbor_item_positions.reshape(-1)
+            ).reshape(table.num_items, table.max_neighbors, config.embedding_dim)
+            is_item = Tensor(model._neighbor_is_item[..., None])
+            static = Tensor(static_neighbor_states)
+            neighbor_states = gathered_items * is_item + static * (1.0 - is_item)
+            message = propagation_forward(propagation, item_states, neighbor_states,
+                                          relation_states, purchase_state,
+                                          table.neighbor_mask, table.neighbor_is_outgoing)
+            item_states = gating_forward(gating, message, item_states)
+
+    if config.use_category_attention and config.num_category_layers > 0:
+        context = item_states
+        category_states = model.category_table.index_select(
+            table.category_ids.reshape(-1)
+        ).reshape(table.num_items, table.max_categories, config.embedding_dim)
+        for layer in model.category_layers:
+            context = category_attention_forward(layer, context, category_states,
+                                                 table.category_mask)
+        item_states = item_states + config.delta * context
+    return item_states
+
+
+class ReferenceCGGNNTrainer(CGGNNTrainer):
+    """A :class:`CGGNNTrainer` whose steps build and walk an autograd graph.
+
+    Same model, batches, random streams, clipping and optimiser as the fused
+    trainer; only the step differs: the forward pass is the ``Tensor`` graph
+    of :func:`cggnn_forward` plus the BPR loss, differentiated by
+    ``loss.backward()``.  The fused trainer must reproduce its gradients,
+    loss histories and weights bit for bit.
+    """
+
+    def _loss_and_gradients(self, users: np.ndarray, positives: np.ndarray,
+                            negatives: np.ndarray) -> float:
+        item_matrix = cggnn_forward(self.model)
+        purchase_vector = self.model._static_relations[relation_index(Relation.PURCHASE)]
+        query_tensor = Tensor(self.model._static_entities[users] + purchase_vector)
+        positive_states = item_matrix.index_select(positives)
+
+        positive_diff = query_tensor - positive_states
+        positive_scores = -(positive_diff * positive_diff).sum(axis=1)
+        loss_terms = []
+        for column in range(negatives.shape[1]):
+            negative_states = item_matrix.index_select(negatives[:, column])
+            negative_diff = query_tensor - negative_states
+            negative_scores = -(negative_diff * negative_diff).sum(axis=1)
+            margin = positive_scores - negative_scores
+            loss_terms.append((-(margin.sigmoid().clip(1e-9, 1.0).log())).mean())
+        loss = loss_terms[0]
+        for term in loss_terms[1:]:
+            loss = loss + term
+        loss = loss * (1.0 / len(loss_terms))
+        loss.backward()
+        return loss.item()

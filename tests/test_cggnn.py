@@ -15,7 +15,6 @@ from repro.cggnn import (
     train_cggnn,
 )
 from repro.kg import EntityType
-from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -66,32 +65,32 @@ class TestLayers:
     def test_propagation_layer_output_shape(self, rng):
         layer = AdaptivePropagationLayer(8, rng=rng)
         items, neighbors = 5, 4
-        out = layer(Tensor(rng.random((items, 8))), Tensor(rng.random((items, neighbors, 8))),
-                    Tensor(rng.random((items, neighbors, 8))), Tensor(rng.random(8)),
+        out = layer(rng.random((items, 8)), rng.random((items, neighbors, 8)),
+                    rng.random((items, neighbors, 8)), rng.random(8),
                     np.ones((items, neighbors)), np.ones((items, neighbors)))
         assert out.shape == (items, 8)
 
     def test_propagation_respects_mask(self, rng):
         layer = AdaptivePropagationLayer(8, rng=rng)
         items, neighbors = 3, 4
-        args = (Tensor(rng.random((items, 8))), Tensor(rng.random((items, neighbors, 8))),
-                Tensor(rng.random((items, neighbors, 8))), Tensor(rng.random(8)))
+        args = (rng.random((items, 8)), rng.random((items, neighbors, 8)),
+                rng.random((items, neighbors, 8)), rng.random(8))
         masked = layer(*args, np.zeros((items, neighbors)), np.ones((items, neighbors)))
-        assert np.allclose(masked.data, 0.0)
+        assert np.allclose(masked, 0.0)
 
     def test_gated_aggregation_interpolates(self, rng):
         layer = GatedAggregationLayer(8, rng=rng)
-        message = Tensor(np.zeros((4, 8)))
-        states = Tensor(rng.random((4, 8)))
+        message = np.zeros((4, 8))
+        states = rng.random((4, 8))
         out = layer(message, states)
         assert out.shape == (4, 8)
-        assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(out))
 
     def test_category_attention_weights_sum_to_one_effectively(self, rng):
         layer = CategoryAttentionLayer(8, rng=rng)
         items, cats = 4, 3
-        item_states = Tensor(rng.random((items, 8)))
-        category_states = Tensor(rng.random((items, cats, 8)))
+        item_states = rng.random((items, 8))
+        category_states = rng.random((items, cats, 8))
         mask = np.ones((items, cats))
         out = layer(item_states, category_states, mask)
         assert out.shape == (items, 8)
@@ -99,7 +98,7 @@ class TestLayers:
         single_mask = np.zeros((items, cats))
         single_mask[:, 0] = 1.0
         single = layer(item_states, category_states, single_mask)
-        assert np.allclose(single.data, category_states.data[:, 0, :], atol=1e-6)
+        assert np.allclose(single, category_states[:, 0, :], atol=1e-6)
 
     def test_layer_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -114,7 +113,7 @@ class TestCGGNNModel:
     def test_forward_shape(self, small_cggnn):
         out = small_cggnn.forward()
         assert out.shape == (small_cggnn.table.num_items, 16)
-        assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(out))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -152,7 +151,7 @@ class TestCGGNNModel:
                              max_neighbors=4, max_categories=3, seed=0)
         model = CGGNN(graph, transe, config)
         out = model.forward()
-        assert np.allclose(out.data, model.item_embeddings.data)
+        assert np.allclose(out, model.item_embeddings.data)
 
     def test_delta_zero_removes_category_context(self, tiny_kg, tiny_transe):
         graph, _, _ = tiny_kg
@@ -163,7 +162,54 @@ class TestCGGNNModel:
                                    max_neighbors=4, max_categories=3, delta=0.5, seed=0)
         out_zero = CGGNN(graph, transe, base).forward()
         out_ctx = CGGNN(graph, transe, with_context).forward()
-        assert not np.allclose(out_zero.data, out_ctx.data)
+        assert not np.allclose(out_zero, out_ctx)
+
+
+def _loop_index_arrays(model):
+    """The item-neighbour gather tables, one table cell at a time."""
+    table = model.table
+    is_item = np.zeros_like(table.neighbor_mask)
+    item_positions = np.zeros_like(table.neighbor_entities)
+    for row in range(table.num_items):
+        for column in range(table.max_neighbors):
+            if table.neighbor_mask[row, column] == 0.0:
+                continue
+            neighbor = int(table.neighbor_entities[row, column])
+            if model.graph.entities.type_of(neighbor) == EntityType.ITEM:
+                is_item[row, column] = 1.0
+                item_positions[row, column] = table.item_position[neighbor]
+    return is_item, item_positions
+
+
+class TestIndexArrays:
+    def _assert_match_loop(self, model):
+        is_item, item_positions = _loop_index_arrays(model)
+        assert model._neighbor_is_item.dtype == is_item.dtype
+        assert model._neighbor_item_positions.dtype == item_positions.dtype
+        assert np.array_equal(model._neighbor_is_item, is_item)
+        assert np.array_equal(model._neighbor_item_positions, item_positions)
+        assert is_item.any()
+
+    def test_vectorised_arrays_equal_the_loop(self, small_cggnn):
+        self._assert_match_loop(small_cggnn)
+
+    def test_vectorised_arrays_equal_the_loop_on_a_grown_graph(self, tiny_kg,
+                                                               tiny_transe):
+        from repro.embeddings import TransEConfig, train_transe
+        from repro.live import UpdateLog, synthesize_deltas
+
+        graph, _, _ = tiny_kg
+        transe, _ = tiny_transe
+        grown = graph.copy()
+        UpdateLog(synthesize_deltas(grown, 40, seed=4)).apply(grown)
+        assert grown.entities.count(EntityType.ITEM) > graph.entities.count(EntityType.ITEM)
+        grown_transe, _ = train_transe(grown, TransEConfig(embedding_dim=16, epochs=1),
+                                       initial_state=transe)
+        model = CGGNN(grown, grown_transe,
+                      CGGNNConfig(embedding_dim=16, num_ggnn_layers=1,
+                                  num_category_layers=1, max_neighbors=8,
+                                  max_categories=3, seed=0))
+        self._assert_match_loop(model)
 
 
 class TestCGGNNTraining:
@@ -188,6 +234,26 @@ class TestCGGNNTraining:
             CGGNNTrainingConfig(learning_rate=0).validate()
         with pytest.raises(ValueError):
             CGGNNTrainingConfig(batch_size=0).validate()
+
+    @pytest.mark.parametrize("field, value", [("negatives_per_positive", 0),
+                                              ("gradient_clip", 0.0),
+                                              ("gradient_clip", -1.0),
+                                              ("weight_decay", -1e-5)])
+    def test_invalid_training_fields_raise_typed_errors(self, field, value):
+        # negatives_per_positive=0 used to pass and then crash with an
+        # IndexError; gradient_clip=0 silently zeroed every gradient.
+        with pytest.raises(ValueError, match=field):
+            CGGNNTrainingConfig(**{field: value}).validate()
+
+    def test_pipeline_rejects_zero_negatives_with_a_typed_error(self):
+        from repro.pipeline import Pipeline, RunConfig
+
+        config = RunConfig.from_profile("smoke")
+        config.data.scale = 0.1
+        config.model.transe.epochs = 1
+        config.model.cggnn_training.negatives_per_positive = 0
+        with pytest.raises(ValueError, match="negatives_per_positive"):
+            Pipeline(config).run(until=["cggnn"])
 
     def test_purchase_pairs_only_reference_items(self, tiny_kg, small_cggnn):
         graph, _, _ = tiny_kg

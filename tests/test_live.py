@@ -13,7 +13,7 @@ from repro.cggnn import CGGNN, CGGNNConfig, Representations, warm_start_cggnn
 from repro.cluster import ClusterConfig
 from repro.darl import CADRLConfig
 from repro.embeddings import TransEModel, apply_initial_state, train_transe
-from repro.kg import compile_adjacency, patch_adjacency
+from repro.kg import KnowledgeGraph, compile_adjacency, patch_adjacency
 from repro.kg.entities import EntityType
 from repro.kg.relations import Relation
 from repro.live import (
@@ -430,6 +430,41 @@ class TestLiveLoop:
         # Same seeds → bit-identical replay, generation stamps included.
         _, replay_again = run()
         assert replay.signature() == replay_again.signature()
+
+    def test_structural_staging_copy_replays_like_deepcopy(self, live_stack,
+                                                           monkeypatch):
+        _, result = live_stack
+
+        def run():
+            schedule = [IngestEvent(at_s=0.2, count=8, seed=31),
+                        SwapEvent(at_s=0.4),
+                        IngestEvent(at_s=0.5, count=8, seed=32),
+                        SwapEvent(at_s=0.7),
+                        IngestEvent(at_s=0.8, count=4, seed=33),
+                        SwapEvent(at_s=0.9)]
+            session, clock = make_session(result, schedule=schedule)
+            population = UserPopulation.from_graph(session.graph)
+            workload = generate_workload(
+                population,
+                WorkloadConfig(num_requests=100, seed=5, mean_qps=80.0,
+                               arrival="poisson"),
+                session.graph)
+            replay = ReplayDriver(session, clock=clock).replay(workload)
+            snapshot = session.telemetry_snapshot()["live"]
+            return replay.signature(), snapshot, session.bundles
+
+        signature, snapshot, bundles = run()
+        assert sorted(bundles) == [0, 1, 2, 3]
+        # The staging graph as it was built before: a full deepcopy.
+        monkeypatch.setattr(KnowledgeGraph, "copy", lambda graph: copy.deepcopy(graph))
+        deep_signature, deep_snapshot, deep_bundles = run()
+        assert signature == deep_signature
+        assert snapshot == deep_snapshot
+        for generation, bundle in bundles.items():
+            deep = deep_bundles[generation]
+            assert bundle.graph.num_triplets == deep.graph.num_triplets
+            assert np.array_equal(bundle.representations.entity,
+                                  deep.representations.entity)
 
     def test_generation_store_round_trip(self, live_stack, tmp_path):
         shared, result = live_stack

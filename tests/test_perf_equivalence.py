@@ -1,10 +1,11 @@
 """Vectorised ≡ scalar equivalence, CSR adjacency, cache bounds, bench harness.
 
 The vectorised hot paths (CSR pruning, frontier beam search, fast TransE,
-the fused DARL training episode, the vectorised KL guidance reward) must be
-*behaviour-preserving* rewrites: every test here pins them against either the
-frozen references in :mod:`repro.perf.reference` or the list-based originals
-that remain in the codebase.  DARL training is pinned bit for bit: gradients,
+the fused DARL training episode, the fused CGGNN training step, the
+vectorised KL guidance reward) must be *behaviour-preserving* rewrites: every
+test here pins them against either the frozen references in
+:mod:`repro.perf.reference` or the list-based originals that remain in the
+codebase.  DARL and CGGNN training are pinned bit for bit: gradients,
 histories and weights equal the autograd reference exactly.
 """
 
@@ -15,6 +16,15 @@ import json
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.cggnn import (
+    CGGNN,
+    CGGNNConfig,
+    CGGNNTrainer,
+    CGGNNTrainingConfig,
+    train_cggnn,
+    warm_start_cggnn,
+)
 from repro.darl.collaborative import GuidanceModel
 from repro.darl.inference import InferenceConfig, PathRecommender
 from repro.darl.trainer import DARLConfig, DARLTrainer
@@ -37,7 +47,14 @@ from repro.perf import (
     write_bench_json,
 )
 from repro.nn import Tensor
-from repro.perf.reference import ReferenceDARLTrainer, category_guided_prune, degree_prune
+from repro.live import UpdateLog, synthesize_deltas
+from repro.perf.reference import (
+    ReferenceCGGNNTrainer,
+    ReferenceDARLTrainer,
+    category_guided_prune,
+    cggnn_forward,
+    degree_prune,
+)
 from repro.rl.environment import EntityEnvironment, LRUCache
 from repro.rl.rewards import guidance_reward
 from repro.serving import RecommendationService, ServingConfig, ServingTier
@@ -277,6 +294,135 @@ class TestDARLTrainingEquivalence:
         assert created  # the counter does see the autograd episode's tensors
 
 
+# --------------------------------------------------------------------------- #
+# fused CGGNN training ≡ autograd reference, bit for bit
+# --------------------------------------------------------------------------- #
+CGGNN_VARIANTS = {
+    # Two negative columns: the loss-side gradients add up in the engine's
+    # reverse-column order, as in every paper-profile run.
+    "default": ({}, {"negatives_per_positive": 2}),
+    "RGGNN": ({"use_ggnn": False}, {"negatives_per_positive": 2}),
+    "RCGAN": ({"use_category_attention": False}, {"negatives_per_positive": 2}),
+    # More multi-consumer nodes: 3 GNN hops, 2 attention hops sharing the
+    # category states, 3 negative columns feeding the positive scores.
+    "deep": ({"num_ggnn_layers": 3, "num_category_layers": 2},
+             {"negatives_per_positive": 3}),
+}
+
+
+def _cggnn_pair(tiny_kg, tiny_transe, variant, seed=0):
+    graph, _, _ = tiny_kg
+    transe, _ = tiny_transe
+    model_overrides, training_overrides = CGGNN_VARIANTS[variant]
+    model_config = CGGNNConfig(**{**dict(embedding_dim=16, num_ggnn_layers=2,
+                                         num_category_layers=1, max_neighbors=6,
+                                         max_categories=3, seed=seed),
+                                  **model_overrides})
+    training = CGGNNTrainingConfig(**{**dict(epochs=3, batch_size=48,
+                                             learning_rate=3e-3, seed=seed),
+                                      **training_overrides})
+    fused = CGGNNTrainer(CGGNN(graph, transe, model_config), graph, training)
+    reference = ReferenceCGGNNTrainer(CGGNN(graph, transe, model_config), graph,
+                                      training)
+    return fused, reference
+
+
+def _assert_same_weights(fused_model, reference_model):
+    fused_state = fused_model.state_dict()
+    reference_state = reference_model.state_dict()
+    assert fused_state.keys() == reference_state.keys()
+    for name, array in fused_state.items():
+        assert np.array_equal(array, reference_state[name]), name
+
+
+class TestCGGNNTrainingEquivalence:
+    @pytest.mark.parametrize("variant", sorted(CGGNN_VARIANTS))
+    def test_gradients_bit_identical_per_step(self, variant, tiny_kg, tiny_transe):
+        fused, reference = _cggnn_pair(tiny_kg, tiny_transe, variant)
+        models = (fused.model, reference.model)
+        optimisers = [nn.Adam(model.parameters(), lr=3e-3, weight_decay=1e-5)
+                      for model in models]
+        rng = np.random.default_rng(2)
+        columns = fused.config.negatives_per_positive
+        for _ in range(6):
+            batch = fused._pairs[rng.permutation(len(fused._pairs))[:48]]
+            negatives = rng.integers(0, fused.model.table.num_items, size=(48, columns))
+            for optimiser in optimisers:
+                optimiser.zero_grad()
+            fused_loss = fused._loss_and_gradients(batch[:, 0], batch[:, 1], negatives)
+            reference_loss = reference._loss_and_gradients(batch[:, 0], batch[:, 1],
+                                                           negatives)
+            assert fused_loss == reference_loss
+            for (name, mine), (_, theirs) in zip(fused.model.named_parameters(),
+                                                 reference.model.named_parameters()):
+                assert (mine.grad is None) == (theirs.grad is None), name
+                if mine.grad is not None:
+                    assert np.array_equal(mine.grad, theirs.grad), name
+            for model, optimiser in zip(models, optimisers):
+                nn.clip_grad_norm(model.parameters(), 5.0)
+                optimiser.step()
+        _assert_same_weights(fused.model, reference.model)
+        if variant == "RGGNN":
+            assert fused.model.propagation_layers[0].attention.weight.grad is None
+        if variant == "RCGAN":
+            assert fused.model.category_table.grad is None
+
+    @pytest.mark.parametrize("variant", sorted(CGGNN_VARIANTS))
+    def test_histories_weights_and_tables_bit_identical(self, variant, tiny_kg,
+                                                         tiny_transe):
+        fused, reference = _cggnn_pair(tiny_kg, tiny_transe, variant, seed=4)
+        assert fused.train() == reference.train()
+        _assert_same_weights(fused.model, reference.model)
+        fused_tables = fused.export()
+        reference_matrix = cggnn_forward(reference.model).data
+        assert np.array_equal(fused_tables.entity[fused.model.table.item_ids],
+                              reference_matrix)
+        assert np.array_equal(fused_tables.category, reference.export().category)
+
+    def test_warm_started_refresh_fine_tune(self, tiny_kg, tiny_transe,
+                                            tiny_representations):
+        graph, _, _ = tiny_kg
+        transe, _ = tiny_transe
+        grown = graph.copy()
+        UpdateLog(synthesize_deltas(grown, 20, seed=9)).apply(grown)
+        assert grown.num_entities > graph.num_entities
+        grown_transe, _ = train_transe(
+            grown, TransEConfig(embedding_dim=16, epochs=2, seed=3),
+            initial_state=transe)
+        model_config = CGGNNConfig(embedding_dim=16, num_ggnn_layers=1,
+                                   num_category_layers=1, max_neighbors=6,
+                                   max_categories=3, seed=0)
+        training = CGGNNTrainingConfig(epochs=2, batch_size=128, seed=3)
+        fused_tables, fused_losses = train_cggnn(
+            grown, CGGNN(grown, grown_transe, model_config), training,
+            initial_state=tiny_representations)
+        reference_model = CGGNN(grown, grown_transe, model_config)
+        warm_start_cggnn(reference_model, tiny_representations)
+        reference = ReferenceCGGNNTrainer(reference_model, grown, training)
+        assert fused_losses == reference.train()
+        reference_tables = reference.export()
+        for name in ("entity", "relation", "category"):
+            assert np.array_equal(getattr(fused_tables, name),
+                                  getattr(reference_tables, name)), name
+
+    def test_fused_training_builds_no_tensors(self, tiny_kg, tiny_transe, monkeypatch):
+        fused, reference = _cggnn_pair(tiny_kg, tiny_transe, "default")
+        created = []
+        original = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        losses = fused.train()
+        assert np.all(np.isfinite(losses))
+        fused.export()
+        assert created == []
+        reference.train()
+        assert created  # the counter does see the autograd step's tensors
+
+
 class TestKLGuidanceEquivalence:
     def test_vectorised_counterfactuals_equal_the_loop(self):
         rng = np.random.default_rng(11)
@@ -472,6 +618,29 @@ class TestBenchHarness:
         assert [r.metric for r in regressions] == ["darl_train.identical_weights"]
         assert compare_with_baseline(baseline, baseline, threshold=0.30) == []
 
+    def test_diverged_cggnn_weights_flagged(self):
+        baseline = {"metrics": {"cggnn_train": {"identical_weights": 1.0,
+                                                "speedup": 1.3}}}
+        current = {"metrics": {"cggnn_train": {"identical_weights": 0.0,
+                                               "speedup": 1.3}}}
+        regressions = compare_with_baseline(current, baseline, threshold=0.30)
+        assert [r.metric for r in regressions] == ["cggnn_train.identical_weights"]
+        assert compare_with_baseline(baseline, baseline, threshold=0.30) == []
+
+    def test_blas_threads_can_be_pinned_and_fingerprinted(self):
+        from repro.perf.bench import blas_fingerprint, set_blas_threads
+
+        before = blas_fingerprint()
+        if before["blas"] is None:
+            assert not set_blas_threads(1)
+            pytest.skip("numpy does not bundle scipy-openblas")
+        try:
+            assert set_blas_threads(1)
+            assert blas_fingerprint()["blas_threads"] == 1
+        finally:
+            set_blas_threads(before["blas_threads"])
+        assert blas_fingerprint() == before
+
     def test_missing_metrics_are_skipped(self):
         baseline = {"metrics": {}}
         assert compare_with_baseline(self._document(), baseline) == []
@@ -510,14 +679,18 @@ class TestBenchEndToEnd:
                                scenario_requests=120)
         document = run_bench(profile)
         metrics = document["metrics"]
-        for section in ("transe", "darl_train", "beam_cold", "beam_warm",
-                        "adversarial"):
+        for section in ("transe", "darl_train", "cggnn_train", "beam_cold",
+                        "beam_warm", "adversarial"):
             assert section in metrics
         assert metrics["transe"]["speedup"] > 0
         assert metrics["darl_train"]["speedup"] > 0
         assert metrics["darl_train"]["identical_weights"] == 1.0
-        assert "darl_train.speedup" in document["gated"]
-        assert "darl_train.identical_weights" in document["gated"]
+        assert metrics["cggnn_train"]["speedup"] > 0
+        assert metrics["cggnn_train"]["identical_weights"] == 1.0
+        for gated in ("darl_train.speedup", "darl_train.identical_weights",
+                      "cggnn_train.speedup", "cggnn_train.identical_weights"):
+            assert gated in document["gated"]
+        assert {"blas", "blas_threads"} <= set(document["meta"])
         assert metrics["beam_warm"]["vectorised_qps"] > 0
         adversarial = metrics["adversarial"]
         assert adversarial["deterministic"] == 1.0
