@@ -29,15 +29,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import nn
+from ..darl.shared_policy import (HeadActivations, ScoreActivations, policy_head,
+                                  policy_head_backward, score_actions, scores_backward)
 from ..data.schema import InteractionDataset, TrainTestSplit
 from ..embeddings import TransEConfig, train_transe
 from ..kg import build_knowledge_graph
 from ..kg.entities import EntityType
 from ..kg.pruning import Action, ActionArrays, degree_prune_arrays, ensure_self_loop_arrays
 from ..kg.relations import RELATION_LIST, Relation, relation_index
-from ..nn import Tensor
-from ..nn import functional as F
-from ..rl.reinforce import MovingBaseline, ReinforceConfig, apply_update, policy_gradient_loss
+from ..rl.reinforce import (MovingBaseline, ReinforceConfig, apply_gradients,
+                            reinforce_advantages, reinforce_loss)
 from ..rl.trajectory import RecommendationPath
 from .base import BaselineRecommender
 
@@ -59,6 +60,11 @@ class SingleAgentConfig:
     expansions_per_beam: int = 4
     seed: int = 0
 
+    def validate(self) -> None:
+        for name in ("max_hops", "max_actions", "beam_width", "expansions_per_beam"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 class _SingleAgentPolicy(nn.Module):
     """MLP policy: action scores = A · W2 ReLU(W1 [user; entity; relation; extra])."""
@@ -67,10 +73,6 @@ class _SingleAgentPolicy(nn.Module):
                  rng: np.random.Generator) -> None:
         self.input_layer = nn.Linear(state_dim, hidden_dim, rng=rng)
         self.output_layer = nn.Linear(hidden_dim, action_dim, rng=rng)
-
-    def action_logits(self, state_vector: np.ndarray, action_matrix: np.ndarray) -> Tensor:
-        query = self.output_layer(F.relu(self.input_layer(Tensor(state_vector))))
-        return Tensor(action_matrix) @ query
 
 
 class SingleAgentRLRecommender(BaselineRecommender):
@@ -134,6 +136,9 @@ class SingleAgentRLRecommender(BaselineRecommender):
     # ------------------------------------------------------------------ #
     def _fit(self, dataset: InteractionDataset, split: TrainTestSplit) -> None:
         config = self.config
+        config.validate()
+        self._reinforce = ReinforceConfig(gamma=config.gamma)
+        self._reinforce.validate()
         self._rng = np.random.default_rng(config.seed)
         self._graph, self._category_graph, self._builder = build_knowledge_graph(
             dataset, split.train)
@@ -149,7 +154,6 @@ class SingleAgentRLRecommender(BaselineRecommender):
         self._policy = _SingleAgentPolicy(state_dim, action_dim, config.hidden_dim,
                                           np.random.default_rng(config.seed + 1))
         self._optimiser = nn.Adam(self._policy.parameters(), lr=config.learning_rate)
-        self._reinforce = ReinforceConfig(gamma=config.gamma)
         self._baseline = MovingBaseline()
 
         self._pretrain()
@@ -185,29 +189,53 @@ class SingleAgentRLRecommender(BaselineRecommender):
                              for item in self.train_items[user_id]}
                 self._run_episode(user_id, positives)
 
-    def _run_episode(self, user_id: int, positives: Set[int]) -> None:
+    def _policy_step(self, user_id: int, entity: int, relation: Relation,
+                     actions: Sequence[Action]) -> Tuple[ScoreActivations, HeadActivations]:
+        """Score ``actions`` from the walk's state: activations and log-softmax head."""
+        scores = score_actions(self._policy.input_layer, self._policy.output_layer,
+                               self._state_vector(user_id, entity, relation),
+                               self._action_matrix(actions))
+        return scores, policy_head(scores.logits)
+
+    def _run_episode(self, user_id: int, positives: Set[int]) -> float:
+        """Sample one walk and apply its REINFORCE update; returns the loss."""
         config = self.config
         entity = self._builder.user_to_entity(user_id)
         relation = Relation.SELF_LOOP
-        log_probs: List[Tensor] = []
+        steps: List[Tuple[ScoreActivations, HeadActivations, int]] = []
         rewards: List[float] = []
         for _ in range(config.max_hops):
             actions = self._prune_actions(user_id, entity)
             if not actions:
                 break
-            logits = self._policy.action_logits(self._state_vector(user_id, entity, relation),
-                                                self._action_matrix(actions))
-            log_distribution = F.log_softmax(logits, axis=-1)
-            probabilities = np.exp(log_distribution.data)
-            probabilities /= probabilities.sum()
+            scores, head = self._policy_step(user_id, entity, relation, actions)
+            probabilities = head.probs / head.probs.sum()
             chosen = int(self._rng.choice(len(actions), p=probabilities))
-            log_probs.append(log_distribution[chosen])
+            steps.append((scores, head, chosen))
             relation, entity = actions[chosen]
             rewards.append(self._step_reward(user_id, entity))
-        if rewards:
-            rewards[-1] += self._terminal_reward(user_id, entity, positives)
-        loss = policy_gradient_loss(log_probs, rewards, self._reinforce, self._baseline)
-        apply_update(loss, self._policy.parameters(), self._optimiser, self._reinforce)
+        if not steps:
+            return float("nan")  # no decision was recorded: no loss measured
+        rewards[-1] += self._terminal_reward(user_id, entity, positives)
+        advantages = reinforce_advantages(rewards, self._reinforce.gamma, self._baseline)
+        self._update(steps, [-advantage for advantage in advantages])
+        return reinforce_loss([float(head.log_probs[chosen]) for _, head, chosen in steps],
+                              advantages)
+
+    def _update(self, steps: List[Tuple[ScoreActivations, HeadActivations, int]],
+                grad_log_probs: List[float]) -> None:
+        """Back-propagate each step's ``d loss / d log π(a)``, then clip and step.
+
+        The per-step parameter gradients are added latest step first, the
+        order in which :meth:`repro.nn.Tensor.backward` accumulates them, so
+        they equal the autograd oracle's bit for bit.
+        """
+        def backward() -> None:
+            for (scores, head, chosen), grad in zip(reversed(steps), reversed(grad_log_probs)):
+                scores_backward(self._policy.input_layer, self._policy.output_layer, scores,
+                                policy_head_backward(head, chosen, grad, None))
+
+        apply_gradients(self._optimiser, self._reinforce.gradient_clip, backward)
 
     # ------------------------------------------------------------------ #
     # inference: beam search + item scoring
@@ -225,10 +253,7 @@ class SingleAgentRLRecommender(BaselineRecommender):
                 actions = self._prune_actions(user_id, entity)
                 if not actions:
                     continue
-                logits = self._policy.action_logits(
-                    self._state_vector(user_id, entity, relation),
-                    self._action_matrix(actions))
-                log_distribution = F.log_softmax(logits, axis=-1).data
+                log_distribution = self._log_policy(user_id, entity, relation, actions)
                 order = np.argsort(-log_distribution)[: config.expansions_per_beam]
                 for index in order:
                     next_relation, next_entity = actions[index]
@@ -244,6 +269,11 @@ class SingleAgentRLRecommender(BaselineRecommender):
                                                         item_entity=entity, hops=hops,
                                                         score=log_prob))
         return collected
+
+    def _log_policy(self, user_id: int, entity: int, relation: Relation,
+                    actions: Sequence[Action]) -> np.ndarray:
+        """Log-probabilities of ``actions``, the beam search's expansion scores."""
+        return self._policy_step(user_id, entity, relation, actions)[1].log_probs
 
     def _score_items(self, user_id: int) -> np.ndarray:
         scores = np.full(self.dataset.num_items, -np.inf)
@@ -332,7 +362,7 @@ class ADACRecommender(SingleAgentRLRecommender):
         """One cross-entropy step pushing the policy towards the demonstration."""
         entity = self._builder.user_to_entity(user_id)
         relation = Relation.SELF_LOOP
-        loss: Optional[Tensor] = None
+        steps: List[Tuple[ScoreActivations, HeadActivations, int]] = []
         for target_relation, target_entity in demonstration:
             actions = self._prune_actions(user_id, entity)
             try:
@@ -340,16 +370,12 @@ class ADACRecommender(SingleAgentRLRecommender):
             except ValueError:
                 actions = actions + [(target_relation, target_entity)]
                 target_index = len(actions) - 1
-            logits = self._policy.action_logits(self._state_vector(user_id, entity, relation),
-                                                self._action_matrix(actions))
-            step_loss = F.cross_entropy_with_logits(logits, target_index)
-            loss = step_loss if loss is None else loss + step_loss
+            scores, head = self._policy_step(user_id, entity, relation, actions)
+            steps.append((scores, head, target_index))
             relation, entity = target_relation, target_entity
-        if loss is not None:
-            self._optimiser.zero_grad()
-            loss.backward()
-            nn.clip_grad_norm(self._policy.parameters(), 5.0)
-            self._optimiser.step()
+        if steps:
+            # loss = -Σ log π(target): every step's log-probability gradient is -1.
+            self._update(steps, [-1.0] * len(steps))
 
 
 class UCPRRecommender(SingleAgentRLRecommender):

@@ -27,6 +27,7 @@ from .shared_policy import (
     LSTMState,
     ScoreActivations,
     SharedPolicyNetworks,
+    policy_head,
 )
 
 
@@ -101,7 +102,7 @@ class CategoryAgent:
 
         scores = self.policy.category_scores_traced(user_vector, current_vector,
                                                     history_hidden, action_matrix)
-        head = self.policy.policy_head(scores.logits)
+        head = policy_head(scores.logits)
         probabilities, chosen_index = _pick(head, rng, greedy)
         chosen_category = actions[chosen_index]
 
@@ -147,7 +148,7 @@ class EntityAgent:
                                                   history_hidden, action_matrix)
         target_categories = action_target_categories(self.environment.graph, actions)
         bonus = self.guidance.guidance_bonus(target_categories, guided_category)
-        head = self.policy.policy_head(scores.logits + bonus)
+        head = policy_head(scores.logits + bonus)
         probabilities, chosen_index = _pick(head, rng, greedy)
         chosen_action = actions[chosen_index]
 

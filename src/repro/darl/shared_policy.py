@@ -15,6 +15,9 @@ The backward functions use exactly the per-operation expressions of the
 :mod:`repro.nn` autograd engine (``grad @ W.T``, ``np.outer(x, grad)``,
 ReLU as ``grad * mask``), so a caller that adds contributions in autograd's
 order gets bit-identical gradients without building a ``Tensor`` graph.
+The action-scoring head (:func:`score_actions`, :func:`policy_head` and
+their backwards) is module-level: the single-agent RL baselines train and
+search with the same functions on their own parameters.
 """
 
 from __future__ import annotations
@@ -85,6 +88,63 @@ def _accumulate(parameter: Tensor, contribution: np.ndarray) -> None:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
+
+
+# --------------------------------------------------------------------------- #
+# the policy head shared by every REINFORCE agent
+# --------------------------------------------------------------------------- #
+def _query_forward(mlp_in: nn.Linear, mlp_out: nn.Linear, state_input: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Query vector(s) ``W2 ReLU(W1 s)`` and the ReLU layer output."""
+    hidden = np.maximum(state_input @ mlp_in.weight.data + mlp_in.bias.data, 0.0)
+    return hidden @ mlp_out.weight.data + mlp_out.bias.data, hidden
+
+
+def score_actions(mlp_in: nn.Linear, mlp_out: nn.Linear, state_input: np.ndarray,
+                  action_matrix: np.ndarray) -> ScoreActivations:
+    """Unnormalised action scores ``A · query``, with the activations."""
+    query, hidden = _query_forward(mlp_in, mlp_out, state_input)
+    return ScoreActivations(state_input, hidden, action_matrix, action_matrix @ query)
+
+
+def policy_head(logits: np.ndarray) -> HeadActivations:
+    """Log-softmax over one decision's logits, plus the policy entropy."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    norm = exps.sum(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(norm)
+    probs = np.exp(log_probs)
+    entropy = float(-(probs * log_probs).sum())
+    return HeadActivations(exps, norm, log_probs, probs, entropy)
+
+
+def policy_head_backward(head: HeadActivations, chosen_index: int, grad_log_prob: float,
+                         grad_entropy: Optional[float]) -> np.ndarray:
+    """Gradient of the logits from d loss / d log π(a) and d loss / d H."""
+    if grad_entropy is None:
+        grad_log_probs = np.zeros_like(head.log_probs)
+        grad_log_probs[chosen_index] = grad_log_prob
+    else:
+        # H = -sum(p * log p), p = exp(log p): the product, then the exp,
+        # then the chosen log-probability, in autograd's order.
+        grad_products = np.full(head.log_probs.shape, -grad_entropy)
+        grad_log_probs = (grad_products * head.probs
+                          + (grad_products * head.log_probs) * head.probs)
+        grad_log_probs[chosen_index] += grad_log_prob
+    grad_norm = (-grad_log_probs).sum(axis=0, keepdims=True) / head.norm
+    return grad_log_probs + grad_norm * head.exps
+
+
+def scores_backward(mlp_in: nn.Linear, mlp_out: nn.Linear, scores: ScoreActivations,
+                    grad_logits: np.ndarray) -> np.ndarray:
+    """Backward of query MLP + action dot product; returns d/d state input."""
+    grad_query = scores.action_matrix.T @ grad_logits
+    _accumulate(mlp_out.bias, grad_query)
+    _accumulate(mlp_out.weight, np.outer(scores.hidden, grad_query))
+    grad_pre = (grad_query @ mlp_out.weight.data.T) * (scores.hidden > 0)
+    _accumulate(mlp_in.bias, grad_pre)
+    _accumulate(mlp_in.weight, np.outer(scores.state_input, grad_pre))
+    return grad_pre @ mlp_in.weight.data.T
 
 
 class SharedPolicyNetworks(nn.Module):
@@ -186,31 +246,19 @@ class SharedPolicyNetworks(nn.Module):
                                                             state)
         return hidden, state
 
-    @staticmethod
-    def _query_forward(mlp_in: nn.Linear, mlp_out: nn.Linear, state_input: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        hidden = np.maximum(state_input @ mlp_in.weight.data + mlp_in.bias.data, 0.0)
-        return hidden @ mlp_out.weight.data + mlp_out.bias.data, hidden
-
     def entity_query_numpy(self, entity_vector: np.ndarray, relation_vector: np.ndarray,
                            history_hidden: np.ndarray) -> np.ndarray:
         """Entity-policy query vector(s) (Eq. 16) without the action dot-product."""
         state_input = np.concatenate([entity_vector, relation_vector, history_hidden],
                                      axis=-1)
-        return self._query_forward(self.entity_mlp_in, self.entity_mlp_out, state_input)[0]
+        return _query_forward(self.entity_mlp_in, self.entity_mlp_out, state_input)[0]
 
     def category_query_numpy(self, user_vector: np.ndarray, category_vector: np.ndarray,
                              history_hidden: np.ndarray) -> np.ndarray:
         """Category-policy query vector(s) (Eq. 15) without the action dot-product."""
         state_input = np.concatenate([user_vector, category_vector, history_hidden],
                                      axis=-1)
-        return self._query_forward(self.category_mlp_in, self.category_mlp_out,
-                                   state_input)[0]
-
-    def _score(self, mlp_in: nn.Linear, mlp_out: nn.Linear, state_input: np.ndarray,
-               action_matrix: np.ndarray) -> ScoreActivations:
-        query, hidden = self._query_forward(mlp_in, mlp_out, state_input)
-        return ScoreActivations(state_input, hidden, action_matrix, action_matrix @ query)
+        return _query_forward(self.category_mlp_in, self.category_mlp_out, state_input)[0]
 
     def entity_scores_traced(self, entity_vector: np.ndarray, relation_vector: np.ndarray,
                              history_hidden: np.ndarray,
@@ -218,8 +266,8 @@ class SharedPolicyNetworks(nn.Module):
         """Unnormalised scores over the entity agent's candidate actions (Eq. 16)."""
         state_input = np.concatenate([entity_vector, relation_vector, history_hidden],
                                      axis=-1)
-        return self._score(self.entity_mlp_in, self.entity_mlp_out, state_input,
-                           action_matrix)
+        return score_actions(self.entity_mlp_in, self.entity_mlp_out, state_input,
+                             action_matrix)
 
     def category_scores_traced(self, user_vector: np.ndarray, category_vector: np.ndarray,
                                history_hidden: np.ndarray,
@@ -227,8 +275,8 @@ class SharedPolicyNetworks(nn.Module):
         """Unnormalised scores over the category agent's candidate actions (Eq. 15)."""
         state_input = np.concatenate([user_vector, category_vector, history_hidden],
                                      axis=-1)
-        return self._score(self.category_mlp_in, self.category_mlp_out, state_input,
-                           action_matrix)
+        return score_actions(self.category_mlp_in, self.category_mlp_out, state_input,
+                             action_matrix)
 
     def entity_action_logits_numpy(self, entity_vector: np.ndarray,
                                    relation_vector: np.ndarray,
@@ -244,50 +292,9 @@ class SharedPolicyNetworks(nn.Module):
         return action_matrix @ self.category_query_numpy(user_vector, category_vector,
                                                          history_hidden)
 
-    @staticmethod
-    def policy_head(logits: np.ndarray) -> HeadActivations:
-        """Log-softmax over one decision's logits, plus the policy entropy."""
-        shifted = logits - np.max(logits, axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        norm = exps.sum(axis=-1, keepdims=True)
-        log_probs = shifted - np.log(norm)
-        probs = np.exp(log_probs)
-        entropy = float(-(probs * log_probs).sum())
-        return HeadActivations(exps, norm, log_probs, probs, entropy)
-
     # ------------------------------------------------------------------ #
     # backward (single, unbatched steps)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def policy_head_backward(head: HeadActivations, chosen_index: int,
-                             grad_log_prob: float,
-                             grad_entropy: Optional[float]) -> np.ndarray:
-        """Gradient of the logits from d loss / d log π(a) and d loss / d H."""
-        if grad_entropy is None:
-            grad_log_probs = np.zeros_like(head.log_probs)
-            grad_log_probs[chosen_index] = grad_log_prob
-        else:
-            # H = -sum(p * log p), p = exp(log p): the product, then the exp,
-            # then the chosen log-probability, in autograd's order.
-            grad_products = np.full(head.log_probs.shape, -grad_entropy)
-            grad_log_probs = (grad_products * head.probs
-                              + (grad_products * head.log_probs) * head.probs)
-            grad_log_probs[chosen_index] += grad_log_prob
-        grad_norm = (-grad_log_probs).sum(axis=0, keepdims=True) / head.norm
-        return grad_log_probs + grad_norm * head.exps
-
-    @staticmethod
-    def scores_backward(mlp_in: nn.Linear, mlp_out: nn.Linear, scores: ScoreActivations,
-                        grad_logits: np.ndarray) -> np.ndarray:
-        """Backward of query MLP + action dot product; returns d/d state input."""
-        grad_query = scores.action_matrix.T @ grad_logits
-        _accumulate(mlp_out.bias, grad_query)
-        _accumulate(mlp_out.weight, np.outer(scores.hidden, grad_query))
-        grad_pre = (grad_query @ mlp_out.weight.data.T) * (scores.hidden > 0)
-        _accumulate(mlp_in.bias, grad_pre)
-        _accumulate(mlp_in.weight, np.outer(scores.state_input, grad_pre))
-        return grad_pre @ mlp_in.weight.data.T
-
     @staticmethod
     def lstm_backward(cell: nn.LSTMCell, step: LSTMActivations, grad_hidden: np.ndarray,
                       grad_memory: Optional[np.ndarray], *, first_step: bool,

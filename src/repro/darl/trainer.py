@@ -28,12 +28,14 @@ from ..kg.category_graph import CategoryGraph
 from ..kg.graph import KnowledgeGraph
 from ..kg.relations import Relation
 from ..rl.environment import CategoryEnvironment, EntityEnvironment
-from ..rl.reinforce import MovingBaseline, ReinforceConfig
+from ..rl.reinforce import (MovingBaseline, ReinforceConfig, apply_gradients,
+                            reinforce_advantages, reinforce_loss)
 from ..rl.rewards import collaborative_rewards, consistency_reward
-from ..rl.trajectory import CategoryStep, EntityStep, EpisodeResult, discounted_returns
+from ..rl.trajectory import CategoryStep, EntityStep, EpisodeResult
 from .agents import CategoryAgent, CategoryDecision, EntityAgent, EntityDecision
 from .collaborative import GuidanceModel
-from .shared_policy import LSTMActivations, PolicyConfig, SharedPolicyNetworks
+from .shared_policy import (LSTMActivations, PolicyConfig, SharedPolicyNetworks,
+                            policy_head_backward, scores_backward)
 
 
 @dataclass
@@ -284,24 +286,6 @@ class DARLTrainer:
         loss_value = self._update_policy(rollout, rewards["entity"], rewards["category"])
         return episode, loss_value
 
-    def _advantages(self, rewards: List[float], baseline: MovingBaseline) -> List[float]:
-        """REINFORCE advantages ``G_l - b``; the baseline then absorbs ``G_0``."""
-        returns = discounted_returns(rewards, self.reinforce_config.gamma)
-        baseline_value = baseline.value
-        baseline.update(returns[0])
-        return [step_return - baseline_value for step_return in returns]
-
-    def _loss(self, decisions: List, advantages: List[float]) -> float:
-        """``-Σ_l A_l log π(a_l|s_l) - w Σ_l H_l``, summed in the autograd order."""
-        loss: Optional[float] = None
-        for decision, advantage in zip(decisions, advantages):
-            term = decision.log_prob * (-advantage)
-            loss = term if loss is None else loss + term
-        if self.reinforce_config.entropy_weight > 0.0:
-            for decision in decisions:
-                loss = loss + decision.entropy * (-self.reinforce_config.entropy_weight)
-        return loss
-
     def _update_policy(self, rollout: "_Rollout", entity_rewards: List[float],
                        category_rewards: List[float]) -> float:
         """One REINFORCE update over both agents' losses; returns the loss.
@@ -313,19 +297,25 @@ class DARLTrainer:
         """
         if not rollout.entity:
             return float("nan")  # no decision was recorded: no loss measured
-        entity_advantages = self._advantages(entity_rewards, self._entity_baseline)
+        config = self.reinforce_config
+        entity_advantages = reinforce_advantages(entity_rewards, config.gamma,
+                                                 self._entity_baseline)
         total = self._loss(rollout.entity, entity_advantages)
         category_advantages: List[float] = []
         if rollout.category:
-            category_advantages = self._advantages(category_rewards,
-                                                   self._category_baseline)
+            category_advantages = reinforce_advantages(category_rewards, config.gamma,
+                                                       self._category_baseline)
             total = total + self._loss(rollout.category, category_advantages)
-
-        self.optimiser.zero_grad()
-        self._backpropagate(rollout, entity_advantages, category_advantages)
-        nn.clip_grad_norm(self.policy.parameters(), self.reinforce_config.gradient_clip)
-        self.optimiser.step()
+        apply_gradients(self.optimiser, config.gradient_clip,
+                        lambda: self._backpropagate(rollout, entity_advantages,
+                                                    category_advantages))
         return float(total)
+
+    def _loss(self, decisions: List, advantages: List[float]) -> float:
+        """One agent's ``-Σ A log π - w Σ H``."""
+        return reinforce_loss([decision.log_prob for decision in decisions], advantages,
+                              [decision.entropy for decision in decisions],
+                              self.reinforce_config.entropy_weight)
 
     def _backpropagate(self, rollout: "_Rollout", entity_advantages: List[float],
                        category_advantages: List[float]) -> None:
@@ -367,15 +357,15 @@ class DARLTrainer:
 
             category_head = None
             if category is not None:
-                grad_logits = policy.policy_head_backward(
+                grad_logits = policy_head_backward(
                     category.head, category.chosen_index, -category_advantages[t],
                     grad_entropy)
-                category_head = policy.scores_backward(
+                category_head = scores_backward(
                     policy.category_mlp_in, policy.category_mlp_out, category.scores,
                     grad_logits)[history]
-            grad_logits = policy.policy_head_backward(
+            grad_logits = policy_head_backward(
                 entity.head, entity.chosen_index, -entity_advantages[t], grad_entropy)
-            entity_head = policy.scores_backward(
+            entity_head = scores_backward(
                 policy.entity_mlp_in, policy.entity_mlp_out, entity.scores,
                 grad_logits)[history]
 

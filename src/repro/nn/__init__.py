@@ -1,8 +1,11 @@
-"""Minimal neural-network substrate (NumPy autograd) used throughout the repo.
+"""Minimal neural-network substrate: parameters, layers and optimisers.
 
-This package stands in for PyTorch: it provides a reverse-mode autodiff
-:class:`~repro.nn.tensor.Tensor`, standard layers, recurrent cells, parameter
-initialisation and the SGD/Adam optimisers the paper relies on.
+Production code keeps its weights in :class:`~repro.nn.tensor.Tensor`
+parameter holders (``.data`` / ``.grad``) organised by :class:`Module`,
+:class:`Linear` and :class:`LSTMCell`; hand-written numpy backwards fill the
+gradients and :class:`Adam` (with :func:`clip_grad_norm`) applies them.  The
+``Tensor`` reverse-mode autodiff and the ``Tensor`` ops in :mod:`.functional`
+back only the autograd oracles in :mod:`repro.perf.reference`.
 """
 
 from . import functional
@@ -10,22 +13,19 @@ from . import init
 from .init import DEFAULT_SEED, ensure_rng
 from .layers import MLP, Embedding, Linear, Sequential
 from .module import Module
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .recurrent import GRUCell, HistoryEncoder, LSTMCell, concat_history
+from .optim import Adam, Optimizer, clip_grad_norm
+from .recurrent import LSTMCell, concat_history
 from .tensor import Tensor, concat, ones, stack, tensor, zeros
 
 __all__ = [
     "Adam",
     "DEFAULT_SEED",
     "Embedding",
-    "GRUCell",
-    "HistoryEncoder",
     "LSTMCell",
     "Linear",
     "MLP",
     "Module",
     "Optimizer",
-    "SGD",
     "Sequential",
     "Tensor",
     "clip_grad_norm",

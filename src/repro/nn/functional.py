@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from .init import DEFAULT_SEED
 from .tensor import Tensor
-
-# Shared fallback stream for dropout masks: seeded once from DEFAULT_SEED so
-# runs are reproducible, module-level so successive calls still draw fresh
-# masks (a per-call seeded generator would repeat the same mask every call).
-_fallback_dropout_rng: Optional[np.random.Generator] = None
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -49,43 +41,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - log_norm
 
 
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator] = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout; identity when ``training`` is False or ``rate`` is 0."""
-    if not training or rate <= 0.0:
-        return x
-    if rng is None:
-        global _fallback_dropout_rng
-        if _fallback_dropout_rng is None:
-            _fallback_dropout_rng = np.random.default_rng(DEFAULT_SEED)
-        rng = _fallback_dropout_rng
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
-def cross_entropy_with_logits(logits: Tensor, target_index: int) -> Tensor:
-    """Negative log-likelihood of ``target_index`` under ``softmax(logits)``.
-
-    ``logits`` is a 1-D tensor of unnormalised scores.
-    """
-    log_probs = log_softmax(logits, axis=-1)
-    return -log_probs[target_index]
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
-    """Numerically stable binary cross-entropy on raw logits."""
-    # log(1 + exp(-|x|)) + max(x, 0) - x * t
-    probs = logits.sigmoid().clip(1e-9, 1.0 - 1e-9)
-    loss = -(targets * probs.log() + (1.0 - targets) * (1.0 - probs).log())
-    return loss.mean()
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float:
     """Cosine similarity between two plain vectors (used by the Rpe reward, Eq. 19)."""
     a = np.asarray(a, dtype=np.float64).ravel()
@@ -103,18 +58,3 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
     p = p / p.sum()
     q = q / q.sum()
     return float(np.sum(p * np.log(p / q)))
-
-
-def one_hot(index: int, size: int) -> np.ndarray:
-    """One-hot row vector of length ``size``."""
-    vec = np.zeros(size, dtype=np.float64)
-    vec[index] = 1.0
-    return vec
-
-
-def pad_to(vectors: Sequence[np.ndarray], length: int, dim: int) -> np.ndarray:
-    """Stack ``vectors`` into a ``(length, dim)`` matrix, zero-padding the tail."""
-    out = np.zeros((length, dim), dtype=np.float64)
-    for i, vec in enumerate(vectors[:length]):
-        out[i, : len(vec)] = vec
-    return out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,24 +36,7 @@ class Module:
                         found.append((f"{qualified}.{i}", element))
                     elif isinstance(element, Module):
                         found.extend(element.named_parameters(prefix=f"{qualified}.{i}."))
-            elif isinstance(value, dict):
-                for key, element in value.items():
-                    if isinstance(element, Tensor) and element.requires_grad:
-                        found.append((f"{qualified}.{key}", element))
-                    elif isinstance(element, Module):
-                        found.extend(element.named_parameters(prefix=f"{qualified}.{key}."))
         return found
-
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and every sub-module."""
-        yield self
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for element in value:
-                    if isinstance(element, Module):
-                        yield from element.modules()
 
     def zero_grad(self) -> None:
         """Clear gradients on every parameter."""

@@ -1,8 +1,8 @@
-"""Gradient-based optimisers: SGD and Adam, plus gradient clipping."""
+"""The Adam optimiser and global-norm gradient clipping."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -42,34 +42,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - interface stub
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Sequence[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for i, parameter in enumerate(self.parameters):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(parameter.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            parameter.data = parameter.data - self.lr * grad
 
 
 class Adam(Optimizer):

@@ -1,4 +1,4 @@
-"""Recurrent cells used by the shared policy networks (Eq. 12-14) and the GGNN gate."""
+"""The LSTM cell of the shared policy networks' history encoders (Eq. 12-14)."""
 
 from __future__ import annotations
 
@@ -52,65 +52,6 @@ class LSTMCell(Module):
         new_cell = forget_gate * cell + input_gate * candidate
         new_hidden = output_gate * new_cell.tanh()
         return new_hidden, new_cell
-
-
-class GRUCell(Module):
-    """Single-step GRU cell, used by the gated aggregation layer of the GGNN."""
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        if input_size <= 0 or hidden_size <= 0:
-            raise ValueError("GRUCell dimensions must be positive")
-        rng = init.ensure_rng(rng)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        gate_dim = 3 * hidden_size
-        self.weight_ih = Tensor(init.xavier_uniform((input_size, gate_dim), rng),
-                                requires_grad=True, name="gru.weight_ih")
-        self.weight_hh = Tensor(init.xavier_uniform((hidden_size, gate_dim), rng),
-                                requires_grad=True, name="gru.weight_hh")
-        self.bias = Tensor(init.zeros((gate_dim,)), requires_grad=True, name="gru.bias")
-
-    def forward(self, x: Tensor, hidden: Optional[Tensor] = None) -> Tensor:
-        if hidden is None:
-            hidden = Tensor(np.zeros(self.hidden_size))
-        gates_x = x @ self.weight_ih + self.bias
-        gates_h = hidden @ self.weight_hh
-        h = self.hidden_size
-
-        def slice_gate(tensor: Tensor, index: int) -> Tensor:
-            if tensor.ndim == 1:
-                return tensor[index * h:(index + 1) * h]
-            return tensor[:, index * h:(index + 1) * h]
-
-        update = (slice_gate(gates_x, 0) + slice_gate(gates_h, 0)).sigmoid()
-        reset = (slice_gate(gates_x, 1) + slice_gate(gates_h, 1)).sigmoid()
-        candidate = (slice_gate(gates_x, 2) + reset * slice_gate(gates_h, 2)).tanh()
-        return (1.0 - update) * hidden + update * candidate
-
-
-class HistoryEncoder(Module):
-    """LSTM-based encoder over a growing history of step vectors.
-
-    This is the component the shared policy networks use to summarise the path
-    walked so far.  ``step`` consumes the embedding of the latest step
-    (optionally concatenated with the partner agent's previous hidden state,
-    which is how history sharing in Eq. 13-14 is realised) and returns the new
-    hidden state.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        self.cell = LSTMCell(input_size, hidden_size, rng=rng)
-        self.hidden_size = hidden_size
-
-    def initial_state(self) -> Tuple[Tensor, Tensor]:
-        return self.cell.initial_state()
-
-    def forward(self, step_input: Tensor, state: Optional[Tuple[Tensor, Tensor]] = None
-                ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        new_hidden, new_cell = self.cell(step_input, state)
-        return new_hidden, (new_hidden, new_cell)
 
 
 def concat_history(own_hidden: Tensor, partner_hidden: Optional[Tensor]) -> Tensor:

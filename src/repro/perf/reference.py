@@ -3,8 +3,11 @@
 When the beam search, the milestone rollout, the pruning and the TransE
 trainer were vectorised, their original one-Python-iteration-per-beam/
 -user/-neighbour/-triplet implementations moved here; so did the autograd
-DARL training episode (:class:`ReferenceDARLTrainer`, with the ``Tensor``
-policy forward it differentiates) and the autograd CGGNN training step
+REINFORCE loss and update (:func:`policy_gradient_loss`,
+:func:`apply_update`), the autograd single-agent baselines
+(:class:`ReferenceSingleAgent`), the autograd DARL training episode
+(:class:`ReferenceDARLTrainer`, with the ``Tensor`` policy forward it
+differentiates) and the autograd CGGNN training step
 (:class:`ReferenceCGGNNTrainer`, with the ``Tensor`` CGGNN forward,
 :func:`cggnn_forward`) when training switched to hand-written numpy
 backwards.  They serve two purposes:
@@ -12,7 +15,8 @@ backwards.  They serve two purposes:
 * **equivalence oracles** — ``tests/test_perf_equivalence.py`` pins the
   vectorised implementations to these references (identical top-k items and
   explanation paths, all-close embeddings, identical pruned action sets,
-  bit-identical DARL and CGGNN gradients, training histories and weights);
+  bit-identical DARL, CGGNN and single-agent gradients, training histories
+  and weights);
 * **in-run benchmark baselines** — ``python -m repro bench`` measures both
   sides in the same process on the same data, so the reported speedups are
   machine-independent ratios rather than absolute timings.
@@ -23,7 +27,7 @@ Nothing in the production stack calls this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -44,9 +48,10 @@ from ..kg.relations import Relation, relation_index
 from ..nn import Tensor
 from ..nn import functional as F
 from ..rl.environment import EntityState
-from ..rl.reinforce import apply_update, policy_gradient_loss
+from ..rl.reinforce import MovingBaseline, ReinforceConfig
 from ..rl.rewards import collaborative_rewards, consistency_reward
-from ..rl.trajectory import CategoryStep, EntityStep, EpisodeResult, RecommendationPath
+from ..rl.trajectory import (CategoryStep, EntityStep, EpisodeResult, RecommendationPath,
+                             discounted_returns)
 
 NumpyLSTMState = Tuple[np.ndarray, np.ndarray]
 
@@ -383,6 +388,123 @@ def _margin_step_reference(model: TransEModel, config: TransEConfig,
     np.add.at(rel, relations[active], lr * neg_grad)
 
     return float(np.mean(violation[active]))
+
+
+# --------------------------------------------------------------------------- #
+# autograd REINFORCE loss and update (pre-fusion repro.rl.reinforce)
+# --------------------------------------------------------------------------- #
+def policy_gradient_loss(log_probs: Sequence[Tensor], rewards: Sequence[float],
+                         config: ReinforceConfig, baseline: Optional[MovingBaseline] = None,
+                         entropies: Optional[Sequence[Tensor]] = None) -> Optional[Tensor]:
+    """Assemble the REINFORCE loss ``-Σ_l (G_l - b) log π(a_l|s_l)``.
+
+    Returns ``None`` when there are no recorded decisions (e.g. an episode that
+    terminated immediately), so callers can skip the update cleanly.
+    """
+    config.validate()
+    if len(log_probs) != len(rewards):
+        raise ValueError("log_probs and rewards must have the same length")
+    if not log_probs:
+        return None
+    returns = discounted_returns(rewards, config.gamma)
+    baseline_value = baseline.value if baseline is not None else 0.0
+    if baseline is not None:
+        baseline.update(returns[0])
+
+    loss: Optional[Tensor] = None
+    for log_prob, step_return in zip(log_probs, returns):
+        advantage = step_return - baseline_value
+        term = log_prob * (-advantage)
+        loss = term if loss is None else loss + term
+    if entropies and config.entropy_weight > 0.0:
+        for entropy in entropies:
+            loss = loss + entropy * (-config.entropy_weight)
+    return loss
+
+
+def apply_update(loss: Optional[Tensor], parameters: Sequence[Tensor],
+                 optimiser: nn.Optimizer, config: ReinforceConfig) -> float:
+    """Backpropagate ``loss`` and step the optimiser; returns the loss value."""
+    if loss is None:
+        return float("nan")  # no update performed, so no loss was measured
+    optimiser.zero_grad()
+    loss.backward()
+    nn.clip_grad_norm(list(parameters), config.gradient_clip)
+    optimiser.step()
+    return loss.item()
+
+
+# --------------------------------------------------------------------------- #
+# autograd single-agent baselines (pre-fusion repro.baselines.rl_single)
+# --------------------------------------------------------------------------- #
+class ReferenceSingleAgent:
+    """Mixin over a :class:`repro.baselines.rl_single.SingleAgentRLRecommender`
+    whose REINFORCE episode, ADAC imitation step and beam-search forward
+    build and walk an autograd graph.
+
+    Mix it in front of a concrete baseline, e.g.
+    ``type("ReferencePGPR", (ReferenceSingleAgent, PGPRRecommender), {})``.
+    Everything else (pruning, rewards, random streams, optimiser) is the
+    baseline's own, so the numpy baseline must reproduce its losses,
+    gradients, weights and path scores bit for bit.
+    """
+
+    def _action_logits(self, user_id: int, entity: int, relation: Relation,
+                       actions: Sequence[Action]) -> Tensor:
+        policy = self._policy
+        query = policy.output_layer(F.relu(policy.input_layer(
+            Tensor(self._state_vector(user_id, entity, relation)))))
+        return Tensor(self._action_matrix(actions)) @ query
+
+    def _run_episode(self, user_id: int, positives: Set[int]) -> float:
+        entity = self._builder.user_to_entity(user_id)
+        relation = Relation.SELF_LOOP
+        log_probs: List[Tensor] = []
+        rewards: List[float] = []
+        for _ in range(self.config.max_hops):
+            actions = self._prune_actions(user_id, entity)
+            if not actions:
+                break
+            log_distribution = F.log_softmax(
+                self._action_logits(user_id, entity, relation, actions), axis=-1)
+            probabilities = np.exp(log_distribution.data)
+            probabilities /= probabilities.sum()
+            chosen = int(self._rng.choice(len(actions), p=probabilities))
+            log_probs.append(log_distribution[chosen])
+            relation, entity = actions[chosen]
+            rewards.append(self._step_reward(user_id, entity))
+        if rewards:
+            rewards[-1] += self._terminal_reward(user_id, entity, positives)
+        loss = policy_gradient_loss(log_probs, rewards, self._reinforce, self._baseline)
+        return apply_update(loss, self._policy.parameters(), self._optimiser,
+                            self._reinforce)
+
+    def _imitate(self, user_id: int, demonstration: List[Action]) -> None:
+        entity = self._builder.user_to_entity(user_id)
+        relation = Relation.SELF_LOOP
+        loss: Optional[Tensor] = None
+        for target_relation, target_entity in demonstration:
+            actions = self._prune_actions(user_id, entity)
+            try:
+                target_index = actions.index((target_relation, target_entity))
+            except ValueError:
+                actions = actions + [(target_relation, target_entity)]
+                target_index = len(actions) - 1
+            log_probs = F.log_softmax(
+                self._action_logits(user_id, entity, relation, actions), axis=-1)
+            step_loss = -log_probs[target_index]
+            loss = step_loss if loss is None else loss + step_loss
+            relation, entity = target_relation, target_entity
+        if loss is not None:
+            self._optimiser.zero_grad()
+            loss.backward()
+            nn.clip_grad_norm(self._policy.parameters(), 5.0)
+            self._optimiser.step()
+
+    def _log_policy(self, user_id: int, entity: int, relation: Relation,
+                    actions: Sequence[Action]) -> np.ndarray:
+        return F.log_softmax(self._action_logits(user_id, entity, relation, actions),
+                             axis=-1).data
 
 
 # --------------------------------------------------------------------------- #

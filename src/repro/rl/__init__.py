@@ -6,7 +6,8 @@ from .environment import (
     EntityEnvironment,
     EntityState,
 )
-from .reinforce import MovingBaseline, ReinforceConfig, apply_update, policy_gradient_loss
+from .reinforce import (MovingBaseline, ReinforceConfig, apply_gradients,
+                        reinforce_advantages, reinforce_loss)
 from .rewards import (
     collaborative_rewards,
     consistency_reward,
@@ -32,11 +33,12 @@ __all__ = [
     "MovingBaseline",
     "RecommendationPath",
     "ReinforceConfig",
-    "apply_update",
+    "apply_gradients",
     "collaborative_rewards",
     "consistency_reward",
     "discounted_returns",
     "guidance_reward",
-    "policy_gradient_loss",
+    "reinforce_advantages",
+    "reinforce_loss",
     "soft_item_reward",
 ]

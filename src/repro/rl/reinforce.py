@@ -4,23 +4,21 @@ Both CADRL's dual agents and the single-agent baselines update their policies
 with REINFORCE over discounted returns with a moving-average baseline
 (:class:`MovingBaseline`) to cut variance.
 
-Only the single-agent baselines (:mod:`repro.baselines.rl_single`) still use
-:func:`policy_gradient_loss` / :func:`apply_update`: the loss is assembled
-from the log-probability tensors recorded during the rollout, and one
-``backward()`` call back-propagates through their policy networks.  CADRL's
-:class:`repro.darl.trainer.DARLTrainer` computes the same loss's gradient by
-hand, without a ``Tensor`` graph; its autograd original, which does call
-these two functions, is kept as the oracle in :mod:`repro.perf.reference`.
+The update is plain numpy.  A trainer turns an episode's rewards into
+advantages (:func:`reinforce_advantages`), back-propagates
+``-Σ_l A_l log π(a_l|s_l) - w Σ_l H_l`` through its policy by hand and hands
+that backward to :func:`apply_gradients`, which zeroes, fills, clips and
+applies the gradients.  :func:`reinforce_loss` reports the loss value.  The
+autograd originals, a ``Tensor`` loss and its ``backward()``, are kept as the
+oracle in :mod:`repro.perf.reference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
+from typing import Callable, List, Optional, Sequence
 
 from .. import nn
-from ..nn import Tensor
 from .trajectory import discounted_returns
 
 
@@ -60,42 +58,33 @@ class MovingBaseline:
         return self._value
 
 
-def policy_gradient_loss(log_probs: Sequence[Tensor], rewards: Sequence[float],
-                         config: ReinforceConfig, baseline: Optional[MovingBaseline] = None,
-                         entropies: Optional[Sequence[Tensor]] = None) -> Optional[Tensor]:
-    """Assemble the REINFORCE loss ``-Σ_l (G_l - b) log π(a_l|s_l)``.
+def reinforce_advantages(rewards: Sequence[float], gamma: float,
+                         baseline: MovingBaseline) -> List[float]:
+    """REINFORCE advantages ``G_l - b``; the baseline then absorbs ``G_0``."""
+    returns = discounted_returns(rewards, gamma)
+    baseline_value = baseline.value
+    baseline.update(returns[0])
+    return [step_return - baseline_value for step_return in returns]
 
-    Returns ``None`` when there are no recorded decisions (e.g. an episode that
-    terminated immediately), so callers can skip the update cleanly.
-    """
-    config.validate()
-    if len(log_probs) != len(rewards):
-        raise ValueError("log_probs and rewards must have the same length")
-    if not log_probs:
-        return None
-    returns = discounted_returns(rewards, config.gamma)
-    baseline_value = baseline.value if baseline is not None else 0.0
-    if baseline is not None:
-        baseline.update(returns[0])
 
-    loss: Optional[Tensor] = None
-    for log_prob, step_return in zip(log_probs, returns):
-        advantage = step_return - baseline_value
+def reinforce_loss(log_probs: Sequence[float], advantages: Sequence[float],
+                   entropies: Sequence[float] = (), entropy_weight: float = 0.0) -> float:
+    """``-Σ_l A_l log π(a_l|s_l) - w Σ_l H_l``, summed in the autograd order."""
+    loss: Optional[float] = None
+    for log_prob, advantage in zip(log_probs, advantages):
         term = log_prob * (-advantage)
         loss = term if loss is None else loss + term
-    if entropies and config.entropy_weight > 0.0:
+    if entropy_weight > 0.0:
         for entropy in entropies:
-            loss = loss + entropy * (-config.entropy_weight)
+            loss = loss + entropy * (-entropy_weight)
     return loss
 
 
-def apply_update(loss: Optional[Tensor], parameters: Sequence[Tensor],
-                 optimiser: nn.Optimizer, config: ReinforceConfig) -> float:
-    """Backpropagate ``loss`` and step the optimiser; returns the loss value."""
-    if loss is None:
-        return float("nan")  # no update performed, so no loss was measured
+def apply_gradients(optimiser: nn.Optimizer, gradient_clip: float,
+                    backward: Callable[[], None]) -> None:
+    """One update of the optimiser's parameters: zero their gradients, let
+    ``backward`` fill them, clip the global norm to ``gradient_clip``, step."""
     optimiser.zero_grad()
-    loss.backward()
-    nn.clip_grad_norm(list(parameters), config.gradient_clip)
+    backward()
+    nn.clip_grad_norm(optimiser.parameters, gradient_clip)
     optimiser.step()
-    return loss.item()

@@ -180,6 +180,19 @@ class TestRLBaselines:
                                pgpr._entity_table[item_entity])
 
 
+    @pytest.mark.parametrize("field", ["max_hops", "beam_width", "expansions_per_beam",
+                                       "max_actions"])
+    def test_invalid_config_is_a_typed_error(self, field, tiny_dataset, tiny_split):
+        config = SingleAgentConfig(epochs=1, transe_epochs=1, **{field: 0})
+        with pytest.raises(ValueError, match=field):
+            build_baseline("PGPR", config=config, seed=0).fit(tiny_dataset, tiny_split)
+
+    def test_invalid_gamma_is_rejected_before_training(self, tiny_dataset, tiny_split):
+        config = SingleAgentConfig(epochs=0, transe_epochs=1, gamma=1.5)
+        with pytest.raises(ValueError, match="gamma"):
+            build_baseline("PGPR", config=config, seed=0).fit(tiny_dataset, tiny_split)
+
+
 class _ListPruning:
     """The pre-CSR ``_prune_actions``, over the list forms in ``repro.perf.reference``."""
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.darl import CADRL, CADRLConfig, DARLConfig, DARLTrainer, GuidanceModel, InferenceConfig, PathRecommender, PolicyConfig, SharedPolicyNetworks, VARIANT_OVERRIDES, apply_overrides
+from repro.darl.shared_policy import policy_head
 from repro.kg import Relation
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -89,7 +90,7 @@ class TestSharedPolicy:
 
     def test_policy_head_matches_tensor_log_softmax(self, policy, rng):
         logits = rng.normal(size=7)
-        head = policy.policy_head(logits)
+        head = policy_head(logits)
         log_probs = F.log_softmax(Tensor(logits))
         assert np.array_equal(head.log_probs, log_probs.data)
         assert head.entropy == float(-(log_probs.exp() * log_probs).sum().data)

@@ -240,13 +240,6 @@ class TestFunctional:
             lambda x: (F.softmax(Tensor(x)) * Tensor([1.0, 2.0, 3.0])).sum().item(), value)
         assert np.allclose(t.grad, numeric, atol=1e-5)
 
-    def test_cross_entropy_with_logits_is_positive(self):
-        loss = F.cross_entropy_with_logits(Tensor([0.1, 0.2, 5.0]), 0)
-        assert loss.item() > 0
-
-    def test_mse_loss_zero_for_identical(self):
-        assert F.mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == pytest.approx(0.0)
-
     def test_cosine_similarity_bounds(self):
         assert F.cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)
         assert F.cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
@@ -256,17 +249,3 @@ class TestFunctional:
     def test_kl_divergence_zero_for_identical(self):
         assert F.kl_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
         assert F.kl_divergence([0.9, 0.1], [0.5, 0.5]) > 0
-
-    def test_one_hot_and_pad_to(self):
-        assert np.allclose(F.one_hot(1, 3), [0, 1, 0])
-        padded = F.pad_to([np.array([1.0, 2.0])], length=3, dim=2)
-        assert padded.shape == (3, 2)
-        assert np.allclose(padded[1:], 0.0)
-
-    def test_dropout_identity_in_eval(self):
-        t = Tensor(np.ones(10))
-        assert np.allclose(F.dropout(t, 0.5, training=False).data, 1.0)
-
-    def test_binary_cross_entropy_with_logits(self):
-        loss = F.binary_cross_entropy_with_logits(Tensor([10.0, -10.0]), Tensor([1.0, 0.0]))
-        assert loss.item() < 0.01

@@ -1,12 +1,13 @@
 """Vectorised ≡ scalar equivalence, CSR adjacency, cache bounds, bench harness.
 
 The vectorised hot paths (CSR pruning, frontier beam search, fast TransE,
-the fused DARL training episode, the fused CGGNN training step, the
-vectorised KL guidance reward) must be *behaviour-preserving* rewrites: every
-test here pins them against either the frozen references in
-:mod:`repro.perf.reference` or the list-based originals that remain in the
-codebase.  DARL and CGGNN training are pinned bit for bit: gradients,
-histories and weights equal the autograd reference exactly.
+the fused DARL training episode, the fused CGGNN training step, the numpy
+single-agent baselines, the vectorised KL guidance reward) must be
+*behaviour-preserving* rewrites: every test here pins them against either
+the frozen references in :mod:`repro.perf.reference` or the list-based
+originals that remain in the codebase.  DARL, CGGNN and single-agent
+training are pinned bit for bit: gradients, histories and weights equal the
+autograd reference exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.baselines import SingleAgentConfig
+from repro.baselines.rl_single import (
+    ADACRecommender,
+    CogERRecommender,
+    PGPRRecommender,
+    UCPRRecommender,
+)
 from repro.cggnn import (
     CGGNN,
     CGGNNConfig,
@@ -51,6 +59,7 @@ from repro.live import UpdateLog, synthesize_deltas
 from repro.perf.reference import (
     ReferenceCGGNNTrainer,
     ReferenceDARLTrainer,
+    ReferenceSingleAgent,
     category_guided_prune,
     cggnn_forward,
     degree_prune,
@@ -421,6 +430,99 @@ class TestCGGNNTrainingEquivalence:
         assert created == []
         reference.train()
         assert created  # the counter does see the autograd step's tensors
+
+
+# --------------------------------------------------------------------------- #
+# numpy single-agent baselines ≡ autograd reference, bit for bit
+# --------------------------------------------------------------------------- #
+SINGLE_AGENT_BASELINES = {
+    "PGPR": PGPRRecommender,
+    "UCPR": UCPRRecommender,      # extra (demand) state
+    "ADAC": ADACRecommender,      # imitation warm-up
+    "CogER": CogERRecommender,    # System-1 pruning
+}
+
+
+def _single_agent_pair(name, epochs):
+    config = SingleAgentConfig(epochs=epochs, transe_epochs=3, max_actions=15,
+                               beam_width=8, expansions_per_beam=3, seed=2)
+    factory = SINGLE_AGENT_BASELINES[name]
+    reference = type("Reference" + factory.__name__, (ReferenceSingleAgent, factory), {})
+    return factory(config=config, seed=2), reference(config=config, seed=2)
+
+
+def _assert_same_gradients(fused_policy, reference_policy):
+    for (name, mine), (_, theirs) in zip(fused_policy.named_parameters(),
+                                         reference_policy.named_parameters()):
+        assert (mine.grad is None) == (theirs.grad is None), name
+        if mine.grad is not None:
+            assert np.array_equal(mine.grad, theirs.grad), name
+
+
+@pytest.fixture(scope="module")
+def fitted_single_agent_pairs(tiny_dataset, tiny_split):
+    return {name: tuple(model.fit(tiny_dataset, tiny_split)
+                        for model in _single_agent_pair(name, epochs=2))
+            for name in SINGLE_AGENT_BASELINES}
+
+
+class TestSingleAgentEquivalence:
+    @pytest.mark.parametrize("name", sorted(SINGLE_AGENT_BASELINES))
+    def test_gradients_and_losses_bit_identical_per_episode(self, name, tiny_dataset,
+                                                            tiny_split):
+        fused, reference = (model.fit(tiny_dataset, tiny_split)
+                            for model in _single_agent_pair(name, epochs=0))
+        _assert_same_weights(fused._policy, reference._policy)
+        users = [user for user, items in fused.train_items.items() if items][:20]
+        for user in users:
+            positives = {fused._builder.item_to_entity(item)
+                         for item in fused.train_items[user]}
+            assert fused._run_episode(user, positives) == \
+                reference._run_episode(user, positives)
+            _assert_same_gradients(fused._policy, reference._policy)
+        _assert_same_weights(fused._policy, reference._policy)
+
+    def test_imitation_gradients_bit_identical_per_step(self, tiny_dataset, tiny_split):
+        fused, reference = (model.fit(tiny_dataset, tiny_split)
+                            for model in _single_agent_pair("ADAC", epochs=0))
+        demonstrations = fused._mine_demonstrations()[:20]
+        assert demonstrations
+        for user, path in demonstrations:
+            fused._imitate(user, path)
+            reference._imitate(user, path)
+            _assert_same_gradients(fused._policy, reference._policy)
+        _assert_same_weights(fused._policy, reference._policy)
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_AGENT_BASELINES))
+    def test_fitted_weights_and_path_scores_bit_identical(self, name,
+                                                          fitted_single_agent_pairs):
+        fused, reference = fitted_single_agent_pairs[name]
+        _assert_same_weights(fused._policy, reference._policy)
+        found = 0
+        for user in range(8):
+            fused_paths = fused.find_paths(user, 12)
+            reference_paths = reference.find_paths(user, 12)
+            assert [(p.item_entity, p.hops, p.score) for p in fused_paths] == \
+                [(p.item_entity, p.hops, p.score) for p in reference_paths]
+            found += len(fused_paths)
+        assert found
+
+    def test_fit_and_find_paths_build_only_parameter_tensors(self, tiny_dataset, tiny_split,
+                                                             monkeypatch):
+        fused, reference = _single_agent_pair("ADAC", epochs=1)
+        created = []
+        original = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        fused.fit(tiny_dataset, tiny_split)
+        assert fused.find_paths(0, 5)
+        assert len(created) == len(fused._policy.parameters())  # the parameter holders
+        reference.fit(tiny_dataset, tiny_split)
+        assert len(created) > 2 * len(fused._policy.parameters())
 
 
 class TestKLGuidanceEquivalence:

