@@ -29,8 +29,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import nn
-from ..darl.shared_policy import (HeadActivations, ScoreActivations, policy_head,
-                                  policy_head_backward, score_actions, scores_backward)
+from ..darl.shared_policy import (GradientFactors, HeadActivations, ScoreActivations,
+                                  policy_head, policy_head_backward, sample_index,
+                                  score_actions, scores_backward)
 from ..data.schema import InteractionDataset, TrainTestSplit
 from ..embeddings import TransEConfig, train_transe
 from ..kg import build_knowledge_graph
@@ -210,7 +211,7 @@ class SingleAgentRLRecommender(BaselineRecommender):
                 break
             scores, head = self._policy_step(user_id, entity, relation, actions)
             probabilities = head.probs / head.probs.sum()
-            chosen = int(self._rng.choice(len(actions), p=probabilities))
+            chosen = sample_index(probabilities, self._rng)
             steps.append((scores, head, chosen))
             relation, entity = actions[chosen]
             rewards.append(self._step_reward(user_id, entity))
@@ -231,9 +232,11 @@ class SingleAgentRLRecommender(BaselineRecommender):
         they equal the autograd oracle's bit for bit.
         """
         def backward() -> None:
+            factors = GradientFactors()
             for (scores, head, chosen), grad in zip(reversed(steps), reversed(grad_log_probs)):
                 scores_backward(self._policy.input_layer, self._policy.output_layer, scores,
-                                policy_head_backward(head, chosen, grad, None))
+                                policy_head_backward(head, chosen, grad, None), factors)
+            factors.write()
 
         apply_gradients(self._optimiser, self._reinforce.gradient_clip, backward)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import nn
 from ..nn.init import ensure_rng
-from .propagation import bias_grad, input_grad, linear_weight_grad
+from .propagation import GradientSink, bias_grad, input_grad, linear_weight_grad
 
 _MASK_FILL = -1e9
 
@@ -67,9 +67,9 @@ class CategoryAttentionLayer(nn.Module):
         return context, (pair, positive, exps, exp_sum, masked, normaliser,
                          attention, category_states, category_mask)
 
-    def backward(self, trace: tuple, grad_context: np.ndarray
+    def backward(self, trace: tuple, grad_context: np.ndarray, gradients: GradientSink
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Write the parameter gradients; return the input gradients.
+        """Send the parameter gradients to ``gradients``; return the input gradients.
 
         Returns ``(grad_item_states, grad_weighted, grad_paired)``: the
         category-state gradient arrives through two consumers (the weighted
@@ -91,7 +91,7 @@ class CategoryAttentionLayer(nn.Module):
         grad_shifted = (grad_softmax / exp_sum + grad_exp_sum) * exps
         grad_logits = grad_shifted.reshape(num_items, max_categories, 1) * np.where(
             positive, 1.0, self.negative_slope)
-        self.score_transform.bias.grad = bias_grad(grad_logits)
-        self.score_transform.weight.grad = linear_weight_grad(pair, grad_logits)
+        gradients.put(self.score_transform.bias, bias_grad, grad_logits)
+        gradients.put(self.score_transform.weight, linear_weight_grad, pair, grad_logits)
         grad_pair = input_grad(grad_logits, self.score_transform.weight.data)
         return grad_pair[..., :dim].sum(axis=1), grad_weighted, grad_pair[..., dim:]

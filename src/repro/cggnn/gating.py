@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import nn
 from ..nn.init import ensure_rng
-from .propagation import input_grad, linear_weight_grad, sigmoid
+from .propagation import GradientSink, input_grad, linear_weight_grad, sigmoid
 
 
 class GatedAggregationLayer(nn.Module):
@@ -54,9 +54,10 @@ class GatedAggregationLayer(nn.Module):
         return output, (message, item_states, update_gate, reset_gate, gated,
                         candidate, keep)
 
-    def backward(self, trace: tuple, grad_output: np.ndarray
+    def backward(self, trace: tuple, grad_output: np.ndarray, gradients: GradientSink
                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Write the parameter gradients; return ``(grad_message, grad_item_states)``.
+        """Send the weight gradients to ``gradients``; return
+        ``(grad_message, grad_item_states)``.
 
         Both input gradients add their consumers up in the order the
         autograd engine reaches them, so they are bit-identical to it.
@@ -74,7 +75,7 @@ class GatedAggregationLayer(nn.Module):
                 (self.reset_from_message, message, grad_reset_logit),
                 (self.update_from_self, item_states, grad_update_logit),
                 (self.update_from_message, message, grad_update_logit)):
-            layer.weight.grad = linear_weight_grad(inputs, grad)
+            gradients.put(layer.weight, linear_weight_grad, inputs, grad)
 
         grad_message = (
             input_grad(grad_reset_logit, self.reset_from_message.weight.data)

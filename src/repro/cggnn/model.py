@@ -26,7 +26,7 @@ from ..nn import Tensor
 from .category_attention import CategoryAttentionLayer
 from .gating import GatedAggregationLayer
 from .neighbourhood import NeighbourhoodTable, build_neighbourhood_table
-from .propagation import AdaptivePropagationLayer
+from .propagation import AdaptivePropagationLayer, GradientSink
 
 
 @dataclass
@@ -186,14 +186,17 @@ class CGGNN(nn.Module):
         gathered_items = item_states[self._item_gather].reshape(self._gathered_shape)
         return gathered_items * self._is_item_column + self._static_neighbor_part
 
-    def backward(self, trace: tuple, grad_output: np.ndarray) -> None:
+    def backward(self, trace: tuple, grad_output: np.ndarray,
+                 gradients: GradientSink) -> None:
         """Write every parameter gradient reachable from ``grad_output``.
 
-        ``grad_output`` is d(loss)/d(:meth:`forward`).  Parameters the
-        configuration leaves out of the forward pass keep ``grad = None``,
-        exactly as after ``Tensor.backward``.  Every gradient with several
-        consumers is added up in the autograd engine's order, so the result
-        is bit-identical to it.
+        ``grad_output`` is d(loss)/d(:meth:`forward`).  The layers' weight and
+        bias gradients go to ``gradients`` (the caller collects them); the
+        two tables' gradients are written here.  Parameters the configuration
+        leaves out of the forward pass keep ``grad = None``, exactly as after
+        ``Tensor.backward``.  Every gradient with several consumers is added
+        up in the autograd engine's order, so the result is bit-identical to
+        it.
         """
         hops, category_traces = trace
         grad_items = grad_output
@@ -203,7 +206,7 @@ class CGGNN(nn.Module):
             for layer, layer_trace in zip(reversed(self.category_layers),
                                           reversed(category_traces)):
                 grad_context, grad_weighted, grad_paired = layer.backward(
-                    layer_trace, grad_context)
+                    layer_trace, grad_context, gradients)
                 grad_categories = (grad_weighted if grad_categories is None
                                    else grad_categories + grad_weighted)
                 grad_categories = grad_categories + grad_paired
@@ -214,9 +217,10 @@ class CGGNN(nn.Module):
         for (propagation_trace, gating_trace), propagation, gating in zip(
                 reversed(hops), reversed(self.propagation_layers),
                 reversed(self.gating_layers)):
-            grad_message, grad_from_gating = gating.backward(gating_trace, grad_items)
+            grad_message, grad_from_gating = gating.backward(gating_trace, grad_items,
+                                                             gradients)
             grad_from_tile, grad_neighbors = propagation.backward(
-                propagation_trace, grad_message)
+                propagation_trace, grad_message, gradients)
             grad_gathered = grad_neighbors * self._is_item_column
             grad_items = (grad_from_gating
                           + scatter_rows(self.item_embeddings.data, self._item_gather,

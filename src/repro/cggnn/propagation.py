@@ -11,17 +11,22 @@ For every item ``v_i`` and neighbour ``(r, e_j)`` the layer
 The forward pass is plain numpy; :meth:`AdaptivePropagationLayer.backward`
 is its hand-written reverse pass.  Both keep the per-op expressions (and the
 matmul shapes) of the autograd graph the layer used to build, so training is
-bit-identical to :class:`repro.perf.reference.ReferenceCGGNNTrainer`.
+bit-identical to :class:`repro.perf.reference.ReferenceCGGNNTrainer`.  The
+backward hands its weight and bias gradients to a :class:`GradientSink`,
+which may compute them on a worker thread.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn.init import ensure_rng
+
+if TYPE_CHECKING:  # typing only: importing concurrent.futures costs ~5 ms at start-up
+    from concurrent.futures import Executor, Future
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -29,12 +34,33 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+#: Most bytes of per-item products :func:`linear_weight_grad` holds at once.
+PRODUCT_BLOCK_BYTES = 1 << 20
+
+
 def linear_weight_grad(inputs: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Weight gradient of ``inputs @ W``: autograd's batched matmul, summed over the batch."""
-    grad_w = np.swapaxes(inputs, -1, -2) @ grad
-    while grad_w.ndim > 2:
-        grad_w = grad_w.sum(axis=0)
-    return grad_w
+    """Weight gradient of ``inputs @ W`` for 2-D or batched 3-D ``inputs``.
+
+    Autograd's form: the per-item products ``inputs[b].T @ grad[b]`` summed
+    over the batch.  The products are formed a block of items at a time (at
+    most :data:`PRODUCT_BLOCK_BYTES`), and each block is summed with the
+    running total as its first row, so the items are still added one after
+    another in batch order: bit-identical to ``(inputs.T @ grad).sum(axis=0)``
+    without holding every product at once (``(240, 128, 32)`` at the paper
+    shapes).
+    """
+    transposed = np.swapaxes(inputs, -1, -2)
+    if inputs.ndim == 2:
+        return transposed @ grad
+    block = max(1, PRODUCT_BLOCK_BYTES
+                // (inputs.shape[-1] * grad.shape[-1] * inputs.itemsize))
+    total = None
+    for start in range(0, len(inputs), block):
+        products = transposed[start:start + block] @ grad[start:start + block]
+        if total is not None:
+            products = np.concatenate([total[None], products])
+        total = products.sum(axis=0)
+    return total
 
 
 def input_grad(grad: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -51,6 +77,39 @@ def bias_grad(grad: np.ndarray) -> np.ndarray:
     while grad.ndim > 1:
         grad = grad.sum(axis=0)
     return grad
+
+
+class GradientSink:
+    """Where the CGGNN layers' backward passes send their parameter gradients.
+
+    A weight or bias gradient (:func:`linear_weight_grad`, :func:`bias_grad`)
+    is a leaf of the backward pass: nothing on the input-gradient chain reads
+    it, and nothing writes to its operands after the hand-off.  Given an
+    executor, :meth:`put` runs each one there while the caller carries on down
+    the chain; numpy releases the GIL in these loops, so a worker thread puts
+    them on a second core.  :meth:`collect` waits for every one and writes it
+    into its parameter's ``.grad``.  Without an executor :meth:`put` runs the
+    call at once.  Either way each gradient is the same call on the same
+    operands, so its bits do not depend on where it ran.
+    """
+
+    def __init__(self, executor: Optional[Executor] = None) -> None:
+        self._executor = executor
+        self._pending: List[Tuple[nn.Tensor, Future]] = []
+
+    def put(self, parameter: nn.Tensor, function: Callable[..., np.ndarray],
+            *operands: np.ndarray) -> None:
+        """Set ``parameter.grad = function(*operands)``, now or at :meth:`collect`."""
+        if self._executor is None:
+            parameter.grad = function(*operands)
+        else:
+            self._pending.append((parameter, self._executor.submit(function, *operands)))
+
+    def collect(self) -> None:
+        """Wait for every handed-off gradient and write it into ``.grad``."""
+        for parameter, future in self._pending:
+            parameter.grad = future.result()
+        self._pending.clear()
 
 
 class AdaptivePropagationLayer(nn.Module):
@@ -109,9 +168,9 @@ class AdaptivePropagationLayer(nn.Module):
                  interaction, relation_states, mask, outgoing, incoming)
         return message, trace
 
-    def backward(self, trace: tuple, grad_message: np.ndarray
+    def backward(self, trace: tuple, grad_message: np.ndarray, gradients: GradientSink
                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Write the parameter gradients; return the input gradients.
+        """Send the parameter gradients to ``gradients``; return the input gradients.
 
         Returns ``(grad_item_states, grad_neighbor_states)``: the item-state
         gradient through the broadcast in Eq. 1 only (the caller adds the
@@ -125,18 +184,19 @@ class AdaptivePropagationLayer(nn.Module):
         grad_messages = grad * masked_attention
         grad_attention = grad_masked_attention * mask
         grad_logit = grad_attention * attention * (1.0 - attention)
-        self.attention.bias.grad = bias_grad(grad_logit)
-        self.attention.weight.grad = linear_weight_grad(triplet_repr, grad_logit)
+        gradients.put(self.attention.bias, bias_grad, grad_logit)
+        gradients.put(self.attention.weight, linear_weight_grad, triplet_repr, grad_logit)
         grad_repr = input_grad(grad_logit, self.attention.weight.data)
         grad_hidden = grad_repr * triplet_repr * (1.0 - triplet_repr)
-        self.triplet_transform.bias.grad = bias_grad(grad_hidden)
-        self.triplet_transform.weight.grad = linear_weight_grad(triplet_input, grad_hidden)
+        gradients.put(self.triplet_transform.bias, bias_grad, grad_hidden)
+        gradients.put(self.triplet_transform.weight, linear_weight_grad, triplet_input,
+                      grad_hidden)
         grad_input = input_grad(grad_hidden, self.triplet_transform.weight.data)
 
         grad_in = grad_messages * incoming
         grad_out = grad_messages * outgoing
-        self.transform_in.weight.grad = linear_weight_grad(interaction, grad_in)
-        self.transform_out.weight.grad = linear_weight_grad(interaction, grad_out)
+        gradients.put(self.transform_in.weight, linear_weight_grad, interaction, grad_in)
+        gradients.put(self.transform_out.weight, linear_weight_grad, interaction, grad_out)
         grad_interaction = (input_grad(grad_in, self.transform_in.weight.data)
                             + input_grad(grad_out, self.transform_out.weight.data))
         grad_neighbors = grad_interaction * relation_states + grad_input[..., dim:2 * dim]

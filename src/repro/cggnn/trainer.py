@@ -23,6 +23,7 @@ from .. import nn
 from ..kg.graph import KnowledgeGraph
 from ..kg.relations import Relation
 from .model import CGGNN, Representations, scatter_rows
+from .propagation import GradientSink
 
 
 @dataclass
@@ -62,6 +63,10 @@ class CGGNNTrainer:
         self.config = config or CGGNNTrainingConfig()
         self.config.validate()
         self._pairs = self._collect_purchase_pairs()
+        # Where the layers' weight gradients go.  :meth:`train` installs one
+        # sink for its whole run, on a worker thread the call creates and
+        # shuts down; outside it each step computes them inline.
+        self._gradients: Optional[GradientSink] = None
 
     def _collect_purchase_pairs(self) -> np.ndarray:
         """(user_entity, item_row) pairs for every training purchase edge."""
@@ -76,9 +81,26 @@ class CGGNNTrainer:
 
     # ------------------------------------------------------------------ #
     def train(self) -> List[float]:
-        """Run the optimisation; returns per-epoch mean BPR loss."""
+        """Run the optimisation; returns per-epoch mean BPR loss.
+
+        The layers' weight gradients run on a worker thread this call owns,
+        beside the input-gradient chain (see :class:`GradientSink`).
+        """
         if len(self._pairs) == 0 or self.config.epochs == 0:
             return []
+        # Imported here: ~5 ms that a process which never trains (a serving
+        # boot, the CLI) should not pay at start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="cggnn-weight-grads") as executor:
+            self._gradients = GradientSink(executor)
+            try:
+                return self._optimise()
+            finally:
+                self._gradients = None
+
+    def _optimise(self) -> List[float]:
         rng = np.random.default_rng(self.config.seed)
         parameters = self.model.parameters()
         optimiser = nn.Adam(parameters, lr=self.config.learning_rate,
@@ -109,7 +131,8 @@ class CGGNNTrainer:
         The forward pass scores each purchase against each column of
         ``negatives``; the backward pass is hand-written and adds up every
         multi-consumer gradient in the order the autograd engine did, so the
-        gradients are bit-identical to the reference trainer's.
+        gradients are bit-identical to the reference trainer's.  Every
+        gradient is in place when this returns, wherever it was computed.
         """
         item_matrix, trace = self.model.forward_traced()
         # Translated user query u + r_purchase; users keep their TransE vectors.
@@ -146,7 +169,9 @@ class CGGNNTrainer:
         grad_query = -grad_positive[:, None] * positive_diff
         grad_items = grad_items + scatter_rows(item_matrix, positives,
                                                 -(grad_query + grad_query))
-        self.model.backward(trace, grad_items)
+        gradients = self._gradients or GradientSink()
+        self.model.backward(trace, grad_items, gradients)
+        gradients.collect()
         return float(loss * scale)
 
     # ------------------------------------------------------------------ #

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..kg.pruning import Action
-from ..kg.relations import Relation
+from ..kg.relations import RELATION_LIST, Relation
 from ..rl.environment import CategoryEnvironment, CategoryState, EntityEnvironment, EntityState
 from .collaborative import GuidanceModel, action_target_categories
 from .shared_policy import (
@@ -28,6 +28,7 @@ from .shared_policy import (
     ScoreActivations,
     SharedPolicyNetworks,
     policy_head,
+    sample_index,
 )
 
 
@@ -58,11 +59,17 @@ class CategoryDecision:
 
 @dataclass
 class EntityDecision:
-    """Outcome of one entity-agent step."""
+    """Outcome of one entity-agent step.
 
-    actions: List[Action]
+    The candidate actions are kept as the environment's
+    ``(relation_index, target)`` arrays; :attr:`actions` lists them as
+    ``(Relation, target)`` pairs on demand.
+    """
+
+    relations: np.ndarray
+    targets: np.ndarray
     base_logits: np.ndarray
-    target_categories: List[Optional[int]]
+    target_categories: np.ndarray     # -1 where the target has no category
     probabilities: np.ndarray
     chosen_index: int
     chosen_action: Action
@@ -74,6 +81,11 @@ class EntityDecision:
     head: HeadActivations
     lstm: LSTMActivations
 
+    @property
+    def actions(self) -> List[Action]:
+        return [(RELATION_LIST[relation], target)
+                for relation, target in zip(self.relations.tolist(), self.targets.tolist())]
+
 
 def _pick(head: HeadActivations, rng: np.random.Generator,
           greedy: bool) -> Tuple[np.ndarray, int]:
@@ -81,7 +93,7 @@ def _pick(head: HeadActivations, rng: np.random.Generator,
     probabilities = head.probs / head.probs.sum()
     if greedy:
         return probabilities, int(np.argmax(probabilities))
-    return probabilities, int(rng.choice(len(probabilities), p=probabilities))
+    return probabilities, sample_index(probabilities, rng)
 
 
 class CategoryAgent:
@@ -139,32 +151,34 @@ class EntityAgent:
                lstm_state: LSTMState, rng: np.random.Generator,
                guided_category: Optional[int] = None, greedy: bool = False) -> EntityDecision:
         """Score candidate hops (with guidance), pick one, advance the LSTM."""
-        actions = self.environment.actions(state, target_category=guided_category)
-        action_matrix = self.environment.action_matrix(actions)
-        entity_vector = self.environment.representations.entity_vector(state.current_entity)
-        relation_vector = self.environment.representations.relation_vector(last_relation)
+        environment = self.environment
+        representations = environment.representations
+        relations, targets = environment.legal_action_arrays(state, guided_category)
+        action_matrix = environment.arrays_matrix((relations, targets))
+        entity_vector = representations.entity_vector(state.current_entity)
+        relation_vector = representations.relation_vector(last_relation)
 
         scores = self.policy.entity_scores_traced(entity_vector, relation_vector,
                                                   history_hidden, action_matrix)
-        target_categories = action_target_categories(self.environment.graph, actions)
+        target_categories = action_target_categories(environment.graph, targets)
         bonus = self.guidance.guidance_bonus(target_categories, guided_category)
         head = policy_head(scores.logits + bonus)
         probabilities, chosen_index = _pick(head, rng, greedy)
-        chosen_action = actions[chosen_index]
+        chosen_relation, chosen_target = (int(relations[chosen_index]),
+                                          int(targets[chosen_index]))
 
-        chosen_relation_vector = self.environment.representations.relation_vector(
-            chosen_action[0])
-        chosen_entity_vector = self.environment.representations.entity_vector(chosen_action[1])
         new_hidden, new_lstm_state, lstm = self.policy.encode_entity_step_traced(
-            chosen_relation_vector, chosen_entity_vector, partner_hidden, lstm_state)
+            representations.relation[chosen_relation], representations.entity[chosen_target],
+            partner_hidden, lstm_state)
 
         return EntityDecision(
-            actions=actions,
+            relations=relations,
+            targets=targets,
             base_logits=scores.logits,
             target_categories=target_categories,
             probabilities=probabilities,
             chosen_index=chosen_index,
-            chosen_action=chosen_action,
+            chosen_action=(RELATION_LIST[chosen_relation], chosen_target),
             log_prob=float(head.log_probs[chosen_index]),
             entropy=head.entropy,
             new_hidden=new_hidden,

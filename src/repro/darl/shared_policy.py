@@ -12,18 +12,22 @@ training and beam-search inference alike.  Training asks for the ``*_traced``
 forms, which also return the activations the matching ``*_backward``
 functions need; those write the gradients into each parameter's ``.grad``.
 The backward functions use exactly the per-operation expressions of the
-:mod:`repro.nn` autograd engine (``grad @ W.T``, ``np.outer(x, grad)``,
-ReLU as ``grad * mask``), so a caller that adds contributions in autograd's
-order gets bit-identical gradients without building a ``Tensor`` graph.
-The action-scoring head (:func:`score_actions`, :func:`policy_head` and
-their backwards) is module-level: the single-agent RL baselines train and
-search with the same functions on their own parameters.
+:mod:`repro.nn` autograd engine (``grad @ W.T``, ReLU as ``grad * mask``).
+Weight and bias gradients are not formed step by step: each backward records
+its (input, output-gradient) factors in a :class:`GradientFactors`, and one
+contraction per weight turns them into ``.grad`` at the end of the update.
+A caller that records the steps in autograd's order gets bit-identical
+gradients without building a ``Tensor`` graph.  The action-scoring head
+(:func:`score_actions`, :func:`policy_head` and their backwards) and the
+action sampler (:func:`sample_index`) are module-level: the single-agent RL
+baselines train and search with the same functions on their own parameters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,10 +84,74 @@ class HeadActivations(NamedTuple):
     entropy: float
 
 
-def _accumulate(parameter: Tensor, contribution: np.ndarray) -> None:
-    """Add one gradient contribution to ``parameter.grad`` (autograd's order)."""
-    parameter.grad = (contribution if parameter.grad is None
-                      else parameter.grad + contribution)
+class GradientFactors:
+    """The per-step gradient factors of one update, contracted once per weight.
+
+    Autograd adds one ``np.outer(x_t, g_t)`` per step to a weight's gradient
+    and one row ``g_t`` to a bias's, in the order it visits the steps.  A
+    backward pass records those factors here in that order instead, and
+    :meth:`write` forms each weight gradient as one ``einsum('ti,tj->ij')``
+    over the stacked factors and each bias gradient as one axis-0 sum of the
+    stacked rows.  Both add the steps one after another in the recorded
+    order, with no fused multiply-add, so every ``.grad`` equals the
+    step-by-step sum bit for bit; ``tests/test_perf_equivalence.py`` pins it.
+    The sums are taken in a form numpy never reorders: einsum's loop over
+    the step axis is never the inner one unless the weight is 1 × 1, and
+    ``np.add.accumulate`` always adds row after row, where ``np.add.reduce``
+    goes pairwise when the rows have a single column.
+    """
+
+    def __init__(self) -> None:
+        self._weights: Dict[Tensor, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
+        self._biases: Dict[Tensor, List[np.ndarray]] = {}
+
+    def weight(self, parameter: Tensor, inputs: np.ndarray, grad: np.ndarray) -> None:
+        """Record the step contribution ``np.outer(inputs, grad)`` to ``parameter``."""
+        inputs_so_far, grads_so_far = self._weights.setdefault(parameter, ([], []))
+        inputs_so_far.append(inputs)
+        grads_so_far.append(grad)
+
+    def bias(self, parameter: Tensor, grad: np.ndarray) -> None:
+        """Record the step contribution ``grad`` to ``parameter``."""
+        self._biases.setdefault(parameter, []).append(grad)
+
+    def write(self) -> None:
+        """Set every recorded parameter's ``.grad`` to the sum of its steps."""
+        for parameter, (inputs, grads) in self._weights.items():
+            inputs, grads = np.array(inputs), np.array(grads)
+            if inputs.shape[1] == grads.shape[1] == 1:
+                parameter.grad = np.add.accumulate(inputs * grads, axis=0)[-1:]
+            else:
+                parameter.grad = np.einsum("ti,tj->ij", inputs, grads)
+        for parameter, rows in self._biases.items():
+            parameter.grad = np.add.accumulate(np.array(rows), axis=0)[-1]
+
+
+#: How far from 1 a sampled distribution may sum: ``Generator.choice``'s tolerance.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    """``int(rng.choice(len(probabilities), p=probabilities))``, without its overhead.
+
+    ``Generator.choice`` normalises the cumulative sum and searches one
+    ``rng.random()`` draw in it; this does the same, so it returns the same
+    index and leaves ``rng`` in the same state.  It rejects what ``choice``
+    rejects (an empty distribution, NaN or negative entries, a sum more than
+    ``sqrt(eps)`` from 1) with a ``ValueError``.
+    """
+    if len(probabilities) == 0:
+        raise ValueError("cannot sample from an empty distribution")
+    cdf = probabilities.cumsum()
+    total = float(cdf[-1])
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if probabilities.min() < 0.0:
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    cdf /= total
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -136,14 +204,17 @@ def policy_head_backward(head: HeadActivations, chosen_index: int, grad_log_prob
 
 
 def scores_backward(mlp_in: nn.Linear, mlp_out: nn.Linear, scores: ScoreActivations,
-                    grad_logits: np.ndarray) -> np.ndarray:
-    """Backward of query MLP + action dot product; returns d/d state input."""
+                    grad_logits: np.ndarray, factors: GradientFactors) -> np.ndarray:
+    """Backward of query MLP + action dot product; returns d/d state input.
+
+    The four parameter contributions go into ``factors``.
+    """
     grad_query = scores.action_matrix.T @ grad_logits
-    _accumulate(mlp_out.bias, grad_query)
-    _accumulate(mlp_out.weight, np.outer(scores.hidden, grad_query))
+    factors.bias(mlp_out.bias, grad_query)
+    factors.weight(mlp_out.weight, scores.hidden, grad_query)
     grad_pre = (grad_query @ mlp_out.weight.data.T) * (scores.hidden > 0)
-    _accumulate(mlp_in.bias, grad_pre)
-    _accumulate(mlp_in.weight, np.outer(scores.state_input, grad_pre))
+    factors.bias(mlp_in.bias, grad_pre)
+    factors.weight(mlp_in.weight, scores.state_input, grad_pre)
     return grad_pre @ mlp_in.weight.data.T
 
 
@@ -185,10 +256,13 @@ class SharedPolicyNetworks(nn.Module):
         hidden, memory = state
         gates = step @ cell.weight_ih.data + hidden @ cell.weight_hh.data + cell.bias.data
         h = cell.hidden_size
-        input_gate = _sigmoid(gates[..., 0:h])
-        forget_gate = _sigmoid(gates[..., h:2 * h])
+        # One elementwise sigmoid over all four blocks; the candidate block
+        # takes tanh of the raw gates instead.
+        sigmoids = _sigmoid(gates)
+        input_gate = sigmoids[..., 0:h]
+        forget_gate = sigmoids[..., h:2 * h]
         candidate = np.tanh(gates[..., 2 * h:3 * h])
-        output_gate = _sigmoid(gates[..., 3 * h:4 * h])
+        output_gate = sigmoids[..., 3 * h:4 * h]
         new_memory = forget_gate * memory + input_gate * candidate
         memory_tanh = np.tanh(new_memory)
         new_hidden = output_gate * memory_tanh
@@ -297,11 +371,11 @@ class SharedPolicyNetworks(nn.Module):
     # ------------------------------------------------------------------ #
     @staticmethod
     def lstm_backward(cell: nn.LSTMCell, step: LSTMActivations, grad_hidden: np.ndarray,
-                      grad_memory: Optional[np.ndarray], *, first_step: bool,
-                      partner_grad: bool
+                      grad_memory: Optional[np.ndarray], factors: GradientFactors, *,
+                      first_step: bool, partner_grad: bool
                       ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray],
                                  Optional[np.ndarray]]:
-        """Backward of one LSTM step.
+        """Backward of one LSTM step; the parameter contributions go into ``factors``.
 
         Returns the gradients of the partner hidden state (the trailing slice
         of the cell input; ``None`` unless ``partner_grad``), the previous
@@ -317,9 +391,9 @@ class SharedPolicyNetworks(nn.Module):
             grad_memory_new * step.input_gate * (1.0 - step.candidate**2),
             grad_hidden * step.memory_tanh * step.output_gate * (1.0 - step.output_gate),
         ])
-        _accumulate(cell.bias, grad_gates)
-        _accumulate(cell.weight_hh, np.outer(step.hidden, grad_gates))
-        _accumulate(cell.weight_ih, np.outer(step.step, grad_gates))
+        factors.bias(cell.bias, grad_gates)
+        factors.weight(cell.weight_hh, step.hidden, grad_gates)
+        factors.weight(cell.weight_ih, step.step, grad_gates)
         grad_partner = ((grad_gates @ cell.weight_ih.data.T)[-cell.hidden_size:]
                         if partner_grad else None)
         if first_step:

@@ -9,10 +9,11 @@ updated through the shared networks with REINFORCE.
 
 The update builds no autograd graph.  The rollout keeps each decision's
 numpy activations, and :meth:`DARLTrainer._backpropagate` runs
-backprop-through-time by hand, adding every gradient contribution in the
-order :meth:`repro.nn.Tensor.backward` would.  Gradients and trained weights
-are therefore bit-identical to the autograd episode kept as the oracle in
-:class:`repro.perf.reference.ReferenceDARLTrainer`.
+backprop-through-time by hand, recording every weight's per-step gradient
+factors in the order :meth:`repro.nn.Tensor.backward` would add them and
+contracting them once per weight at the end of the episode.  Gradients and
+trained weights are therefore bit-identical to the autograd episode kept as
+the oracle in :class:`repro.perf.reference.ReferenceDARLTrainer`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from ..rl.rewards import collaborative_rewards, consistency_reward
 from ..rl.trajectory import CategoryStep, EntityStep, EpisodeResult
 from .agents import CategoryAgent, CategoryDecision, EntityAgent, EntityDecision
 from .collaborative import GuidanceModel
-from .shared_policy import (LSTMActivations, PolicyConfig, SharedPolicyNetworks,
-                            policy_head_backward, scores_backward)
+from .shared_policy import (GradientFactors, LSTMActivations, PolicyConfig,
+                            SharedPolicyNetworks, policy_head_backward, scores_backward)
 
 
 @dataclass
@@ -67,8 +68,13 @@ class DARLConfig:
             raise ValueError("max_path_length must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.episodes_per_user < 1:
+            raise ValueError(f"episodes_per_user must be at least 1, "
+                             f"got {self.episodes_per_user}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not self.gradient_clip > 0:
+            raise ValueError(f"gradient_clip must be positive, got {self.gradient_clip}")
         if not (0.0 <= self.alpha_pe <= 1.0 and 0.0 <= self.alpha_pc <= 1.0):
             raise ValueError("reward discount factors must lie in [0, 1]")
 
@@ -326,7 +332,8 @@ class DARLTrainer:
         the two policy heads, whose history inputs are ``h_{t-1}``.  Every
         sum follows the order in which :meth:`repro.nn.Tensor.backward`
         accumulates, so the gradients are bit-identical to autograd's:
-        parameters add their per-step contributions latest step first; the
+        parameters add their per-step contributions latest step first (the
+        order they are recorded in one :class:`GradientFactors`); the
         entity hidden state adds (category-LSTM partner + entity-LSTM
         recurrence) + entity head, the category hidden state adds
         (category-LSTM recurrence + category head) + entity-LSTM partner.
@@ -336,6 +343,7 @@ class DARLTrainer:
         entropy_weight = self.reinforce_config.entropy_weight
         grad_entropy = -entropy_weight if entropy_weight > 0.0 else None
         history = slice(-self.config.hidden_size, None)
+        factors = GradientFactors()
         entity_hidden = entity_memory = None      # d loss / d (h^e_t, c^e_t)
         category_hidden = category_memory = None  # d loss / d (h^c_t, c^c_t)
 
@@ -347,12 +355,12 @@ class DARLTrainer:
             if category is not None and category_hidden is not None:
                 to_entity_from_category, category_recurrent, category_memory = (
                     policy.lstm_backward(policy.category_lstm, category.lstm,
-                                         category_hidden, category_memory,
+                                         category_hidden, category_memory, factors,
                                          first_step=False, partner_grad=share))
             if entity_hidden is not None:
                 to_category_from_entity, entity_recurrent, entity_memory = (
                     policy.lstm_backward(policy.entity_lstm, entity.lstm, entity_hidden,
-                                         entity_memory, first_step=False,
+                                         entity_memory, factors, first_step=False,
                                          partner_grad=share and category is not None))
 
             category_head = None
@@ -362,12 +370,12 @@ class DARLTrainer:
                     grad_entropy)
                 category_head = scores_backward(
                     policy.category_mlp_in, policy.category_mlp_out, category.scores,
-                    grad_logits)[history]
+                    grad_logits, factors)[history]
             grad_logits = policy_head_backward(
                 entity.head, entity.chosen_index, -entity_advantages[t], grad_entropy)
             entity_head = scores_backward(
                 policy.entity_mlp_in, policy.entity_mlp_out, entity.scores,
-                grad_logits)[history]
+                grad_logits, factors)[history]
 
             entity_hidden = _sum_in_order(to_entity_from_category, entity_recurrent,
                                           entity_head)
@@ -377,10 +385,11 @@ class DARLTrainer:
 
         if rollout.category_start is not None:
             policy.lstm_backward(policy.category_lstm, rollout.category_start,
-                                 category_hidden, category_memory,
+                                 category_hidden, category_memory, factors,
                                  first_step=True, partner_grad=False)
         policy.lstm_backward(policy.entity_lstm, rollout.entity_start, entity_hidden,
-                             entity_memory, first_step=True, partner_grad=False)
+                             entity_memory, factors, first_step=True, partner_grad=False)
+        factors.write()
 
 
 def _sum_in_order(*terms: Optional[np.ndarray]) -> Optional[np.ndarray]:

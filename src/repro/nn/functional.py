@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor
@@ -45,7 +47,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float
     """Cosine similarity between two plain vectors (used by the Rpe reward, Eq. 19)."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
+    # ``np.linalg.norm`` of a real vector is ``sqrt(x.dot(x))``; spelled out
+    # here to skip its dispatch on this per-step reward path.
+    denom = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
     if denom < eps:
         return 0.0
     return float(np.dot(a, b) / denom)
@@ -53,8 +57,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float
 
 def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
     """KL(p || q) for two discrete distributions (used by the Rpc reward, Eq. 17)."""
-    p = np.clip(np.asarray(p, dtype=np.float64).ravel(), eps, None)
-    q = np.clip(np.asarray(q, dtype=np.float64).ravel(), eps, None)
+    p = np.maximum(np.asarray(p, dtype=np.float64).ravel(), eps)
+    q = np.maximum(np.asarray(q, dtype=np.float64).ravel(), eps)
     p = p / p.sum()
     q = q / q.sum()
-    return float(np.sum(p * np.log(p / q)))
+    return float((p * np.log(p / q)).sum())

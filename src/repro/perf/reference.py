@@ -208,7 +208,8 @@ class ScalarPathRecommender(PathRecommender):
             self.representations.entity_vector(beam.entity_state.current_entity),
             self.representations.relation_vector(beam.last_relation),
             beam.entity_hidden, action_matrix)
-        categories = action_target_categories(self.graph, actions)
+        categories = action_target_categories(
+            self.graph, np.array([target for _, target in actions], dtype=np.int64))
         logits = logits + self.guidance.guidance_bonus(categories, guided_category)
         log_probs = _log_softmax(logits)
 
@@ -578,7 +579,7 @@ class _AutogradDecision:
     actions: list
     probabilities: np.ndarray
     base_logits: Optional[np.ndarray] = None
-    target_categories: Optional[List[Optional[int]]] = None
+    target_categories: Optional[np.ndarray] = None
 
     @property
     def alternative_categories(self) -> List[int]:
@@ -628,7 +629,8 @@ def _entity_decide(agent: EntityAgent, state, last_relation: Relation,
 
     logits = entity_action_logits(agent.policy, entity_vector, relation_vector,
                                   history_hidden, action_matrix)
-    target_categories = action_target_categories(agent.environment.graph, actions)
+    target_categories = action_target_categories(
+        agent.environment.graph, np.array([target for _, target in actions], dtype=np.int64))
     bonus = agent.guidance.guidance_bonus(target_categories, guided_category)
     guided_logits = logits + Tensor(bonus)
 

@@ -17,10 +17,11 @@ any training code (see ``RecommendationService.from_artifacts``).
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .artifacts import ArtifactStore
 from .config import STAGE_DEPENDENCIES, STAGE_NAMES, RunConfig
@@ -67,12 +68,15 @@ class PipelineResult:
 
     ``statuses`` maps stage name → ``"ran"`` (computed fresh), ``"cached"``
     (restored from the artifact store or the memo) or ``"skipped"`` (not
-    requested).
+    requested).  ``seconds`` maps every stage the run reached to the time
+    its ``run`` took on the pipeline's clock, or ``None`` when it was
+    restored instead.
     """
 
     config: RunConfig
     context: PipelineContext
     statuses: Dict[str, str] = field(default_factory=dict)
+    seconds: Dict[str, Optional[float]] = field(default_factory=dict)
 
     # convenience accessors over the context ---------------------------- #
     @property
@@ -145,12 +149,14 @@ class PipelineResult:
             serving_config=serving_config or self.config.serving, **kwargs)
 
     def summary(self) -> str:
-        """One line per stage: status and fingerprint prefix."""
+        """One line per stage: status, seconds (if it ran) and fingerprint prefix."""
         fingerprints = self.config.stage_fingerprints()
         lines = []
         for name in STAGE_NAMES:
             status = self.statuses.get(name, "skipped")
-            lines.append(f"{name:<12} {status:<8} {fingerprints[name][:12]}")
+            seconds = self.seconds.get(name)
+            took = "-" if seconds is None else f"{seconds:.2f}s"
+            lines.append(f"{name:<12} {status:<8} {took:>8}  {fingerprints[name][:12]}")
         return "\n".join(lines)
 
 
@@ -169,11 +175,15 @@ class Pipeline:
     memo:
         A :class:`StageMemo` to restore stages from and record computed
         stages in: the in-memory alternative to ``store`` (pass at most one).
+    clock:
+        Seconds source that times each stage's ``run`` (injectable, e.g. a
+        fake clock in tests).
     """
 
     def __init__(self, config: RunConfig,
                  store: Optional[Union[PathLike, ArtifactStore]] = None,
-                 force: bool = False, memo: Optional[StageMemo] = None) -> None:
+                 force: bool = False, memo: Optional[StageMemo] = None,
+                 clock: Callable[[], float] = time.perf_counter) -> None:
         config.validate()
         if store is not None and memo is not None:
             raise ValueError("pass an artifact store or a stage memo, not both")
@@ -184,6 +194,7 @@ class Pipeline:
             self.store = ArtifactStore(store)
         self.force = force
         self.memo = memo
+        self.clock = clock
         self.stages: Dict[str, Stage] = {cls.name: cls() for cls in ALL_STAGES}
 
     # ------------------------------------------------------------------ #
@@ -223,12 +234,14 @@ class Pipeline:
         context = PipelineContext(config=self.config, store=self.store)
         fingerprints = self.config.stage_fingerprints()
         statuses: Dict[str, str] = {}
+        seconds: Dict[str, Optional[float]] = {}
 
         for name in self.resolve(until):
             stage = self.stages[name]
             fingerprint = fingerprints[name]
             if not self.force and self._restore(stage, context, fingerprint):
                 statuses[name] = "cached"
+                seconds[name] = None
                 continue
             if require_cached:
                 recorded = self.store.fingerprint_of(name) if self.store else None
@@ -238,7 +251,9 @@ class Pipeline:
                 raise PipelineError(
                     f"cannot load stage {name!r} from "
                     f"{self.store.root if self.store else '<memory>'}: {reason}")
+            start = self.clock()
             stage.run(context)
+            seconds[name] = self.clock() - start
             if self.store is not None:
                 self.store.begin(name)
                 metadata = stage.save(context)
@@ -255,7 +270,7 @@ class Pipeline:
         if self.store is not None and not require_cached:
             self.store.write_config(self.config.to_json() + "\n")
         return PipelineResult(config=self.config, context=context,
-                              statuses=statuses)
+                              statuses=statuses, seconds=seconds)
 
     def _restore(self, stage: Stage, context: PipelineContext,
                  fingerprint: str) -> bool:

@@ -135,14 +135,18 @@ class EntityEnvironment:
             cached = self._matrix_cache.get(cache_key)
             if cached is not None:
                 return cached
-        relation_rows = np.array([relation_index(rel) for rel, _ in actions],
-                                 dtype=np.int64)
-        target_rows = np.array([target for _, target in actions], dtype=np.int64)
-        matrix = np.concatenate([self.representations.relation[relation_rows],
-                                 self.representations.entity[target_rows]], axis=1)
+        matrix = self.arrays_matrix((
+            np.array([relation_index(rel) for rel, _ in actions], dtype=np.int64),
+            np.array([target for _, target in actions], dtype=np.int64)))
         if cache_key is not None:
             self._matrix_cache.put(cache_key, matrix)
         return matrix
+
+    def arrays_matrix(self, arrays: ActionArrays) -> np.ndarray:
+        """:meth:`action_matrix` of ``(relation_index, target)`` arrays."""
+        relations, targets = arrays
+        return np.concatenate([self.representations.relation[relations],
+                               self.representations.entity[targets]], axis=1)
 
     # -- action enumeration --------------------------------------------- #
     def action_arrays(self, entity_id: int,
@@ -169,6 +173,20 @@ class EntityEnvironment:
         arrays = ensure_self_loop_arrays(arrays, entity_id)
         self._array_cache.put(key, arrays)
         return arrays
+
+    def legal_action_arrays(self, state: EntityState,
+                            target_category: Optional[int] = None) -> ActionArrays:
+        """:meth:`actions` as ``(relation_index, target)`` arrays, in the same order.
+
+        The training rollout's form: the cached pruned arrays, minus any
+        return to the user from elsewhere, with no per-action Python work.
+        """
+        relations, targets = self.action_arrays(state.current_entity, target_category)
+        if state.current_entity != state.user_entity:
+            keep = targets != state.user_entity
+            if not keep.all():
+                relations, targets = relations[keep], targets[keep]
+        return relations, targets
 
     def actions(self, state: EntityState, target_category: Optional[int] = None,
                 forbid_return_to_user: bool = True) -> List[Action]:
@@ -237,7 +255,8 @@ class CategoryEnvironment:
         return self.representations.category_vector(category_id)
 
     def action_matrix(self, categories: Sequence[int]) -> np.ndarray:
-        return np.stack([self.action_vector(category) for category in categories])
+        """Stacked category vectors, one row gather."""
+        return self.representations.category[np.asarray(categories, dtype=np.int64)]
 
     def actions(self, state: CategoryState) -> List[int]:
         """Adjacent categories plus the self-loop, truncated to ``max_actions``.

@@ -36,6 +36,8 @@ class ReinforceConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not (0.0 <= self.baseline_momentum < 1.0):
             raise ValueError("baseline_momentum must lie in [0, 1)")
+        if not self.gradient_clip > 0:
+            raise ValueError(f"gradient_clip must be positive, got {self.gradient_clip}")
 
 
 class MovingBaseline:

@@ -56,9 +56,11 @@ def guidance_reward(conditional: np.ndarray, counterfactuals: Sequence[np.ndarra
         total = weights.sum()
         weights = weights / total if total > 0 else np.full(len(counterfactuals),
                                                             1.0 / len(counterfactuals))
-    marginal = np.zeros_like(conditional)
-    for weight, distribution in zip(weights, counterfactuals):
-        marginal += weight * np.asarray(distribution, dtype=np.float64)
+    # The weighted rows added one after another, as a loop over them would:
+    # ``np.add.accumulate`` keeps that order where ``np.add.reduce`` would go
+    # pairwise over a single-action column.
+    weighted = weights[:, None] * np.asarray(counterfactuals, dtype=np.float64)
+    marginal = np.add.accumulate(weighted, axis=0)[-1]
     divergence = kl_divergence(conditional, marginal)
     return sigmoid(divergence)
 

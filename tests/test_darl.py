@@ -101,32 +101,32 @@ class TestSharedPolicy:
 class TestGuidanceModel:
     def test_guided_probabilities_sum_to_one(self):
         guidance = GuidanceModel(strength=2.0)
-        probs = guidance.guided_probabilities(np.array([0.1, 0.2, 0.3]), [0, 1, None], 0)
+        probs = guidance.guided_probabilities(np.array([0.1, 0.2, 0.3]), np.array([0, 1, -1]), 0)
         assert probs.sum() == pytest.approx(1.0)
 
     def test_guidance_shifts_mass_to_target_category(self):
         guidance = GuidanceModel(strength=3.0)
         base = np.zeros(3)
-        probs = guidance.guided_probabilities(base, [0, 1, 1], guided_category=0)
+        probs = guidance.guided_probabilities(base, np.array([0, 1, 1]), guided_category=0)
         assert probs[0] > 1 / 3
 
     def test_no_guidance_is_plain_softmax(self):
         guidance = GuidanceModel()
         base = np.array([1.0, 2.0])
-        probs = guidance.guided_probabilities(base, [None, None], guided_category=None)
+        probs = guidance.guided_probabilities(base, np.array([-1, -1]), guided_category=None)
         expected = np.exp(base - base.max())
         expected /= expected.sum()
         assert np.allclose(probs, expected)
 
     def test_kl_guidance_reward_in_unit_interval(self):
         guidance = GuidanceModel(strength=2.0)
-        reward = guidance.kl_guidance_reward(np.zeros(4), [0, 1, 0, None], 0, [1, 2],
+        reward = guidance.kl_guidance_reward(np.zeros(4), np.array([0, 1, 0, -1]), 0, [1, 2],
                                              [0.5, 0.5])
         assert 0.0 <= reward <= 1.0
 
     def test_guidance_bonus_zero_without_category(self):
         guidance = GuidanceModel(strength=2.0)
-        assert np.allclose(guidance.guidance_bonus([0, 1, None], None), 0.0)
+        assert np.allclose(guidance.guidance_bonus(np.array([0, 1, -1]), None), 0.0)
 
 
 class TestAgents:
@@ -179,6 +179,14 @@ class TestTrainer:
             DARLConfig(max_path_length=0).validate()
         with pytest.raises(ValueError):
             DARLConfig(alpha_pe=2.0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("gradient_clip", 0.0), ("gradient_clip", -5.0), ("gradient_clip", float("nan")),
+        ("episodes_per_user", 0), ("episodes_per_user", -1)])
+    def test_config_rejects_ascent_clip_and_empty_epochs(self, field, value):
+        """A negative clip trains by gradient ascent; no episodes trains nothing."""
+        with pytest.raises(ValueError, match=field):
+            DARLConfig(**{field: value}).validate()
 
     def test_training_produces_history(self, darl_setup, tiny_split, tiny_kg):
         trainer, builder = darl_setup

@@ -2,7 +2,9 @@
 
 The vectorised hot paths (CSR pruning, frontier beam search, fast TransE,
 the fused DARL training episode, the fused CGGNN training step, the numpy
-single-agent baselines, the vectorised KL guidance reward) must be
+single-agent baselines, the vectorised KL guidance reward, and the training
+kernels under them: the flat Adam, the per-update gradient contraction, the
+action sampler and the threaded CGGNN weight gradients) must be
 *behaviour-preserving* rewrites: every test here pins them against either
 the frozen references in :mod:`repro.perf.reference` or the list-based
 originals that remain in the codebase.  DARL, CGGNN and single-agent
@@ -13,6 +15,7 @@ autograd reference exactly.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,10 +36,13 @@ from repro.cggnn import (
     train_cggnn,
     warm_start_cggnn,
 )
+from repro.cggnn import propagation
+from repro.cggnn.propagation import GradientSink
 from repro.darl.collaborative import GuidanceModel
 from repro.darl.inference import InferenceConfig, PathRecommender
 from repro.darl.trainer import DARLConfig, DARLTrainer
-from repro.darl.shared_policy import PolicyConfig, SharedPolicyNetworks
+from repro.darl.shared_policy import (GradientFactors, PolicyConfig, SharedPolicyNetworks,
+                                     sample_index)
 from repro.embeddings import TransEConfig, train_transe
 from repro.kg import (
     Relation,
@@ -65,6 +71,7 @@ from repro.perf.reference import (
     degree_prune,
 )
 from repro.rl.environment import EntityEnvironment, LRUCache
+from repro.nn.functional import kl_divergence
 from repro.rl.rewards import guidance_reward
 from repro.serving import RecommendationService, ServingConfig, ServingTier
 
@@ -525,6 +532,166 @@ class TestSingleAgentEquivalence:
         assert len(created) > 2 * len(fused._policy.parameters())
 
 
+# --------------------------------------------------------------------------- #
+# training kernels ≡ their step-by-step forms, bit for bit
+# --------------------------------------------------------------------------- #
+def _per_parameter_adam(parameters, moments, step, lr, weight_decay,
+                        betas=(0.9, 0.999), eps=1e-8):
+    """The per-parameter Adam update the flat optimiser replaced."""
+    beta1, beta2 = betas
+    bias1, bias2 = 1.0 - beta1**step, 1.0 - beta2**step
+    for parameter, moment in zip(parameters, moments):
+        if parameter.grad is None:
+            continue
+        grad = parameter.grad
+        if weight_decay:
+            grad = grad + weight_decay * parameter.data
+        moment[0] = beta1 * moment[0] + (1.0 - beta1) * grad
+        moment[1] = beta2 * moment[1] + (1.0 - beta2) * grad**2
+        m_hat, v_hat = moment[0] / bias1, moment[1] / bias2
+        parameter.data = parameter.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestTrainingKernelEquivalence:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_flat_adam_equals_the_per_parameter_update(self, weight_decay):
+        rng = np.random.default_rng(4)
+        shapes = [(5, 7), (7,), (3, 1), (1,), (4, 4)]
+        flat = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        loop = [Tensor(p.data.copy(), requires_grad=True) for p in flat]
+        moments = [[np.zeros(shape), np.zeros(shape)] for shape in shapes]
+        optimiser = nn.Adam(flat, lr=3e-2, weight_decay=weight_decay)
+        for step in range(1, 9):
+            for index, (mine, theirs) in enumerate(zip(flat, loop)):
+                # Parameter 1 sits out every other step: its moments and data
+                # must survive those steps untouched.
+                grad = (None if index == 1 and step % 2 else
+                        rng.normal(size=shapes[index]) * 10.0 ** rng.integers(-4, 3))
+                mine.grad = theirs.grad = grad
+            optimiser.step()
+            _per_parameter_adam(loop, moments, step, 3e-2, weight_decay)
+            for mine, theirs in zip(flat, loop):
+                assert mine.data.shape == theirs.data.shape
+                assert np.array_equal(mine.data, theirs.data)
+        assert np.array_equal(optimiser._m[:35], moments[0][0].ravel())
+        assert np.array_equal(optimiser._v[35:42], moments[1][1])
+
+    def test_flat_adam_rebinds_data_instead_of_writing_in_place(self):
+        parameter = Tensor(np.ones(3), requires_grad=True)
+        held = parameter.data
+        parameter.grad = np.ones(3)
+        nn.Adam([parameter], lr=0.1).step()
+        assert np.array_equal(held, np.ones(3))
+        assert not np.array_equal(parameter.data, held)
+
+    def test_sampler_consumes_the_stream_generator_choice_does(self):
+        rng = np.random.default_rng(8)
+        distributions = [np.array([1.0]), np.array([0.0, 1.0, 0.0]),
+                         np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0])]
+        for _ in range(500):
+            size = int(rng.integers(1, 60))
+            weights = rng.random(size) ** rng.choice([1.0, 4.0, 12.0])
+            if rng.random() < 0.3:
+                weights[rng.random(size) < 0.5] = 0.0
+                weights[int(rng.integers(size))] = 1.0
+            distributions.append(weights / weights.sum())
+        for probabilities in distributions:
+            seed = int(rng.integers(1 << 31))
+            sampler, chooser = np.random.default_rng(seed), np.random.default_rng(seed)
+            index = sample_index(probabilities, sampler)
+            assert index == int(chooser.choice(len(probabilities), p=probabilities))
+            assert sampler.bit_generator.state == chooser.bit_generator.state
+
+    @pytest.mark.parametrize("probabilities", [
+        [], [0.5, 0.6], [np.nan, 1.0], [-0.25, 1.25], [0.5, 0.5 + 1e-6]])
+    def test_sampler_rejects_what_choice_rejects(self, probabilities):
+        probabilities = np.array(probabilities, dtype=np.float64)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(probabilities), p=probabilities)
+        with pytest.raises(ValueError):
+            sample_index(probabilities, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("steps, rows, columns", [
+        (1, 5, 7), (6, 12, 20), (9, 1, 6), (9, 6, 1), (9, 1, 1)])
+    def test_gradient_factors_equal_step_by_step_sums(self, steps, rows, columns):
+        rng = np.random.default_rng(steps * 100 + rows * 10 + columns)
+        weight = Tensor(np.zeros((rows, columns)), requires_grad=True)
+        bias = Tensor(np.zeros(columns), requires_grad=True)
+        factors = GradientFactors()
+        expected_weight = expected_bias = None
+        for _ in range(steps):
+            inputs = rng.normal(size=rows) * 10.0 ** rng.integers(-3, 4)
+            grad = rng.normal(size=columns) * 10.0 ** rng.integers(-3, 4)
+            factors.weight(weight, inputs, grad)
+            factors.bias(bias, grad)
+            outer = np.outer(inputs, grad)
+            expected_weight = outer if expected_weight is None else expected_weight + outer
+            expected_bias = grad if expected_bias is None else expected_bias + grad
+        factors.write()
+        assert np.array_equal(weight.grad, expected_weight)
+        assert np.array_equal(bias.grad, expected_bias)
+
+    def test_guidance_marginal_adds_rows_in_order(self):
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            alternatives = int(rng.integers(1, 12))
+            actions = int(rng.choice([1, 2, int(rng.integers(3, 30))]))
+            conditional = rng.random(actions)
+            conditional /= conditional.sum()
+            counterfactuals = rng.random((alternatives, actions))
+            counterfactuals /= counterfactuals.sum(axis=1, keepdims=True)
+            weights = rng.random(alternatives)
+            normalised = weights / weights.sum()
+            marginal = np.zeros(actions)
+            for weight, distribution in zip(normalised, counterfactuals):
+                marginal += weight * distribution
+            expected = 1.0 / (1.0 + np.exp(-kl_divergence(conditional, marginal)))
+            assert guidance_reward(conditional, counterfactuals, weights) == expected
+
+    @pytest.mark.parametrize("block_bytes", [1, 3000, 1 << 20])
+    def test_blocked_weight_gradient_equals_the_one_shot_sum(self, block_bytes,
+                                                             monkeypatch):
+        monkeypatch.setattr(propagation, "PRODUCT_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(block_bytes)
+        for items, neighbours, rows, columns in [(240, 10, 128, 32), (37, 6, 16, 1),
+                                                 (5, 3, 1, 4)]:
+            inputs = rng.normal(size=(items, neighbours, rows))
+            grad = rng.normal(size=(items, neighbours, columns))
+            expected = (np.swapaxes(inputs, -1, -2) @ grad).sum(axis=0)
+            assert np.array_equal(propagation.linear_weight_grad(inputs, grad), expected)
+
+    def test_blocked_cggnn_training_matches_the_reference(self, tiny_kg, tiny_transe,
+                                                          monkeypatch):
+        """The tiny shapes fit one block; force several so the pin covers the fold."""
+        monkeypatch.setattr(propagation, "PRODUCT_BLOCK_BYTES", 20000)
+        fused, reference = _cggnn_pair(tiny_kg, tiny_transe, "default", seed=1)
+        assert fused.train() == reference.train()
+        _assert_same_weights(fused.model, reference.model)
+
+    def test_threaded_cggnn_backward_equals_the_serial_one(self, tiny_kg, tiny_transe):
+        threaded, serial = (_cggnn_pair(tiny_kg, tiny_transe, "deep")[0] for _ in range(2))
+        rng = np.random.default_rng(6)
+        batch = threaded._pairs[rng.permutation(len(threaded._pairs))[:48]]
+        negatives = rng.integers(0, threaded.model.table.num_items, size=(48, 3))
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            threaded._gradients = GradientSink(executor)
+            threaded_loss = threaded._loss_and_gradients(batch[:, 0], batch[:, 1], negatives)
+        serial_loss = serial._loss_and_gradients(batch[:, 0], batch[:, 1], negatives)
+        assert threaded_loss == serial_loss
+        for (name, mine), (_, theirs) in zip(threaded.model.named_parameters(),
+                                             serial.model.named_parameters()):
+            assert mine.grad is not None and np.array_equal(mine.grad, theirs.grad), name
+
+    def test_same_seed_cggnn_trainings_give_equal_tables(self, tiny_kg, tiny_transe):
+        first, second = (_cggnn_pair(tiny_kg, tiny_transe, "default", seed=2)[0]
+                         for _ in range(2))
+        assert first.train() == second.train()
+        assert first._gradients is None  # the worker thread lives only inside train()
+        first_tables, second_tables = first.export(), second.export()
+        for name in ("entity", "relation", "category"):
+            assert np.array_equal(getattr(first_tables, name), getattr(second_tables, name))
+
+
 class TestKLGuidanceEquivalence:
     def test_vectorised_counterfactuals_equal_the_loop(self):
         rng = np.random.default_rng(11)
@@ -533,8 +700,8 @@ class TestKLGuidanceEquivalence:
             actions = int(rng.integers(1, 40))
             categories = int(rng.integers(2, 10))
             base = rng.normal(size=actions) * rng.choice([0.1, 1.0, 30.0])
-            targets = [None if rng.random() < 0.3 else int(rng.integers(categories))
-                       for _ in range(actions)]
+            targets = np.array([-1 if rng.random() < 0.3 else int(rng.integers(categories))
+                                for _ in range(actions)])
             alternatives = [int(c) for c in rng.choice(categories,
                                                        size=int(rng.integers(categories)),
                                                        replace=False)]

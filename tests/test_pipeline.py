@@ -183,6 +183,20 @@ class TestPipelineExecution:
         assert result.statuses["eval"] == "ran"
         assert result.statuses["serve-check"] == "ran"
 
+    def test_stage_seconds_come_from_the_injected_clock(self, trained):
+        ticks = iter(range(0, 1000, 3))   # every stage's run spans one 3 s tick
+        clock = lambda: float(next(ticks))  # noqa: E731
+        result = Pipeline(tiny_config(), clock=clock).run(until=("kg",))
+        assert result.seconds == {"data": 3.0, "kg": 3.0}
+        lines = result.summary().splitlines()
+        assert lines[0].split()[:3] == ["data", "ran", "3.00s"]
+        assert lines[2].split()[:3] == ["embed", "skipped", "-"]
+
+        store, _ = trained
+        cached = Pipeline(tiny_config(), store=store, clock=clock).run()
+        assert cached.seconds == {name: None for name in STAGE_NAMES}
+        assert all(line.split()[2] == "-" for line in cached.summary().splitlines())
+
     def test_force_recomputes(self, tmp_path):
         config = tiny_config()
         store = tmp_path / "artifacts"

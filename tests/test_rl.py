@@ -215,6 +215,20 @@ class TestReinforce:
         with pytest.raises(ValueError):
             ReinforceConfig(baseline_momentum=1.0).validate()
 
+    @pytest.mark.parametrize("clip", [0.0, -5.0, float("nan")])
+    def test_reinforce_config_rejects_non_positive_gradient_clip(self, clip):
+        with pytest.raises(ValueError, match="gradient_clip"):
+            ReinforceConfig(gradient_clip=clip).validate()
+
+    @pytest.mark.parametrize("max_norm", [0.0, -5.0, float("nan")])
+    def test_clip_grad_norm_rejects_non_positive_bound(self, max_norm):
+        """A negative bound would flip the gradients into an ascent step."""
+        parameter = Tensor(np.zeros(3), requires_grad=True)
+        parameter.grad = np.array([3.0, 4.0, 0.0])
+        with pytest.raises(ValueError, match="max_norm"):
+            nn.clip_grad_norm([parameter], max_norm)
+        assert np.array_equal(parameter.grad, [3.0, 4.0, 0.0])
+
 
 class TestDeterminism:
     """Same seed ⇒ identical trajectories, for the environments and training."""
