@@ -57,9 +57,10 @@ Commands
     hazards in signature code (SIG001).  Exit 0 clean, 1 findings, 2 usage.
 ``bench``
     Run the seeded performance benchmarks (``repro.perf``): TransE epochs/s,
-    DARL training episodes/s, CGGNN training steps/s and beam-search serving
-    QPS (cold & warm), each measured against the frozen reference in the
-    same run, on one BLAS thread.  Writes ``BENCH_<timestamp>.json`` and
+    DARL training episodes/s, CGGNN training steps/s, beam-search serving
+    QPS (cold & warm) and incremental CSR patching, each measured against
+    the frozen reference in the same run, on one BLAS thread, plus the
+    ungated fault-path overhead.  Writes ``BENCH_<timestamp>.json`` and
     fails on regressions vs the committed baseline.
 
 Examples
@@ -708,6 +709,18 @@ def _command_explore(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _threshold(text: str) -> float:
+    """``bench --threshold``: a fraction strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"{text} does not lie strictly between 0 and 1")
+    return value
+
+
 def _command_bench(arguments: argparse.Namespace) -> int:
     from .perf import (
         compare_with_baseline,
@@ -953,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--baseline", type=Path, default=None, metavar="FILE",
                        help="baseline JSON to gate against (default: "
                             "benchmarks/bench_baseline_<profile>.json)")
-    bench.add_argument("--threshold", type=float, default=0.30,
+    bench.add_argument("--threshold", type=_threshold, default=0.30,
                        help="allowed fractional drop of gated metrics "
                             "(default: 0.30)")
     bench.set_defaults(handler=_command_bench)

@@ -11,26 +11,22 @@ back only the autograd oracles in :mod:`repro.perf.reference`.
 from . import functional
 from . import init
 from .init import DEFAULT_SEED, ensure_rng
-from .layers import MLP, Embedding, Linear, Sequential
+from .layers import Linear
 from .module import Module
 from .optim import Adam, Optimizer, clip_grad_norm
-from .recurrent import LSTMCell, concat_history
+from .recurrent import LSTMCell
 from .tensor import Tensor, concat, ones, stack, tensor, zeros
 
 __all__ = [
     "Adam",
     "DEFAULT_SEED",
-    "Embedding",
     "LSTMCell",
     "Linear",
-    "MLP",
     "Module",
     "Optimizer",
-    "Sequential",
     "Tensor",
     "clip_grad_norm",
     "concat",
-    "concat_history",
     "ensure_rng",
     "functional",
     "init",

@@ -26,18 +26,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform initialisation, appropriate before ReLU layers."""
-    fan_in = shape[0] if len(shape) > 0 else 1
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def normal(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
-    """Small-variance Gaussian initialisation, used for embedding tables."""
-    return rng.normal(0.0, std, size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """Zero initialisation, used for biases."""
     return np.zeros(shape, dtype=np.float64)

@@ -1,12 +1,11 @@
-"""Common feed-forward layers: Linear, Embedding, MLP and Sequential."""
+"""The affine layer of the policy and CGGNN networks."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from . import functional as F
 from . import init
 from .module import Module
 from .tensor import Tensor
@@ -41,60 +40,4 @@ class Linear(Module):
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
-        return out
-
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int,
-                 rng: Optional[np.random.Generator] = None, std: float = 0.1) -> None:
-        if num_embeddings <= 0 or embedding_dim <= 0:
-            raise ValueError("Embedding dimensions must be positive")
-        rng = init.ensure_rng(rng)
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Tensor(init.normal((num_embeddings, embedding_dim), rng, std=std),
-                             requires_grad=True, name="embedding.weight")
-
-    def forward(self, indices) -> Tensor:
-        idx = np.asarray(indices, dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.num_embeddings):
-            raise IndexError("embedding index out of range")
-        return self.weight.index_select(idx)
-
-
-class MLP(Module):
-    """Multi-layer perceptron with a configurable activation between layers."""
-
-    def __init__(self, dims: Sequence[int],
-                 activation: Callable[[Tensor], Tensor] = F.relu,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        if len(dims) < 2:
-            raise ValueError("MLP requires at least an input and an output dimension")
-        rng = init.ensure_rng(rng)
-        self.activation = activation
-        self.layers: List[Linear] = [
-            Linear(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)
-        ]
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x
-        for i, layer in enumerate(self.layers):
-            out = layer(out)
-            if i < len(self.layers) - 1:
-                out = self.activation(out)
-        return out
-
-
-class Sequential(Module):
-    """Apply a list of modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        self.items: List[Module] = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x
-        for module in self.items:
-            out = module(out)
         return out

@@ -9,7 +9,6 @@ import numpy as np
 from . import init
 from .module import Module
 from .tensor import Tensor
-from .tensor import concat as cat
 
 
 class LSTMCell(Module):
@@ -52,10 +51,3 @@ class LSTMCell(Module):
         new_cell = forget_gate * cell + input_gate * candidate
         new_hidden = output_gate * new_cell.tanh()
         return new_hidden, new_cell
-
-
-def concat_history(own_hidden: Tensor, partner_hidden: Optional[Tensor]) -> Tensor:
-    """Concatenate the agent's hidden state with its partner's (history sharing)."""
-    if partner_hidden is None:
-        return own_hidden
-    return cat([own_hidden, partner_hidden], axis=-1)

@@ -1,6 +1,6 @@
 """Seeded micro/macro benchmarks with a JSON trail and a regression gate.
 
-``python -m repro bench`` runs three workloads on a pipeline-built stack:
+``python -m repro bench`` runs these workloads on a pipeline-built stack:
 
 * **TransE pre-training** — the vectorised trainer against the frozen scalar
   reference (:mod:`repro.perf.reference`), reported as epochs/s;
@@ -16,21 +16,14 @@
   :class:`repro.serving.RecommendationService`, cold (all caches empty) and
   warm (milestone/action caches hot, result cache cleared so the search
   actually runs), for both the vectorised and the scalar recommender;
-* **Cluster throughput** — the same warm burst through a 1-shard service vs
-  an N-shard :class:`repro.cluster.ClusterService`, reporting the cluster
-  layer's routing overhead (trend metric, not gated);
 * **Incremental CSR patching** — refreshing the compiled adjacency after a
   small streaming delta burst, delta patch
   (:func:`repro.kg.patch_adjacency`) vs full recompile — the live-update
-  hot path; gated on the speedup ratio.
+  hot path; gated on the speedup ratio;
 * **Fault-path overhead** — the same fault-free virtual-time replay through
   a bare cluster vs one wearing circuit breakers plus an empty-plan
   :class:`repro.faults.FaultInjector`; reports the armored/bare overhead
   ratio and checks the answers stayed bit-identical (trend, not gated).
-* **Adversarial workload** — the same seeded trace replayed as generated vs
-  reshaped by the ``cache-buster`` scenario (:mod:`repro.scenarios`);
-  reports the cache-hit collapse and the slowdown the adversary inflicts
-  (trend, not gated).
 
 Both sides of every pair run interleaved in the same process on the same
 data, and the gateable numbers are the *speedup ratios* — machine-independent
@@ -48,6 +41,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import platform
 import statistics
 import time
@@ -84,6 +78,12 @@ GATED_METRICS = ("transe.speedup", "darl_train.speedup", "darl_train.identical_w
 #: steps on the smoke stack, 25 on medium).
 CGGNN_BENCH_EPOCHS = 5
 
+#: The cluster and trace :func:`bench_fault_overhead` replays: 4 shards × 2
+#: replicas serving 400 seeded requests.
+FAULT_BENCH_SHARDS = 4
+FAULT_BENCH_REPLICAS = 2
+FAULT_BENCH_REQUESTS = 400
+
 
 @dataclass
 class BenchProfile:
@@ -102,14 +102,7 @@ class BenchProfile:
     beam_users: int = 60
     beam_top_k: int = 10
     rollout_users: int = 20      # users (one episode each) per DARL training run
-    cluster_shards: int = 4      # N-shard side of the cluster-throughput pair
-    cluster_replicas: int = 2
     patch_deltas: int = 10       # streaming-burst size for the CSR patch bench
-    scenario_requests: int = 300   # trace length for the adversarial bench
-    autoscale_requests: int = 400  # bursty-trace length for the autoscale bench
-    autoscale_queue: int = 8       # per-shard admission bound (small → sheds)
-    autoscale_min: int = 2         # static-small / autoscale floor
-    autoscale_max: int = 6         # static-large / autoscale ceiling
     repeats: int = 5             # interleaved repetitions, median taken
 
     def validate(self) -> None:
@@ -117,14 +110,8 @@ class BenchProfile:
             raise ValueError("scale must be positive")
         if min(self.transe_epochs, self.beam_users, self.repeats,
                self.rollout_users, self.beam_top_k, self.beam_width,
-               self.max_entity_actions, self.cluster_shards,
-               self.patch_deltas, self.scenario_requests,
-               self.autoscale_requests, self.autoscale_queue) <= 0:
+               self.max_entity_actions, self.patch_deltas) <= 0:
             raise ValueError("benchmark sizes must be positive")
-        if not 1 <= self.cluster_replicas <= self.cluster_shards:
-            raise ValueError("cluster_replicas must lie in [1, cluster_shards]")
-        if not 1 <= self.autoscale_min <= self.autoscale_max:
-            raise ValueError("autoscale_min must lie in [1, autoscale_max]")
 
     def run_config(self) -> RunConfig:
         """The pipeline configuration that builds this profile's stack."""
@@ -339,53 +326,6 @@ def bench_beam_search(result: PipelineResult,
     }
 
 
-def bench_cluster(result: PipelineResult,
-                  profile: BenchProfile) -> Dict[str, float]:
-    """1-shard vs N-shard serving QPS through the cluster facade.
-
-    Both sides answer the identical warm burst (model caches hot, result
-    caches cleared before every run, so each request really searches).  The
-    cluster runs its shards in-process, so the interesting numbers are the
-    routing overhead and the cache partitioning, not a parallel speedup —
-    ``relative_throughput`` near 1.0 means the cluster layer is ~free and
-    real scaling is left to the per-shard processes.  Trend metric, not gated
-    (absolute QPS and the overhead ratio are machine-sensitive).
-    """
-    from ..cluster import ClusterConfig, ClusterService
-
-    users = result.graph.entities.ids_of_type(EntityType.USER)[: profile.beam_users]
-    serving_config = ServingConfig(cache_capacity=max(4 * profile.beam_users, 64))
-    single = RecommendationService.from_cadrl(
-        result.cadrl, transe=result.transe, config=serving_config,
-        name="bench (1 shard)")
-    cluster = ClusterService.from_cadrl(
-        result.cadrl, transe=result.transe,
-        config=ClusterConfig(num_shards=profile.cluster_shards,
-                             replication_factor=profile.cluster_replicas),
-        serving_config=serving_config, name="bench (cluster)")
-
-    requests = single.build_requests(users, top_k=profile.beam_top_k)
-
-    def single_burst() -> None:
-        _reset_serving_state(single, keep_model_caches=True)
-        single.serve_many(requests)
-
-    def cluster_burst() -> None:
-        for worker in cluster.workers:
-            worker.service.cache.clear()
-        cluster.serve_many(requests)
-
-    single_s, cluster_s = _median_ab(single_burst, cluster_burst, profile.repeats)
-    count = len(users)
-    return {
-        "single_shard_qps": count / single_s,
-        "cluster_qps": count / cluster_s,
-        "shards": float(profile.cluster_shards),
-        "replicas": float(profile.cluster_replicas),
-        "relative_throughput": single_s / cluster_s,
-    }
-
-
 def bench_csr_patch(result: PipelineResult,
                     profile: BenchProfile) -> Dict[str, float]:
     """Delta-patched vs fully recompiled CSR adjacency after a small burst.
@@ -421,98 +361,6 @@ def bench_csr_patch(result: PipelineResult,
     }
 
 
-def bench_autoscale(result: PipelineResult,
-                    profile: BenchProfile) -> Dict[str, float]:
-    """Bursty virtual-time trace: autoscaled vs static-small vs static-large.
-
-    The same seeded bursty workload replays three ways under a tight
-    per-shard admission bound: a static cluster at the autoscale floor
-    (sheds under the bursts), a static cluster at the ceiling (never sheds
-    but pays for idle capacity throughout), and an autoscaled cluster that
-    starts at the floor and earns/releases shards from the trace's own
-    shed/queue signals.  Capacity is reported as **shard-ticks** (cluster
-    size integrated over the autoscaler's decision ticks).  The autoscaled
-    run should shed less than static-small *and* spend fewer shard-ticks
-    than static-large; ``deterministic`` re-runs the autoscaled replay and
-    compares result signatures.  Virtual-time replay → trend/invariant
-    metrics, not wall-clock gated.
-    """
-    from ..cluster import AutoscaleConfig, Autoscaler, ClusterConfig, ClusterService
-    from ..simulate import (
-        ReplayDriver,
-        TraceClock,
-        UserPopulation,
-        WorkloadConfig,
-        generate_workload,
-    )
-
-    graph = result.graph
-    population = UserPopulation.from_graph(graph)
-    workload = generate_workload(
-        population,
-        WorkloadConfig(num_requests=profile.autoscale_requests,
-                       seed=profile.seed, arrival="bursty"),
-        graph)
-    serving_config = ServingConfig(cache_capacity=max(4 * profile.beam_users, 64))
-    small, large = profile.autoscale_min, profile.autoscale_max
-    # 40 ticks per trace: fine enough that the quiet gaps between bursts
-    # register as calm ticks, so the replay exercises scale-down as well
-    # as scale-up.
-    tick = max(workload.duration_s / 40.0, 1e-3)
-
-    def boot(shards: int, clock: "TraceClock", name: str) -> "ClusterService":
-        return ClusterService.from_cadrl(
-            result.cadrl, transe=result.transe,
-            config=ClusterConfig(num_shards=shards,
-                                 replication_factor=min(2, shards),
-                                 max_queue_per_shard=profile.autoscale_queue),
-            serving_config=serving_config, clock=clock, name=name)
-
-    def replay_static(shards: int):
-        clock = TraceClock()
-        cluster = boot(shards, clock, f"bench (static {shards}-shard)")
-        return ReplayDriver(cluster, clock=clock).replay(workload)
-
-    def replay_autoscaled():
-        clock = TraceClock()
-        cluster = boot(small, clock, "bench (autoscaled)")
-        autoscaler = Autoscaler(
-            cluster,
-            AutoscaleConfig(min_shards=small, max_shards=large,
-                            tick_interval_s=tick, seed=profile.seed),
-            clock=clock)
-        return autoscaler, ReplayDriver(autoscaler, clock=clock).replay(workload)
-
-    def sheds(replay) -> int:
-        return sum(record.shed for record in replay.records)
-
-    small_replay = replay_static(small)
-    large_replay = replay_static(large)
-    autoscaler, auto_replay = replay_autoscaled()
-    _, repeat_replay = replay_autoscaled()
-
-    ticks = max(autoscaler.ticks, 1)
-    return {
-        "requests": float(len(workload)),
-        "small_shards": float(small),
-        "large_shards": float(large),
-        "max_queue_per_shard": float(profile.autoscale_queue),
-        "small_shed": float(sheds(small_replay)),
-        "large_shed": float(sheds(large_replay)),
-        "autoscaled_shed": float(sheds(auto_replay)),
-        "scale_ups": float(sum(e.action == "up" for e in autoscaler.events)),
-        "scale_downs": float(sum(e.action == "down" for e in autoscaler.events)),
-        "migrated_entries": float(sum(e.migrated_entries
-                                      for e in autoscaler.events)),
-        "autoscaled_shard_ticks": float(autoscaler.shard_ticks),
-        "small_shard_ticks": float(small * ticks),
-        "large_shard_ticks": float(large * ticks),
-        "capacity_saved_vs_large": 1.0 - autoscaler.shard_ticks / (large * ticks),
-        "deterministic": float(auto_replay.signature()
-                               == repeat_replay.signature()),
-    }
-
-
 def bench_fault_overhead(result: PipelineResult,
                          profile: BenchProfile) -> Dict[str, float]:
     """Cost of the armored fault path on a fault-free replay.
@@ -536,12 +384,11 @@ def bench_fault_overhead(result: PipelineResult,
     population = UserPopulation.from_graph(graph)
     workload = generate_workload(
         population,
-        WorkloadConfig(num_requests=profile.autoscale_requests,
-                       seed=profile.seed),
+        WorkloadConfig(num_requests=FAULT_BENCH_REQUESTS, seed=profile.seed),
         graph)
     serving_config = ServingConfig(cache_capacity=max(4 * profile.beam_users, 64))
-    cluster_config = ClusterConfig(num_shards=profile.cluster_shards,
-                                   replication_factor=profile.cluster_replicas)
+    cluster_config = ClusterConfig(num_shards=FAULT_BENCH_SHARDS,
+                                   replication_factor=FAULT_BENCH_REPLICAS)
 
     def replay(armored: bool):
         clock = TraceClock()
@@ -564,67 +411,6 @@ def bench_fault_overhead(result: PipelineResult,
         "overhead_ratio": armored_s / bare_s,
         "identical_signatures": float(replay(False).signature()
                                       == replay(True).signature()),
-    }
-
-
-def bench_adversarial(result: PipelineResult,
-                      profile: BenchProfile) -> Dict[str, float]:
-    """Cost of a cache-busting adversary vs the same trace unmolested.
-
-    One seeded workload replays twice through identically-built virtual-time
-    clusters: as generated (the Zipf skew keeps the result cache useful) and
-    reshaped by the ``cache-buster`` scenario (rotating ``exclude_items`` /
-    ``top_k``, so nearly every request is a distinct cache key and the
-    full-search tier eats the load).  Reports the hit-rate collapse — a
-    trace property, deterministic — and the wall-clock slowdown ratio the
-    adversary inflicts (trend metric, not gated: in-process wall time).
-    ``deterministic`` re-runs the adversarial replay and compares result
-    signatures.
-    """
-    from ..cluster import ClusterConfig, ClusterService
-    from ..scenarios import ScenarioContext, get_scenario
-    from ..simulate import (ReplayDriver, TraceClock, UserPopulation,
-                            WorkloadConfig, generate_workload)
-
-    graph = result.graph
-    population = UserPopulation.from_graph(graph)
-    baseline = generate_workload(
-        population,
-        WorkloadConfig(num_requests=profile.scenario_requests,
-                       seed=profile.seed),
-        graph)
-    adversarial = get_scenario("cache-buster").apply(
-        baseline, ScenarioContext(graph=graph, population=population))
-    serving_config = ServingConfig(cache_capacity=max(4 * profile.beam_users, 64))
-    cluster_config = ClusterConfig(num_shards=profile.cluster_shards,
-                                   replication_factor=profile.cluster_replicas)
-
-    def replay(workload):
-        clock = TraceClock()
-        cluster = ClusterService.from_cadrl(
-            result.cadrl, transe=result.transe, config=cluster_config,
-            serving_config=serving_config, clock=clock,
-            name="bench (adversarial)")
-        return ReplayDriver(cluster, clock=clock).replay(workload)
-
-    repeats = max(profile.repeats - 2, 1)
-    baseline_s, adversarial_s = _median_ab(lambda: replay(baseline),
-                                           lambda: replay(adversarial),
-                                           repeats)
-    baseline_replay = replay(baseline)
-    adversarial_replay = replay(adversarial)
-    count = len(baseline)
-    return {
-        "requests": float(count),
-        "baseline_hit_rate": baseline_replay.cache_hit_rate(),
-        "adversarial_hit_rate": adversarial_replay.cache_hit_rate(),
-        "hit_rate_drop": (baseline_replay.cache_hit_rate()
-                          - adversarial_replay.cache_hit_rate()),
-        "baseline_qps": count / baseline_s,
-        "adversarial_qps": count / adversarial_s,
-        "slowdown_ratio": adversarial_s / baseline_s,
-        "deterministic": float(adversarial_replay.signature()
-                               == replay(adversarial).signature()),
     }
 
 
@@ -712,19 +498,20 @@ def run_bench(profile: Union[str, BenchProfile],
     metrics["darl_train"] = bench_darl_train(result, profile)
     metrics["cggnn_train"] = bench_cggnn_train(result, profile)
     metrics.update(bench_beam_search(result, profile))
-    metrics["cluster"] = bench_cluster(result, profile)
     metrics["csr_patch"] = bench_csr_patch(result, profile)
-    metrics["autoscale"] = bench_autoscale(result, profile)
     metrics["fault_overhead"] = bench_fault_overhead(result, profile)
-    metrics["adversarial"] = bench_adversarial(result, profile)
 
+    # The stack's own configuration, not the profile's: under ``artifacts``
+    # the stack comes from the directory's ``config.json``.
+    config = result.config
     return {
         "meta": {
             "timestamp": now.strftime("%Y-%m-%dT%H:%M:%SZ"),
             "profile": profile.name,
-            "seed": profile.seed,
-            "dataset": profile.dataset,
-            "scale": profile.scale,
+            "seed": config.model.seed,
+            "dataset": config.data.dataset,
+            "scale": config.data.scale,
+            "config_fingerprint": config.fingerprint(),
             "stack_build_s": round(build_elapsed, 3),
             "numpy": np.__version__,
             "python": platform.python_version(),
@@ -747,17 +534,21 @@ def write_bench_json(document: Dict, out_dir: Union[str, Path]) -> Path:
 
 
 def _lookup(metrics: Dict, dotted: str) -> Optional[float]:
+    """The number at ``dotted``: ``None`` if the path is absent, NaN if no number."""
     node = metrics
     for part in dotted.split("."):
         if not isinstance(node, dict) or part not in node:
             return None
         node = node[part]
-    return float(node) if isinstance(node, (int, float)) else None
+    return float(node) if isinstance(node, (int, float)) else math.nan
 
 
 @dataclass
 class Regression:
-    """One gated metric that fell below its allowed floor."""
+    """One gated metric that fell below its allowed floor.
+
+    ``current`` is NaN when the run lacks the metric or it is not a number.
+    """
 
     metric: str
     current: float
@@ -765,7 +556,9 @@ class Regression:
     allowed: float
 
     def describe(self) -> str:
-        return (f"{self.metric}: {self.current:.2f} < allowed {self.allowed:.2f} "
+        current = ("missing or not a number" if math.isnan(self.current)
+                   else f"{self.current:.2f}")
+        return (f"{self.metric}: {current} < allowed {self.allowed:.2f} "
                 f"(baseline {self.baseline:.2f})")
 
 
@@ -774,20 +567,23 @@ def compare_with_baseline(document: Dict, baseline: Dict,
     """Gated-ratio comparison: current must stay within ``threshold`` of baseline.
 
     Only dimensionless values are gated — the speedup ratios, which survive
-    machine changes unlike absolute QPS, and the 0/1 DARL weight-identity
-    check.  A metric missing on either side is skipped
-    (new benchmarks must not fail old baselines and vice versa).
+    machine changes unlike absolute QPS, and the 0/1 weight-identity checks.
+    A metric the baseline lacks is skipped, so a new gated section does not
+    fail an old baseline.  A metric the baseline has is a regression when the
+    current run lacks it or it is not a number (NaN included).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
     regressions: List[Regression] = []
     for metric in GATED_METRICS:
-        current = _lookup(document.get("metrics", {}), metric)
         reference = _lookup(baseline.get("metrics", {}), metric)
-        if current is None or reference is None:
+        if reference is None:
             continue
+        current = _lookup(document.get("metrics", {}), metric)
+        if current is None:
+            current = math.nan
         allowed = reference * (1.0 - threshold)
-        if current < allowed:
+        if not current >= allowed:
             regressions.append(Regression(metric=metric, current=current,
                                           baseline=reference, allowed=allowed))
     return regressions
@@ -823,6 +619,8 @@ def render_report(document: Dict) -> str:
     meta = document["meta"]
     darl = metrics["darl_train"]
     cggnn = metrics["cggnn_train"]
+    patch = metrics["csr_patch"]
+    armor = metrics["fault_overhead"]
     lines = [
         f"bench profile={meta['profile']} dataset={meta['dataset']} "
         f"scale={meta['scale']} seed={meta['seed']} "
@@ -845,43 +643,13 @@ def render_report(document: Dict) -> str:
         f"  beam warm  {metrics['beam_warm']['vectorised_qps']:8.1f} QPS "
         f"(reference {metrics['beam_warm']['reference_qps']:.1f}, "
         f"speedup {metrics['beam_warm']['speedup']:.2f}x)",
+        f"  csr patch  {patch['patch_ms']:8.2f} ms for "
+        f"{patch['deltas']:.0f} deltas "
+        f"(full recompile {patch['full_compile_ms']:.2f} ms, "
+        f"speedup {patch['speedup']:.2f}x)",
+        f"  fault path {armor['armored_qps']:8.1f} QPS armored "
+        f"(bare {armor['bare_qps']:.1f}, "
+        f"overhead {armor['overhead_ratio']:.2f}x, "
+        f"{'identical answers' if armor['identical_signatures'] else 'ANSWERS DIVERGED'})",
     ]
-    if "cluster" in metrics:
-        cluster = metrics["cluster"]
-        lines.append(
-            f"  cluster    {cluster['cluster_qps']:8.1f} QPS over "
-            f"{cluster['shards']:.0f} shards ×{cluster['replicas']:.0f} "
-            f"(1 shard {cluster['single_shard_qps']:.1f}, "
-            f"relative {cluster['relative_throughput']:.2f}x)")
-    if "csr_patch" in metrics:
-        patch = metrics["csr_patch"]
-        lines.append(
-            f"  csr patch  {patch['patch_ms']:8.2f} ms for "
-            f"{patch['deltas']:.0f} deltas "
-            f"(full recompile {patch['full_compile_ms']:.2f} ms, "
-            f"speedup {patch['speedup']:.2f}x)")
-    if "autoscale" in metrics:
-        scaling = metrics["autoscale"]
-        lines.append(
-            f"  autoscale  shed {scaling['autoscaled_shed']:.0f} vs "
-            f"static-small {scaling['small_shed']:.0f}; "
-            f"{scaling['autoscaled_shard_ticks']:.0f} shard-ticks vs "
-            f"static-large {scaling['large_shard_ticks']:.0f} "
-            f"({scaling['scale_ups']:.0f} ups, {scaling['scale_downs']:.0f} "
-            f"downs, {'deterministic' if scaling['deterministic'] else 'NON-DETERMINISTIC'})")
-    if "fault_overhead" in metrics:
-        armor = metrics["fault_overhead"]
-        lines.append(
-            f"  fault path {armor['armored_qps']:8.1f} QPS armored "
-            f"(bare {armor['bare_qps']:.1f}, "
-            f"overhead {armor['overhead_ratio']:.2f}x, "
-            f"{'identical answers' if armor['identical_signatures'] else 'ANSWERS DIVERGED'})")
-    if "adversarial" in metrics:
-        adversary = metrics["adversarial"]
-        lines.append(
-            f"  adversary  hit rate {100 * adversary['adversarial_hit_rate']:.1f}% "
-            f"under cache-buster (baseline "
-            f"{100 * adversary['baseline_hit_rate']:.1f}%, "
-            f"slowdown {adversary['slowdown_ratio']:.2f}x, "
-            f"{'deterministic' if adversary['deterministic'] else 'NON-DETERMINISTIC'})")
     return "\n".join(lines)

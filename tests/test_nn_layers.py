@@ -7,7 +7,7 @@ from repro import nn
 from repro.nn import Tensor, init
 
 
-class TestLinearEmbedding:
+class TestLinear:
     def test_linear_output_shape(self, rng):
         layer = nn.Linear(4, 3, rng=rng)
         out = layer(Tensor(np.ones(4)))
@@ -25,38 +25,16 @@ class TestLinearEmbedding:
         layer = nn.Linear(4, 3, bias=False, rng=rng)
         assert len(layer.parameters()) == 1
 
-    def test_embedding_lookup_and_gradient(self, rng):
-        table = nn.Embedding(5, 3, rng=rng)
-        out = table([1, 1, 2])
-        assert out.shape == (3, 3)
-        out.sum().backward()
-        assert np.allclose(table.weight.grad[1], 2.0)
-        assert np.allclose(table.weight.grad[0], 0.0)
-
-    def test_embedding_rejects_out_of_range(self, rng):
-        table = nn.Embedding(5, 3, rng=rng)
-        with pytest.raises(IndexError):
-            table([7])
-
-    def test_mlp_requires_two_dims(self):
-        with pytest.raises(ValueError):
-            nn.MLP([4])
-
-    def test_mlp_forward_shape(self, rng):
-        mlp = nn.MLP([4, 8, 2], rng=rng)
-        assert mlp(Tensor(np.ones(4))).shape == (2,)
-
-    def test_sequential_applies_in_order(self, rng):
-        model = nn.Sequential(nn.Linear(4, 4, rng=rng), nn.Linear(4, 2, rng=rng))
-        assert model(Tensor(np.ones(4))).shape == (2,)
-
 
 class TestModuleBookkeeping:
     def test_named_parameters_cover_submodules(self, rng):
-        mlp = nn.MLP([4, 8, 2], rng=rng)
-        names = [name for name, _ in mlp.named_parameters()]
-        assert any("layers.0" in name for name in names)
-        assert any("layers.1" in name for name in names)
+        class Stack(nn.Module):
+            def __init__(self):
+                self.layers = [nn.Linear(4, 8, rng=rng), nn.Linear(8, 2, rng=rng)]
+
+        names = [name for name, _ in Stack().named_parameters()]
+        assert names == ["layers.0.weight", "layers.0.bias",
+                         "layers.1.weight", "layers.1.bias"]
 
     def test_num_parameters_counts_scalars(self, rng):
         layer = nn.Linear(4, 3, rng=rng)
@@ -110,11 +88,6 @@ class TestRecurrent:
         assert cell.weight_ih.grad is not None
         assert cell.weight_hh.grad is not None
 
-    def test_concat_history_handles_missing_partner(self):
-        own = Tensor(np.ones(3))
-        assert nn.concat_history(own, None).shape == (3,)
-        assert nn.concat_history(own, Tensor(np.ones(2))).shape == (5,)
-
     def test_cell_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             nn.LSTMCell(0, 4)
@@ -127,13 +100,6 @@ class TestInit:
         weights = init.xavier_uniform((100, 50), rng)
         bound = np.sqrt(6.0 / 150)
         assert np.all(np.abs(weights) <= bound)
-
-    def test_he_uniform_shape(self, rng):
-        assert init.he_uniform((10, 4), rng).shape == (10, 4)
-
-    def test_normal_std(self, rng):
-        weights = init.normal((2000,), rng, std=0.05)
-        assert abs(weights.std() - 0.05) < 0.01
 
     def test_zeros(self):
         assert np.allclose(init.zeros((3, 3)), 0.0)
@@ -193,15 +159,6 @@ class TestDefaultSeedReproducibility:
     def test_linear_default_construction_is_reproducible(self):
         first, second = nn.Linear(6, 4), nn.Linear(6, 4)
         assert np.array_equal(first.weight.data, second.weight.data)
-
-    def test_embedding_default_construction_is_reproducible(self):
-        first, second = nn.Embedding(9, 5), nn.Embedding(9, 5)
-        assert np.array_equal(first.weight.data, second.weight.data)
-
-    def test_mlp_default_construction_is_reproducible(self):
-        first, second = nn.MLP((6, 8, 3)), nn.MLP((6, 8, 3))
-        for a, b in zip(first.parameters(), second.parameters()):
-            assert np.array_equal(a.data, b.data)
 
     def test_recurrent_cells_default_construction_is_reproducible(self):
         assert np.array_equal(nn.LSTMCell(5, 7).weight_ih.data,

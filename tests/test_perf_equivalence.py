@@ -914,6 +914,18 @@ class TestBenchHarness:
         baseline = {"metrics": {}}
         assert compare_with_baseline(self._document(), baseline) == []
 
+    def test_unreadable_or_missing_current_metrics_flagged(self):
+        baseline = {"metrics": {"darl_train": {"identical_weights": 1.0,
+                                               "speedup": 1.5}}}
+        nan = {"metrics": {"darl_train": {"identical_weights": float("nan"),
+                                          "speedup": "fast"}}}
+        assert [r.metric for r in compare_with_baseline(nan, baseline)] == [
+            "darl_train.speedup", "darl_train.identical_weights"]
+        missing = compare_with_baseline({"metrics": {}}, baseline)
+        assert [r.metric for r in missing] == ["darl_train.speedup",
+                                               "darl_train.identical_weights"]
+        assert "missing or not a number" in missing[0].describe()
+
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             compare_with_baseline(self._document(), self._document(), threshold=1.5)
@@ -941,16 +953,24 @@ class TestBenchHarness:
 
 class TestBenchEndToEnd:
     def test_micro_bench_run(self, tmp_path):
+        from dataclasses import replace
+
         from repro.perf import run_bench
+        from repro.pipeline import Pipeline
 
         profile = BenchProfile(name="micro", scale=0.25, beam_users=6,
-                               rollout_users=3, repeats=1, transe_epochs=1,
-                               scenario_requests=120)
-        document = run_bench(profile)
+                               rollout_users=3, repeats=1, transe_epochs=1)
+        # A persisted stack whose seed differs from the profile's: ``meta``
+        # must describe the stack the bench measured.
+        config = replace(profile, seed=3).run_config()
+        Pipeline(config, store=tmp_path / "stack").run(until=("train",))
+        document = run_bench(profile, artifacts=tmp_path / "stack")
+        meta = document["meta"]
+        assert (meta["seed"], meta["dataset"], meta["scale"]) == (3, "beauty", 0.25)
+        assert meta["config_fingerprint"] == config.fingerprint()
         metrics = document["metrics"]
-        for section in ("transe", "darl_train", "cggnn_train", "beam_cold",
-                        "beam_warm", "adversarial"):
-            assert section in metrics
+        assert set(metrics) == {"transe", "darl_train", "cggnn_train", "beam_cold",
+                                "beam_warm", "csr_patch", "fault_overhead"}
         assert metrics["transe"]["speedup"] > 0
         assert metrics["darl_train"]["speedup"] > 0
         assert metrics["darl_train"]["identical_weights"] == 1.0
@@ -961,10 +981,7 @@ class TestBenchEndToEnd:
             assert gated in document["gated"]
         assert {"blas", "blas_threads"} <= set(document["meta"])
         assert metrics["beam_warm"]["vectorised_qps"] > 0
-        adversarial = metrics["adversarial"]
-        assert adversarial["deterministic"] == 1.0
-        assert (adversarial["adversarial_hit_rate"]
-                < adversarial["baseline_hit_rate"])
+        assert metrics["fault_overhead"]["identical_signatures"] == 1.0
         path = write_bench_json(document, tmp_path)
         assert path.exists()
 
@@ -973,3 +990,18 @@ class TestBenchEndToEnd:
 
         with pytest.raises(ValueError):
             run_bench("nope")
+
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "1", "-0.2", "nan", "abc"])
+    def test_cli_rejects_threshold_before_running(self, threshold, monkeypatch,
+                                                  capsys):
+        import repro.perf
+        from repro.cli import main as cli_main
+
+        def never(*args, **kwargs):
+            raise AssertionError("the bench ran")
+
+        monkeypatch.setattr(repro.perf, "run_bench", never)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["bench", "--profile", "smoke", "--threshold", threshold])
+        assert exit_info.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
