@@ -930,6 +930,23 @@ class TestBenchHarness:
         with pytest.raises(ValueError):
             compare_with_baseline(self._document(), self._document(), threshold=1.5)
 
+    def test_metric_missing_from_baseline_section_is_skipped(self):
+        # The baseline gates darl_train.speedup but predates identical_weights:
+        # only the metric the baseline holds is compared.
+        baseline = {"metrics": {"darl_train": {"speedup": 1.5}}}
+        current = {"metrics": {"darl_train": {"speedup": 1.6}}}
+        assert compare_with_baseline(current, baseline) == []
+
+    def test_render_report_has_one_line_per_section(self):
+        from repro.perf import render_report
+
+        lines = render_report(_full_bench_document()).splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [
+            "transe", "darl", "cggnn", "beam", "beam", "csr", "fault"]
+        assert "seed=0" in lines[0]
+        for gone in ("cluster", "autoscale", "adversarial"):
+            assert gone not in "\n".join(lines)
+
     def test_write_bench_json(self, tmp_path):
         path = write_bench_json(self._document(), tmp_path)
         assert path.name.startswith("BENCH_") and path.suffix == ".json"
@@ -949,6 +966,54 @@ class TestBenchHarness:
             BenchProfile(name="bad", scale=0.0).validate()
         with pytest.raises(ValueError):
             BenchProfile(name="bad", repeats=0).validate()
+
+    def test_profile_has_no_serving_section_knobs(self):
+        from dataclasses import fields
+
+        from repro.perf.bench import (
+            FAULT_BENCH_REPLICAS,
+            FAULT_BENCH_REQUESTS,
+            FAULT_BENCH_SHARDS,
+        )
+
+        names = {field.name for field in fields(BenchProfile)}
+        assert names.isdisjoint({"cluster_shards", "cluster_replicas",
+                                 "scenario_requests", "autoscale_requests",
+                                 "autoscale_queue", "autoscale_min",
+                                 "autoscale_max"})
+        # The fault-overhead section replays the cluster and trace it did
+        # when these were profile fields.
+        assert (FAULT_BENCH_SHARDS, FAULT_BENCH_REPLICAS,
+                FAULT_BENCH_REQUESTS) == (4, 2, 400)
+
+
+def _full_bench_document(transe_speedup=3.0):
+    """A BENCH document holding every section :func:`render_report` prints."""
+    return {
+        "meta": {"timestamp": "2026-01-01T00:00:00Z", "profile": "smoke",
+                 "dataset": "beauty", "scale": 0.4, "seed": 0,
+                 "stack_build_s": 1.0, "blas_threads": 1},
+        "metrics": {
+            "transe": {"vectorised_epochs_per_s": 30.0,
+                       "reference_epochs_per_s": 10.0, "speedup": transe_speedup},
+            "darl_train": {"fused_episodes_per_s": 20.0,
+                           "reference_episodes_per_s": 10.0, "speedup": 2.0,
+                           "identical_weights": 1.0},
+            "cggnn_train": {"fused_steps_per_s": 18.0,
+                            "reference_steps_per_s": 10.0, "speedup": 1.8,
+                            "identical_weights": 1.0},
+            "beam_cold": {"vectorised_qps": 60.0, "reference_qps": 10.0,
+                          "speedup": 6.0},
+            "beam_warm": {"vectorised_qps": 70.0, "reference_qps": 10.0,
+                          "speedup": 7.0},
+            "csr_patch": {"patch_ms": 1.0, "deltas": 10.0,
+                          "full_compile_ms": 9.0, "speedup": 9.0},
+            "fault_overhead": {"armored_qps": 90.0, "bare_qps": 100.0,
+                               "overhead_ratio": 1.11,
+                               "identical_signatures": 1.0},
+        },
+        "gated": [],
+    }
 
 
 class TestBenchEndToEnd:
@@ -1005,3 +1070,27 @@ class TestBenchEndToEnd:
             cli_main(["bench", "--profile", "smoke", "--threshold", threshold])
         assert exit_info.value.code == 2
         assert "--threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold, code", [("0.5", 0), ("0.05", 3)])
+    def test_cli_gates_with_in_range_threshold(self, threshold, code, tmp_path,
+                                               monkeypatch, capsys):
+        import repro.perf
+        from repro.cli import main as cli_main
+
+        # transe.speedup reads 2.7 against a baseline of 3.0: a 10% drop
+        # passes a 50% threshold and fails a 5% one.
+        monkeypatch.setattr(repro.perf, "set_blas_threads", lambda threads: True)
+        monkeypatch.setattr(repro.perf, "run_bench",
+                            lambda profile, artifacts=None:
+                            _full_bench_document(transe_speedup=2.7))
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(_full_bench_document()))
+        assert cli_main(["bench", "--profile", "smoke", "--threshold", threshold,
+                         "--baseline", str(baseline),
+                         "--out", str(tmp_path / "out")]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "transe.speedup" in captured.err
+        else:
+            assert "regression gate ok" in captured.out
+        assert len(list((tmp_path / "out").glob("BENCH_*.json"))) == 1
