@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..serving.service import RecommendationRequest, RecommendationResponse, RecommendationService
+from ..serving.service import RecommendationRequest, RecommendationResponse
 from .service import ClusterService, ScaleReport
 
 
@@ -64,8 +64,6 @@ class AutoscaleConfig:
     cooldown_ticks: int = 1
     #: Seeds the victim tie-break draw — the only free choice in the policy.
     seed: int = 0
-    #: Hand displaced hot cache entries to the new key owner on every event.
-    warm_migrate: bool = True
 
     def validate(self) -> None:
         if self.min_shards < 1:
@@ -111,16 +109,13 @@ class ScaleEvent:
 class Autoscaler:
     """Serve-through facade that resizes the wrapped cluster at clock ticks.
 
-    ``service_factory`` (optional) builds the serving facade for a new shard
-    given its id; it defaults to :meth:`ClusterService.clone_reference_service`,
-    which is correct whenever all shards serve the same frozen tables.
+    A new shard is a :meth:`ClusterService.clone_reference_service`, which
+    is correct because all shards serve the same frozen tables.
     """
 
     def __init__(self, cluster: ClusterService,
                  config: Optional[AutoscaleConfig] = None, *,
-                 clock: Optional[Callable[[], float]] = None,
-                 service_factory: Optional[
-                     Callable[[int], RecommendationService]] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self.cluster = cluster
         self.config = config or AutoscaleConfig()
         self.config.validate()
@@ -131,7 +126,6 @@ class Autoscaler:
                 f"autoscale range [{self.config.min_shards}, "
                 f"{self.config.max_shards}]")
         self._clock = clock or cluster._clock
-        self._factory = service_factory
         self._rng = np.random.default_rng(self.config.seed)
         self.initial_shards = cluster.num_shards
         self.events: List[ScaleEvent] = []
@@ -239,10 +233,7 @@ class Autoscaler:
         calm = shed == 0 and peak_utilization <= config.down_utilization
         if pressured and shards < config.max_shards:
             self._calm_ticks = 0
-            service = (self._factory(self.cluster.next_shard_id)
-                       if self._factory is not None else None)
-            report = self.cluster.add_shard(
-                service, warm_migrate=config.warm_migrate)
+            report = self.cluster.add_shard()
             reason = (f"shed {shed}/{requests} requests" if shed
                       else f"peak utilization {peak_utilization:.2f}")
             self._commit(at_s, report, reason, signals, from_shards=shards)
@@ -250,8 +241,7 @@ class Autoscaler:
             self._calm_ticks += 1
             if self._calm_ticks >= config.down_patience and shards > config.min_shards:
                 victim = self._pick_victim(signals["peaks"])
-                report = self.cluster.remove_shard(
-                    victim, warm_migrate=config.warm_migrate)
+                report = self.cluster.remove_shard(victim)
                 self._commit(at_s, report,
                              f"calm for {self._calm_ticks} ticks",
                              signals, from_shards=shards)

@@ -196,22 +196,11 @@ class ClusterService:
             raise RuntimeError("CADRL.fit must be called before serving")
         config = config or ClusterConfig()
         config.validate()
-        reference = model.recommender
-        services = []
-        for shard in range(config.num_shards):
-            recommender = PathRecommender(
-                model.graph, model.category_graph, model.representations,
-                reference.policy, guidance=reference.guidance,
-                max_path_length=reference.max_path_length,
-                max_entity_actions=reference.entity_environment.max_actions,
-                max_category_actions=reference.category_environment.max_actions,
-                use_dual_agent=reference.use_dual_agent,
-                config=reference.config)
-            services.append(RecommendationService(
-                model.graph, model.category_graph, model.representations,
-                reference.policy, recommender=recommender, transe=transe,
-                config=serving_config, clock=clock,
-                name=f"{name}/shard-{shard}"))
+        services = [RecommendationService(
+                        PathRecommender.like(model.recommender), transe=transe,
+                        config=serving_config, clock=clock,
+                        name=f"{name}/shard-{shard}")
+                    for shard in range(config.num_shards)]
         return cls(services, config=config, clock=clock, breaker=breaker,
                    name=name)
 
@@ -264,11 +253,6 @@ class ClusterService:
     @property
     def num_shards(self) -> int:
         return len(self.workers)
-
-    @property
-    def next_shard_id(self) -> int:
-        """The id the next :meth:`add_shard` will assign (ids are never reused)."""
-        return self._next_shard_id
 
     def worker(self, shard_id: int) -> ShardWorker:
         """The live worker for a shard id (ids are sparse once elastic)."""
@@ -642,69 +626,52 @@ class ClusterService:
                                 ) -> RecommendationService:
         """A fresh shard service over the reference worker's frozen tables.
 
-        Mirrors the per-shard cloning of :meth:`from_cadrl`: same policy
-        object, same representations, same search hyper-parameters and the
-        same fallback model, but its *own* :class:`PathRecommender` (private
-        milestone/action caches), result cache and telemetry — exactly what a
-        newly provisioned worker process would boot with.  Carries the
-        reference shard's current artifact generation.
+        A :meth:`PathRecommender.like` clone of the reference recommender
+        (private milestone/action caches) with the same fallback model, its
+        own result cache and telemetry — exactly what a newly provisioned
+        worker process would boot with.  Carries the reference shard's
+        current artifact generation.
         """
         reference = self._reference
-        source = reference.recommender
-        recommender = PathRecommender(
-            source.graph, source.category_environment.category_graph,
-            source.representations,
-            source.policy, guidance=source.guidance,
-            max_path_length=source.max_path_length,
-            max_entity_actions=source.entity_environment.max_actions,
-            max_category_actions=source.category_environment.max_actions,
-            use_dual_agent=source.use_dual_agent,
-            config=source.config)
         return RecommendationService(
-            source.graph, source.category_environment.category_graph,
-            source.representations,
-            source.policy, recommender=recommender,
+            PathRecommender.like(reference.recommender),
             transe=reference.transe, config=reference.config,
             clock=self._clock,
             name=name or f"{self.name}/shard-{self._next_shard_id}",
             generation=reference.generation)
 
-    def add_shard(self, service: Optional[RecommendationService] = None, *,
-                  warm_migrate: bool = True) -> ScaleReport:
+    def add_shard(self) -> ScaleReport:
         """Grow the cluster by one shard, live, between bursts.
 
-        The ring's bounded-remap guarantee means only the keys the new shard
-        now owns move — an expected ``1/(n+1)`` of the population, all of
-        them *to* the new shard.  With ``warm_migrate`` the displaced result
-        cache entries follow their keys (expiry deadlines intact), so the new
-        shard starts warm for exactly the users it just took over instead of
-        recomputing answers the cluster already holds.  ``service`` defaults
-        to :meth:`clone_reference_service`.
+        The new shard is a :meth:`clone_reference_service`.  The ring's
+        bounded-remap guarantee means only the keys the new shard now owns
+        move — an expected ``1/(n+1)`` of the population, all of them *to*
+        the new shard — and the displaced result cache entries follow their
+        keys (expiry deadlines intact), so the new shard starts warm for
+        exactly the users it just took over instead of recomputing answers
+        the cluster already holds.
         """
         shard_id = self._next_shard_id
-        self._next_shard_id += 1
         worker = ShardWorker(shard_id=shard_id,
-                             service=service or self.clone_reference_service(
-                                 name=f"{self.name}/shard-{shard_id}"))
+                             service=self.clone_reference_service())
+        self._next_shard_id += 1
         self.workers.append(worker)
         self._workers_by_id[shard_id] = worker
         self.health.add_shard(shard_id)
         self.ring.add_shard(shard_id)
         migrated = 0
-        if warm_migrate:
-            target = worker.service.cache
-            for donor in self.workers:
-                if donor.shard_id == shard_id:
-                    continue
-                displaced = donor.service.cache.extract_entries(
-                    lambda key: self.ring.primary(key[0]) == shard_id)
-                migrated += target.absorb(displaced)
+        target = worker.service.cache
+        for donor in self.workers:
+            if donor.shard_id == shard_id:
+                continue
+            displaced = donor.service.cache.extract_entries(
+                lambda key: self.ring.primary(key[0]) == shard_id)
+            migrated += target.absorb(displaced)
         return ScaleReport(action="add", shard_id=shard_id,
                            num_shards=self.num_shards,
                            migrated_entries=migrated)
 
-    def remove_shard(self, shard_id: int, *,
-                     warm_migrate: bool = True) -> ScaleReport:
+    def remove_shard(self, shard_id: int) -> ScaleReport:
         """Decommission one shard, handing its hot cache entries to the
         shards that inherit its key ranges.
 
@@ -725,10 +692,9 @@ class ClusterService:
         if self.breaker is not None:
             self.breaker.forget_shard(shard_id)
         migrated = 0
-        if warm_migrate:
-            for entry in displaced:
-                owner = self.worker(self.ring.primary(entry.key[0]))
-                migrated += owner.service.cache.absorb([entry])
+        for entry in displaced:
+            owner = self.worker(self.ring.primary(entry.key[0]))
+            migrated += owner.service.cache.absorb([entry])
         return ScaleReport(action="remove", shard_id=shard_id,
                            num_shards=self.num_shards,
                            migrated_entries=migrated)

@@ -213,6 +213,32 @@ class PathRecommender:
         self.category_environment = CategoryEnvironment(category_graph, graph, representations,
                                                         max_actions=max_category_actions)
 
+    @classmethod
+    def like(cls, source: "PathRecommender", *,
+             graph: Optional[KnowledgeGraph] = None,
+             category_graph: Optional[CategoryGraph] = None,
+             representations: Optional[Representations] = None) -> "PathRecommender":
+        """A fresh recommender with ``source``'s search settings.
+
+        Same policy and guidance objects, path length cap, action caps,
+        dual-agent switch, :class:`InferenceConfig` and milestone cache limit,
+        but its own milestone and action caches.  The tables default to
+        ``source``'s.  Every serving replica (cluster shard, scaled-up shard,
+        live generation) is built here, so replicas over the same tables
+        answer bit-identically.
+        """
+        return cls(source.graph if graph is None else graph,
+                   (source.category_environment.category_graph
+                    if category_graph is None else category_graph),
+                   source.representations if representations is None else representations,
+                   source.policy, guidance=source.guidance,
+                   max_path_length=source.max_path_length,
+                   max_entity_actions=source.entity_environment.max_actions,
+                   max_category_actions=source.category_environment.max_actions,
+                   use_dual_agent=source.use_dual_agent,
+                   config=source.config,
+                   milestone_cache_limit=source.milestone_cache_limit)
+
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #

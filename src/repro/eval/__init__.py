@@ -6,7 +6,6 @@ from .explanations import (
     categories_along_path,
     explain_recommendations,
     fraction_beyond_three_hops,
-    path_length_histogram,
     render_path,
 )
 from .metrics import (
@@ -38,7 +37,6 @@ __all__ = [
     "hit_ratio_at_k",
     "measure_efficiency",
     "ndcg_at_k",
-    "path_length_histogram",
     "precision_at_k",
     "recall_at_k",
     "render_path",

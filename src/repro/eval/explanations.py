@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..kg.entities import EntityType
 from ..kg.graph import KnowledgeGraph
@@ -55,14 +55,6 @@ def explain_recommendations(graph: KnowledgeGraph, paths: Sequence[Recommendatio
             score=path.score,
         ))
     return explained
-
-
-def path_length_histogram(paths: Sequence[RecommendationPath]) -> Dict[int, int]:
-    """Distribution of explanation path lengths (used in the case-study analysis)."""
-    histogram: Dict[int, int] = {}
-    for path in paths:
-        histogram[path.length] = histogram.get(path.length, 0) + 1
-    return dict(sorted(histogram.items()))
 
 
 def fraction_beyond_three_hops(paths: Sequence[RecommendationPath]) -> float:

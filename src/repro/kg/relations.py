@@ -101,7 +101,7 @@ def relation_index(relation: Relation) -> int:
 
 
 def relation_from_index(index: int) -> Relation:
-    """Inverse of :func:`relation_index`."""
+    """Inverse of :func:`relation_index`: decodes the CSR adjacency's relation ids."""
     return RELATION_LIST[index]
 
 

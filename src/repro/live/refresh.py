@@ -1,9 +1,11 @@
 """Warm-start refresh: a few-epoch delta retrain producing a new generation.
 
 A :class:`GenerationBundle` freezes everything one artifact generation needs
-to serve — graph, category graph, TransE table, representations, policy and
-the search hyper-parameters — and :func:`refresh_generation` derives
-generation N+1 from generation N plus the update-log slice ingested since:
+to serve — a :class:`~repro.darl.inference.PathRecommender` (graph, category
+graph, representations, policy and search settings) plus the TransE table and
+the CGGNN configs a refresh retrains with — and :func:`refresh_generation`
+derives generation N+1 from generation N plus the update-log slice ingested
+since:
 
 * **TransE** restarts from the prior entity/relation tables
   (``train_transe(..., initial_state=prior)``) and runs
@@ -13,9 +15,10 @@ generation N+1 from generation N plus the update-log slice ingested since:
   neighbourhoods are exactly what the deltas changed) but overlays the prior
   item/category tables (``initial_state=prior_representations``) before its
   few-epoch refresh.
-* **Policy and guidance are reused** — the shared policy depends only on the
-  embedding dimension, not on entity count, so generation N+1 serves with the
-  same network weights over refreshed tables.
+* **Policy, guidance and search settings are reused** — the shared policy
+  depends only on the embedding dimension, not on entity count, so generation
+  N+1's recommender is :meth:`PathRecommender.like` generation N's over the
+  refreshed tables.
 
 An **empty delta is a no-op by construction**: when no log entries arrived
 since the base generation, :func:`refresh_generation` returns the base bundle
@@ -38,9 +41,7 @@ from typing import Callable, Optional, Sequence
 
 from ..cggnn import CGGNN, CGGNNConfig, CGGNNTrainingConfig, train_cggnn
 from ..cggnn.model import Representations
-from ..darl.collaborative import GuidanceModel
-from ..darl.inference import InferenceConfig, PathRecommender
-from ..darl.shared_policy import SharedPolicyNetworks
+from ..darl.inference import PathRecommender
 from ..embeddings import TransEModel, train_transe
 from ..kg.category_graph import CategoryGraph
 from ..kg.graph import KnowledgeGraph
@@ -70,21 +71,22 @@ class GenerationBundle:
     """One artifact generation, frozen and ready to build services from."""
 
     generation: int
-    graph: KnowledgeGraph
-    category_graph: CategoryGraph
+    #: Template of this generation's serving replicas: the tables and search
+    #: settings every :meth:`build_service` clones.
+    recommender: PathRecommender
     transe: TransEModel
-    representations: Representations
-    policy: SharedPolicyNetworks
-    guidance: Optional[GuidanceModel]
-    inference_config: Optional[InferenceConfig]
-    max_path_length: int
-    max_entity_actions: int
-    max_category_actions: int
-    use_dual_agent: bool
     cggnn_config: CGGNNConfig
     cggnn_training: CGGNNTrainingConfig
     #: Update-log entries ``[0, log_offset)`` are folded into these tables.
     log_offset: int = 0
+
+    @property
+    def graph(self) -> KnowledgeGraph:
+        return self.recommender.graph
+
+    @property
+    def representations(self) -> Representations:
+        return self.recommender.representations
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -96,20 +98,10 @@ class GenerationBundle:
         """Freeze a fitted :class:`repro.darl.CADRL` as generation ``generation``."""
         if model.recommender is None:
             raise RuntimeError("CADRL.fit must be called before going live")
-        reference = model.recommender
         return cls(
             generation=generation,
-            graph=model.graph,
-            category_graph=model.category_graph,
+            recommender=model.recommender,
             transe=transe,
-            representations=model.representations,
-            policy=reference.policy,
-            guidance=reference.guidance,
-            inference_config=reference.config,
-            max_path_length=reference.max_path_length,
-            max_entity_actions=reference.entity_environment.max_actions,
-            max_category_actions=reference.category_environment.max_actions,
-            use_dual_agent=reference.use_dual_agent,
             cggnn_config=cggnn_config or CGGNNConfig(
                 embedding_dim=model.representations.dim),
             cggnn_training=cggnn_training or CGGNNTrainingConfig(),
@@ -134,28 +126,16 @@ class GenerationBundle:
             log_offset=log_offset)
 
     # ------------------------------------------------------------------ #
-    def build_recommender(self) -> PathRecommender:
-        """A fresh recommender over this generation's frozen tables.
-
-        Mirrors :meth:`repro.cluster.ClusterService.from_cadrl`'s per-shard
-        clone: same policy object and tables, own milestone/action caches.
-        """
-        return PathRecommender(
-            self.graph, self.category_graph, self.representations, self.policy,
-            guidance=self.guidance,
-            max_path_length=self.max_path_length,
-            max_entity_actions=self.max_entity_actions,
-            max_category_actions=self.max_category_actions,
-            use_dual_agent=self.use_dual_agent,
-            config=self.inference_config)
-
     def build_service(self, *, serving_config: Optional[ServingConfig] = None,
                       clock: Callable[[], float] = time.perf_counter,
                       name: Optional[str] = None) -> RecommendationService:
-        """A generation-stamped serving facade over this bundle."""
+        """A generation-stamped serving facade over this bundle.
+
+        Each call serves through a fresh :meth:`PathRecommender.like` clone:
+        same tables and search settings, own milestone/action caches.
+        """
         return RecommendationService(
-            self.graph, self.category_graph, self.representations, self.policy,
-            recommender=self.build_recommender(), transe=self.transe,
+            PathRecommender.like(self.recommender), transe=self.transe,
             config=serving_config, clock=clock,
             name=name or f"live@gen{self.generation}",
             generation=self.generation)
@@ -201,10 +181,10 @@ def refresh_generation(base: GenerationBundle, graph: KnowledgeGraph,
     return dataclasses.replace(
         base,
         generation=base.generation + 1,
-        graph=graph,
-        category_graph=category_graph,
+        recommender=PathRecommender.like(
+            base.recommender, graph=graph, category_graph=category_graph,
+            representations=representations),
         transe=transe,
-        representations=representations,
         log_offset=log_offset)
 
 

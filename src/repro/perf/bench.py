@@ -258,23 +258,13 @@ def _service_pair(result: PipelineResult,
                   profile: BenchProfile) -> Tuple[RecommendationService,
                                                   RecommendationService]:
     """Two serving facades over the same artifacts: vectorised and scalar."""
-    cadrl = result.cadrl
-    recommender = cadrl.recommender
-    scalar = ScalarPathRecommender(
-        cadrl.graph, cadrl.category_graph, cadrl.representations,
-        recommender.policy, guidance=recommender.guidance,
-        max_path_length=recommender.max_path_length,
-        max_entity_actions=recommender.entity_environment.max_actions,
-        max_category_actions=recommender.category_environment.max_actions,
-        use_dual_agent=recommender.use_dual_agent,
-        config=recommender.config)
+    recommender = result.cadrl.recommender
     serving_config = ServingConfig(cache_capacity=max(4 * profile.beam_users, 64))
-    vectorised_service = RecommendationService.from_cadrl(
-        cadrl, transe=result.transe, config=serving_config,
+    vectorised_service = RecommendationService(
+        recommender, transe=result.transe, config=serving_config,
         name="bench (vectorised)")
     scalar_service = RecommendationService(
-        cadrl.graph, cadrl.category_graph, cadrl.representations,
-        recommender.policy, recommender=scalar, transe=result.transe,
+        ScalarPathRecommender.like(recommender), transe=result.transe,
         config=serving_config, name="bench (scalar reference)")
     return vectorised_service, scalar_service
 
@@ -365,15 +355,17 @@ def bench_fault_overhead(result: PipelineResult,
                          profile: BenchProfile) -> Dict[str, float]:
     """Cost of the armored fault path on a fault-free replay.
 
-    The same seeded virtual-time workload replays twice: through a bare
+    The same seeded virtual-time workload replays on two sides: through a bare
     cluster (no breaker, no injector — the legacy dispatch path) and through
     one wearing the full defensive kit (per-shard circuit breakers plus a
     fault injector carrying an *empty* plan, so every hook fires but no
     fault ever does).  The overhead ratio is the price every chaos-free
     request pays for the breaker consult, the injector shims, and the
-    provenance bookkeeping.  Both replays must produce bit-identical
-    signatures — an armored cluster that never sees a fault must not change
-    a single answer.  Trend metric, not gated (in-process wall time).
+    provenance bookkeeping.  Each side is timed over ``profile.repeats``
+    interleaved replays after one warm-up, like every other section, and all
+    of those replays must produce one signature — an armored cluster that
+    never sees a fault must not change a single answer.  Trend metric, not
+    gated (in-process wall time).
     """
     from ..cluster import CircuitBreaker, ClusterConfig, ClusterService
     from ..faults import FaultInjector, FaultPlan
@@ -390,7 +382,9 @@ def bench_fault_overhead(result: PipelineResult,
     cluster_config = ClusterConfig(num_shards=FAULT_BENCH_SHARDS,
                                    replication_factor=FAULT_BENCH_REPLICAS)
 
-    def replay(armored: bool):
+    replays = []
+
+    def replay(armored: bool) -> None:
         clock = TraceClock()
         breaker = CircuitBreaker(clock=clock) if armored else None
         cluster = ClusterService.from_cadrl(
@@ -399,18 +393,17 @@ def bench_fault_overhead(result: PipelineResult,
             name=f"bench ({'armored' if armored else 'bare'})")
         if armored:
             FaultInjector(FaultPlan(events=()), clock).install(cluster)
-        return ReplayDriver(cluster, clock=clock).replay(workload)
+        replays.append(ReplayDriver(cluster, clock=clock).replay(workload))
 
-    repeats = max(profile.repeats - 2, 1)
     bare_s, armored_s = _median_ab(lambda: replay(False),
-                                   lambda: replay(True), repeats)
+                                   lambda: replay(True), profile.repeats)
     count = len(workload)
     return {
         "bare_qps": count / bare_s,
         "armored_qps": count / armored_s,
         "overhead_ratio": armored_s / bare_s,
-        "identical_signatures": float(replay(False).signature()
-                                      == replay(True).signature()),
+        "identical_signatures": float(
+            len({run.signature() for run in replays}) == 1),
     }
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from .artifacts import ArtifactStore
 from .config import STAGE_DEPENDENCIES, STAGE_NAMES, RunConfig
 from .errors import PipelineError
-from .stages import ALL_STAGES, PipelineContext, Stage
+from .stages import ALL_STAGES, PipelineContext, Stage, boot_service
 
 PathLike = Union[str, Path]
 
@@ -116,22 +116,12 @@ class PipelineResult:
         return self.context.store.root if self.context.store else None
 
     def service(self, serving_config=None, **kwargs):
-        """The serving facade the run's cluster spec asks for.
-
-        A plain :class:`repro.serving.RecommendationService` for the default
-        single-shard topology; a :class:`repro.cluster.ClusterService` when
-        ``config.cluster.num_shards > 1`` — both expose the same
-        ``serve``/``serve_many`` surface.
-        """
-        if self.config.cluster.is_clustered:
-            return self.cluster_service(serving_config=serving_config, **kwargs)
-        from ..serving import RecommendationService
-
+        """The serving facade the run's cluster spec asks for (see
+        :func:`repro.pipeline.stages.boot_service`)."""
         if self.cadrl is None:
             raise PipelineError("pipeline did not reach the train stage")
-        return RecommendationService.from_cadrl(
-            self.cadrl, transe=self.transe,
-            config=serving_config or self.config.serving, **kwargs)
+        return boot_service(self.cadrl, self.transe, self.config,
+                            serving_config=serving_config, **kwargs)
 
     def cluster_service(self, cluster_config=None, serving_config=None, **kwargs):
         """A :class:`repro.cluster.ClusterService` over the trained stack.

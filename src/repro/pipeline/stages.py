@@ -350,11 +350,9 @@ class ServeCheckStage(Stage):
     against a direct ``PathRecommender`` search (the same exactness contract
     as :class:`repro.simulate.FullSearchOracle`).
 
-    The facade is booted per the run's cluster spec: a plain
-    :class:`repro.serving.RecommendationService` for the default single-shard
-    topology, a :class:`repro.cluster.ClusterService` (including any boot-time
-    failure injection) when ``config.cluster.num_shards > 1`` — the check
-    itself is identical because the cluster exposes the same surface.
+    The facade is booted per the run's cluster spec by :func:`boot_service`
+    (a cluster includes any boot-time failure injection); the check itself is
+    identical because the cluster exposes the same surface.
     """
 
     name = "serve-check"
@@ -366,17 +364,7 @@ class ServeCheckStage(Stage):
         context.require("cadrl")
         cadrl = context.cadrl
         cluster_config = context.config.cluster
-        if cluster_config.is_clustered:
-            from ..cluster import ClusterService  # deferred: keep stage imports light
-
-            service = ClusterService.from_cadrl(
-                cadrl, transe=context.transe, config=cluster_config,
-                serving_config=context.config.serving)
-        else:
-            from ..serving import RecommendationService
-
-            service = RecommendationService.from_cadrl(
-                cadrl, transe=context.transe, config=context.config.serving)
+        service = boot_service(cadrl, context.transe, context.config)
         train_items = entity_train_items(context.split, context.builder)
         users = sorted(train_items)[: self.sample_users]
         top_k = context.config.serving.default_top_k
@@ -424,6 +412,28 @@ class ServeCheckStage(Stage):
 
     def loadable(self, store: ArtifactStore) -> bool:
         return store.has_file(self.name, "report.json")
+
+
+def boot_service(cadrl: CADRL, transe: Optional[TransEModel], config: RunConfig, *,
+                 serving_config=None, **kwargs):
+    """The serving facade ``config``'s cluster spec asks for over a trained stack.
+
+    A plain :class:`repro.serving.RecommendationService` for the default
+    single-shard topology, a :class:`repro.cluster.ClusterService` when
+    ``config.cluster.num_shards > 1``; both expose the same
+    ``serve``/``serve_many`` surface.  ``serving_config`` overrides
+    ``config.serving``; ``kwargs`` (clock, name, ...) go to the facade.
+    """
+    serving_config = serving_config or config.serving
+    if config.cluster.is_clustered:
+        from ..cluster import ClusterService  # deferred: keep stage imports light
+
+        return ClusterService.from_cadrl(cadrl, transe=transe, config=config.cluster,
+                                         serving_config=serving_config, **kwargs)
+    from ..serving import RecommendationService
+
+    return RecommendationService.from_cadrl(cadrl, transe=transe, config=serving_config,
+                                            **kwargs)
 
 
 def entity_train_items(split: TrainTestSplit, builder) -> Dict[int, List[int]]:

@@ -12,7 +12,6 @@ from .rewards import (
     collaborative_rewards,
     consistency_reward,
     guidance_reward,
-    soft_item_reward,
 )
 from .trajectory import (
     CategoryStep,
@@ -40,5 +39,4 @@ __all__ = [
     "guidance_reward",
     "reinforce_advantages",
     "reinforce_loss",
-    "soft_item_reward",
 ]

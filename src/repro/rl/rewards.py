@@ -100,13 +100,3 @@ def collaborative_rewards(terminal_category: float, terminal_entity: float,
         entity_rewards[-1] += terminal_entity
     return {"category": category_rewards, "entity": entity_rewards}
 
-
-def soft_item_reward(user_vector: np.ndarray, item_vector: np.ndarray,
-                     scale: float = 1.0) -> float:
-    """PGPR-style soft reward: scaled similarity between user and reached item.
-
-    Used by the single-agent baselines (and available to ablations); CADRL
-    itself uses the binary terminal reward plus partner rewards.
-    """
-    similarity = cosine_similarity(user_vector, item_vector)
-    return max(0.0, scale * similarity)

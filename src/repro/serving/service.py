@@ -1,8 +1,9 @@
 """The online recommendation-serving facade.
 
-``RecommendationService`` turns the trained CADRL artifacts — knowledge graph,
-category graph, CGGNN representations and the shared policy — into a service
-with one request/response API:
+``RecommendationService`` turns a trained :class:`~repro.darl.inference.
+PathRecommender` — which holds the knowledge graph, category graph, CGGNN
+representations, shared policy and search settings — into a service with one
+request/response API:
 
 * results are cached (LRU + TTL) on the full request identity;
 * a burst is planned, then executed: keys are deduplicated and every
@@ -18,13 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..cggnn.model import Representations
-from ..darl.collaborative import GuidanceModel
-from ..darl.inference import InferenceConfig, PathRecommender
-from ..darl.shared_policy import SharedPolicyNetworks
+from ..darl.inference import PathRecommender
 from ..embeddings.transe import TransEModel
-from ..kg.category_graph import CategoryGraph
-from ..kg.graph import KnowledgeGraph
 from ..rl.trajectory import RecommendationPath
 from .cache import CacheKey, ResultCache
 from .fallback import (
@@ -150,17 +146,15 @@ class RecommendationResponse:
 
 
 class RecommendationService:
-    """Facade over the trained CADRL artifacts for online traffic.
+    """Facade over a trained :class:`PathRecommender` for online traffic.
 
-    Construct either from the raw artifacts (the issue's canonical signature)
-    or via :meth:`from_cadrl` from a fitted :class:`repro.darl.CADRL` model.
+    Wraps one recommender, which owns the tables and search settings: build
+    it directly, clone one with :meth:`PathRecommender.like`, or use
+    :meth:`from_cadrl` to serve a fitted :class:`repro.darl.CADRL` model's
+    recommender.
     """
 
-    def __init__(self, graph: KnowledgeGraph, category_graph: CategoryGraph,
-                 representations: Representations, policy: SharedPolicyNetworks,
-                 *, guidance: Optional[GuidanceModel] = None,
-                 inference_config: Optional[InferenceConfig] = None,
-                 recommender: Optional[PathRecommender] = None,
+    def __init__(self, recommender: PathRecommender, *,
                  transe: Optional[TransEModel] = None,
                  config: Optional[ServingConfig] = None,
                  clock: Callable[[], float] = time.perf_counter,
@@ -171,10 +165,8 @@ class RecommendationService:
         self.name = name
         self.generation = generation
         self._clock = clock
-        self.recommender = recommender or PathRecommender(
-            graph, category_graph, representations, policy,
-            guidance=guidance, config=inference_config)
-        self.graph = self.recommender.graph
+        self.recommender = recommender
+        self.graph = recommender.graph
         self.cache = ResultCache(capacity=self.config.cache_capacity,
                                  ttl_seconds=self.config.cache_ttl_seconds,
                                  clock=clock)
@@ -184,7 +176,7 @@ class RecommendationService:
         # bit-identical with its peers).
         self.transe = transe
         ranker = (TransEFallbackRanker(transe, self.graph) if transe is not None
-                  else RepresentationFallbackRanker(self.recommender.representations,
+                  else RepresentationFallbackRanker(recommender.representations,
                                                     self.graph))
         self.tiers = TieredRanker(self.graph, ranker,
                                   assumed_full_search_ms=self.config.assumed_full_search_ms,
@@ -203,10 +195,8 @@ class RecommendationService:
         """
         if model.recommender is None:
             raise RuntimeError("CADRL.fit must be called before serving")
-        return cls(model.graph, model.category_graph, model.representations,
-                   model.recommender.policy, recommender=model.recommender,
-                   transe=transe, config=config, clock=clock, name=name,
-                   generation=generation)
+        return cls(model.recommender, transe=transe, config=config, clock=clock,
+                   name=name, generation=generation)
 
     @classmethod
     def from_artifacts(cls, path, *, config: Optional[ServingConfig] = None,

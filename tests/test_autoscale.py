@@ -57,8 +57,7 @@ def elastic_stack(tiny_kg, tiny_representations):
                                       config=InferenceConfig(beam_width=6,
                                                              expansions_per_beam=2))
         extra = {"clock": clock} if clock is not None else {}
-        return RecommendationService(graph, category_graph, tiny_representations,
-                                     policy, recommender=recommender,
+        return RecommendationService(recommender,
                                      config=ServingConfig(cache_capacity=64,
                                                           cache_ttl_seconds=600.0),
                                      **extra)

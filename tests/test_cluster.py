@@ -315,8 +315,7 @@ def cluster_stack(tiny_kg, tiny_representations):
                                                              expansions_per_beam=2))
         serving_kwargs.setdefault("cache_ttl_seconds", 600.0)
         extra = {"clock": clock} if clock is not None else {}
-        return RecommendationService(graph, category_graph, tiny_representations,
-                                     policy, recommender=recommender,
+        return RecommendationService(recommender,
                                      config=ServingConfig(cache_capacity=cache_capacity,
                                                           **serving_kwargs), **extra)
 

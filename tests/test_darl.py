@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.cggnn import Representations
 from repro.darl import CADRL, CADRLConfig, DARLConfig, DARLTrainer, GuidanceModel, InferenceConfig, PathRecommender, PolicyConfig, SharedPolicyNetworks, VARIANT_OVERRIDES, apply_overrides
 from repro.darl.shared_policy import policy_head
 from repro.kg import Relation
@@ -303,6 +304,87 @@ class TestInference:
         default = recommender.recommend(user)
         assert default == recommender.recommend(user, top_k=recommender.config.top_k)
         assert recommender.recommend_requests([(user, set(), None)]) == [default]
+
+
+def _search_settings(recommender):
+    return (recommender.policy, recommender.guidance, recommender.config,
+            recommender.max_path_length, recommender.entity_environment.max_actions,
+            recommender.category_environment.max_actions, recommender.use_dual_agent,
+            recommender.milestone_cache_limit)
+
+
+def _answers(recommender, users):
+    return [[(path.item_entity, path.hops) for path in recommender.recommend(user, top_k=5)]
+            for user in users]
+
+
+class TestLike:
+    """``PathRecommender.like``: the one place serving replicas are cloned."""
+
+    @pytest.fixture()
+    def source(self, tiny_kg, tiny_representations, policy):
+        graph, category_graph, _ = tiny_kg
+        # Every setting off its default, so a clone that drops one differs.
+        return PathRecommender(graph, category_graph, tiny_representations, policy,
+                               guidance=GuidanceModel(strength=0.7), max_path_length=3,
+                               max_entity_actions=6, max_category_actions=3,
+                               use_dual_agent=False,
+                               config=InferenceConfig(beam_width=5, expansions_per_beam=2,
+                                                      top_k=4, min_path_length=2),
+                               milestone_cache_limit=32)
+
+    def test_clone_answers_like_its_source_with_fresh_caches(self, source, tiny_kg):
+        _, _, builder = tiny_kg
+        users = [builder.user_to_entity(user) for user in range(6)]
+        expected = _answers(source, users)
+        assert any(expected)
+        clone = PathRecommender.like(source)
+        assert type(clone) is PathRecommender
+        assert _search_settings(clone) == _search_settings(source)
+        assert clone.graph is source.graph
+        assert clone.representations is source.representations
+        assert (clone.category_environment.category_graph
+                is source.category_environment.category_graph)
+        # The source's caches are warm; the clone's are its own and empty.
+        def cache_sizes(recommender):
+            environment = recommender.entity_environment
+            return (len(recommender.milestone_cache), len(environment._action_cache)
+                    + len(environment._array_cache) + len(environment._matrix_cache))
+
+        assert min(cache_sizes(source)) > 0
+        assert clone.milestone_cache is not source.milestone_cache
+        assert clone.entity_environment is not source.entity_environment
+        assert cache_sizes(clone) == (0, 0)
+        assert _answers(clone, users) == expected
+
+    def test_table_overrides_are_the_tables_searched(self, source, tiny_kg,
+                                                     tiny_representations):
+        graph, category_graph, builder = tiny_kg
+        other_graph = graph.copy()
+        other_categories = copy.deepcopy(category_graph)
+        rng = np.random.default_rng(5)
+        other_tables = Representations(
+            entity=rng.permutation(tiny_representations.entity),
+            relation=tiny_representations.relation,
+            category=rng.permutation(tiny_representations.category))
+        clone = PathRecommender.like(source, graph=other_graph,
+                                     category_graph=other_categories,
+                                     representations=other_tables)
+        assert _search_settings(clone) == _search_settings(source)
+        assert clone.graph is other_graph
+        assert clone.entity_environment.graph is other_graph
+        assert clone.category_environment.graph is other_graph
+        assert clone.category_environment.category_graph is other_categories
+        assert clone.representations is other_tables
+        assert clone.entity_environment.representations is other_tables
+        assert clone.category_environment.representations is other_tables
+        users = [builder.user_to_entity(user) for user in range(6)]
+        direct = PathRecommender(other_graph, other_categories, other_tables, source.policy,
+                                 guidance=source.guidance, max_path_length=3,
+                                 max_entity_actions=6, max_category_actions=3,
+                                 use_dual_agent=False, config=source.config)
+        assert _answers(clone, users) == _answers(direct, users)
+        assert _answers(clone, users) != _answers(source, users)
 
 
 def variant(name, config):

@@ -16,7 +16,6 @@ from repro.eval import (
     hit_ratio_at_k,
     measure_efficiency,
     ndcg_at_k,
-    path_length_histogram,
     precision_at_k,
     recall_at_k,
     render_path,
@@ -204,12 +203,10 @@ class TestExplanations:
         assert explained[0].path_length == 2
         assert explained[0].score == pytest.approx(-1.2)
 
-    def test_path_length_histogram_and_long_fraction(self, sample_path):
+    def test_fraction_beyond_three_hops(self, sample_path):
         _, path = sample_path
         long_path = RecommendationPath(user_entity=0, item_entity=1,
                                        hops=tuple([(Relation.ALSO_BOUGHT, 1)] * 5), score=0.0)
-        histogram = path_length_histogram([path, long_path])
-        assert histogram == {2: 1, 5: 1}
         assert fraction_beyond_three_hops([path, long_path]) == pytest.approx(0.5)
         # NaN convention: with no paths the share is undefined, not 0.
         assert np.isnan(fraction_beyond_three_hops([]))

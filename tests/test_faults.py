@@ -544,8 +544,7 @@ def chaos_stack(tiny_kg, tiny_representations):
                 max_category_actions=4,
                 config=InferenceConfig(beam_width=6, expansions_per_beam=2))
             services.append(RecommendationService(
-                graph, category_graph, tiny_representations, policy,
-                recommender=recommender,
+                recommender,
                 config=ServingConfig(cache_capacity=64,
                                      cache_ttl_seconds=600.0),
                 clock=clock))

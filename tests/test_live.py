@@ -11,7 +11,7 @@ import pytest
 
 from repro.cggnn import CGGNN, CGGNNConfig, Representations, warm_start_cggnn
 from repro.cluster import ClusterConfig
-from repro.darl import CADRLConfig
+from repro.darl import CADRLConfig, GuidanceModel, InferenceConfig, PathRecommender
 from repro.embeddings import TransEModel, apply_initial_state, train_transe
 from repro.kg import KnowledgeGraph, compile_adjacency, patch_adjacency
 from repro.kg.entities import EntityType
@@ -378,6 +378,43 @@ class TestLiveLoop:
         grown = dataclasses.replace(base, log_offset=5)
         with pytest.raises(ValueError, match="append-only"):
             refresh_generation(grown, base.graph, log_offset=3)
+
+    def test_refreshed_bundle_keeps_the_search_settings(self, live_stack):
+        _, result = live_stack
+        session, _ = make_session(result)
+        trained = session.current.recommender
+        # Every search setting off its default, so a refresh that falls back
+        # to one differs.
+        base = dataclasses.replace(session.current, recommender=PathRecommender(
+            trained.graph, trained.category_environment.category_graph,
+            trained.representations, trained.policy,
+            guidance=GuidanceModel(strength=0.9), max_path_length=4,
+            max_entity_actions=9, max_category_actions=3, use_dual_agent=False,
+            config=InferenceConfig(beam_width=7, expansions_per_beam=2, top_k=6),
+            milestone_cache_limit=64))
+        session.ingest(synthesize_deltas(session._staging, 5, seed=2))
+        refreshed = refresh_generation(base, session._staging,
+                                       log_offset=len(session.log),
+                                       config=RefreshConfig(transe_epochs=1,
+                                                            cggnn_epochs=1, seed=3))
+        old, new = base.recommender, refreshed.recommender
+        assert refreshed.generation == 1
+        assert refreshed.graph is session._staging
+        assert new.category_environment.category_graph is not (
+            old.category_environment.category_graph)
+        assert refreshed.representations is not base.representations
+        assert (new.policy, new.guidance, new.config) == (old.policy, old.guidance,
+                                                          old.config)
+        assert (new.max_path_length, new.entity_environment.max_actions,
+                new.category_environment.max_actions, new.use_dual_agent,
+                new.milestone_cache_limit) == (4, 9, 3, False, 64)
+        first, second = refreshed.build_service(), refreshed.build_service()
+        assert first.recommender is not second.recommender
+        assert new not in (first.recommender, second.recommender)
+        assert first.generation == second.generation == 1
+        user = session.graph.entities.ids_of_type(EntityType.USER)[0]
+        assert (first.recommender.recommend(user)
+                == second.recommender.recommend(user) == new.recommend(user))
 
     def test_swap_flips_generations_and_carries_caches(self, live_stack):
         _, result = live_stack

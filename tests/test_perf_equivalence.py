@@ -125,6 +125,15 @@ class TestBeamSearchEquivalence:
         assert all(p.item_entity not in excluded for p in fast)
         assert [_path_key(p) for p in fast] == [_path_key(p) for p in slow]
 
+    def test_scalar_like_is_a_scalar_twin(self, recommender_pair):
+        vectorised, _, builder = recommender_pair
+        twin = ScalarPathRecommender.like(vectorised)
+        assert type(twin) is ScalarPathRecommender
+        for user_id in range(6):
+            user = builder.user_to_entity(user_id)
+            assert ([_path_key(p) for p in twin.recommend(user)]
+                    == [_path_key(p) for p in vectorised.recommend(user)])
+
     def test_batch_equals_single(self, recommender_pair):
         vectorised, _, builder = recommender_pair
         users = [builder.user_to_entity(u) for u in range(10)]
@@ -824,16 +833,9 @@ class TestServeManyBatching:
     @pytest.fixture()
     def service_pair(self, recommender_pair):
         vectorised, scalar, builder = recommender_pair
-        graph = vectorised.graph
         config = ServingConfig(cache_capacity=64)
-        fast = RecommendationService(
-            graph, vectorised.category_environment.category_graph,
-            vectorised.representations, vectorised.policy,
-            recommender=vectorised, config=config)
-        slow = RecommendationService(
-            graph, scalar.category_environment.category_graph,
-            scalar.representations, scalar.policy,
-            recommender=scalar, config=config)
+        fast = RecommendationService(vectorised, config=config)
+        slow = RecommendationService(scalar, config=config)
         users = [builder.user_to_entity(u) for u in range(8)]
         return fast, slow, users
 
@@ -1049,6 +1051,30 @@ class TestBenchEndToEnd:
         assert metrics["fault_overhead"]["identical_signatures"] == 1.0
         path = write_bench_json(document, tmp_path)
         assert path.exists()
+
+    def test_fault_overhead_times_every_repeat_on_both_sides(self, monkeypatch):
+        from repro.perf import bench
+        from repro.pipeline import Pipeline
+        from repro.simulate import ReplayDriver
+
+        profile = BenchProfile(name="micro", scale=0.25, beam_users=6,
+                               rollout_users=3, repeats=4, transe_epochs=1)
+        result = Pipeline(profile.run_config()).run(until=("train",))
+        monkeypatch.setattr(bench, "FAULT_BENCH_REQUESTS", 60)
+        replays = {"bare": 0, "armored": 0}
+        replay = ReplayDriver.replay
+
+        def counted(driver, workload, *args, **kwargs):
+            replays["armored" if driver.service.breaker else "bare"] += 1
+            return replay(driver, workload, *args, **kwargs)
+
+        monkeypatch.setattr(ReplayDriver, "replay", counted)
+        metrics = bench.bench_fault_overhead(result, profile)
+        # One warm-up plus ``repeats`` timed replays per side, and no more:
+        # the signatures come from those replays.
+        assert replays == {"bare": 5, "armored": 5}
+        assert metrics["identical_signatures"] == 1.0
+        assert metrics["overhead_ratio"] > 0
 
     def test_unknown_profile_rejected(self):
         from repro.perf import run_bench

@@ -172,9 +172,7 @@ class TestServingProperties:
                 graph, category_graph, tiny_representations, policy,
                 max_path_length=4, max_entity_actions=8, max_category_actions=4,
                 config=InferenceConfig(beam_width=6, expansions_per_beam=2))
-            return RecommendationService(graph, category_graph,
-                                         tiny_representations, policy,
-                                         recommender=recommender,
+            return RecommendationService(recommender,
                                          config=ServingConfig(cache_ttl_seconds=600.0))
 
         users = graph.entities.ids_of_type(EntityType.USER)[:8]

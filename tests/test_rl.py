@@ -14,7 +14,6 @@ from repro.rl import (
     consistency_reward,
     discounted_returns,
     guidance_reward,
-    soft_item_reward,
 )
 from repro.perf.reference import apply_update, policy_gradient_loss
 from repro.rl.trajectory import EntityStep, EpisodeResult, RecommendationPath
@@ -169,10 +168,6 @@ class TestRewards:
     def test_collaborative_rewards_requires_aligned_lengths(self):
         with pytest.raises(ValueError):
             collaborative_rewards(0, 0, guidance=[0.1], consistency=[], alpha_pe=1, alpha_pc=1)
-
-    def test_soft_item_reward_nonnegative(self):
-        assert soft_item_reward(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
-        assert soft_item_reward(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 class TestReinforce:

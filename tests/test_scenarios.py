@@ -61,9 +61,7 @@ def scenario_stack(tiny_kg, tiny_representations):
         serving_kwargs.setdefault("cache_ttl_seconds", 600.0)
         serving_kwargs.setdefault("cache_capacity", 64)
         extra = {"clock": clock} if clock is not None else {}
-        return RecommendationService(graph, category_graph,
-                                     tiny_representations, policy,
-                                     recommender=recommender,
+        return RecommendationService(recommender,
                                      config=ServingConfig(**serving_kwargs),
                                      **extra)
 

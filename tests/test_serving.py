@@ -156,8 +156,7 @@ def serving_stack(tiny_kg, tiny_representations):
                                   max_category_actions=4,
                                   config=InferenceConfig(beam_width=6,
                                                          expansions_per_beam=2))
-    service = RecommendationService(graph, category_graph, tiny_representations, policy,
-                                    recommender=recommender,
+    service = RecommendationService(recommender,
                                     config=ServingConfig(cache_ttl_seconds=600.0))
     users = [builder.user_to_entity(user) for user in range(6)]
     return service, recommender, users, graph
@@ -286,9 +285,9 @@ class TestService:
         clock = FakeClock()
         policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
                                                    mlp_hidden=16, seed=0))
-        service = RecommendationService(graph, category_graph, tiny_representations,
-                                        policy, config=ServingConfig(cache_ttl_seconds=5.0),
-                                        clock=clock)
+        service = RecommendationService(
+            PathRecommender(graph, category_graph, tiny_representations, policy),
+            config=ServingConfig(cache_ttl_seconds=5.0), clock=clock)
         user = builder.user_to_entity(0)
         fresh = service.serve(RecommendationRequest(user_entity=user, top_k=4))
         assert fresh.tier is ServingTier.FULL
@@ -358,9 +357,9 @@ class TestBurstPlan:
         graph, category_graph, _ = tiny_kg
         policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
                                                    mlp_hidden=16, seed=0))
-        return RecommendationService(graph, category_graph, tiny_representations, policy,
-                                     config=ServingConfig(cache_capacity=64),
-                                     clock=FakeClock())
+        return RecommendationService(
+            PathRecommender(graph, category_graph, tiny_representations, policy),
+            config=ServingConfig(cache_capacity=64), clock=FakeClock())
 
     def test_mixed_burst_matches_sequential_serve(self, tiny_kg, tiny_representations):
         graph, _, builder = tiny_kg
@@ -437,9 +436,9 @@ class TestResponseProvenance:
         clock = FakeClock()
         policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
                                                    mlp_hidden=16, seed=0))
-        service = RecommendationService(graph, category_graph, tiny_representations,
-                                        policy, config=ServingConfig(cache_ttl_seconds=5.0),
-                                        clock=clock)
+        service = RecommendationService(
+            PathRecommender(graph, category_graph, tiny_representations, policy),
+            config=ServingConfig(cache_ttl_seconds=5.0), clock=clock)
         user = builder.user_to_entity(1)
         service.serve(RecommendationRequest(user_entity=user, top_k=4))
         clock.advance(6.0)
@@ -488,10 +487,9 @@ class TestFallbackEdgeCases:
         clock = FakeClock()
         policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
                                                    mlp_hidden=16, seed=0))
-        service = RecommendationService(graph, category_graph, tiny_representations,
-                                        policy,
-                                        config=ServingConfig(cache_ttl_seconds=5.0),
-                                        clock=clock)
+        service = RecommendationService(
+            PathRecommender(graph, category_graph, tiny_representations, policy),
+            config=ServingConfig(cache_ttl_seconds=5.0), clock=clock)
         user = builder.user_to_entity(2)
         fresh = service.serve(RecommendationRequest(user_entity=user, top_k=4))
         clock.advance(60.0)                   # far beyond the TTL, still resident
@@ -515,10 +513,9 @@ class TestFallbackEdgeCases:
         clock = FakeClock()
         policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
                                                    mlp_hidden=16, seed=0))
-        service = RecommendationService(graph, category_graph, tiny_representations,
-                                        policy,
-                                        config=ServingConfig(cache_ttl_seconds=5.0),
-                                        clock=clock)
+        service = RecommendationService(
+            PathRecommender(graph, category_graph, tiny_representations, policy),
+            config=ServingConfig(cache_ttl_seconds=5.0), clock=clock)
         user = builder.user_to_entity(3)
         service.serve(RecommendationRequest(user_entity=user, top_k=4))
         clock.advance(6.0)

@@ -48,8 +48,7 @@ def sim_stack(tiny_kg, tiny_representations):
                                                              expansions_per_beam=2))
         serving_kwargs.setdefault("cache_ttl_seconds", 600.0)
         extra = {"clock": clock} if clock is not None else {}
-        return RecommendationService(graph, category_graph, tiny_representations,
-                                     policy, recommender=recommender,
+        return RecommendationService(recommender,
                                      config=ServingConfig(**serving_kwargs), **extra)
 
     cold_standins = tuple(graph.entities.ids_of_type(EntityType.FEATURE)[:3])
