@@ -15,9 +15,32 @@ import numpy as np
 
 from .. import nn
 from ..nn.init import ensure_rng
-from .propagation import GradientSink, bias_grad, input_grad, linear_weight_grad
+from .propagation import GradientSink, input_grad
 
 _MASK_FILL = -1e9
+
+
+class CategoryBuffers:
+    """The ``(I, C, ·)`` arrays one :class:`CategoryAttentionLayer` step writes.
+
+    Reused step after step like
+    :class:`~repro.cggnn.propagation.PropagationBuffers`: ``pair`` goes to
+    the :class:`GradientSink`, so each layer has its own; ``scratch``,
+    ``grad_weighted`` and ``grad_pair`` are done with before the next layer
+    call, so layers may ``share`` them.
+    """
+
+    def __init__(self, category_shape: Tuple[int, int, int],
+                 share: Optional["CategoryBuffers"] = None) -> None:
+        num_items, max_categories, dim = category_shape
+        self.pair = np.empty((num_items, max_categories, 2 * dim))
+        if share is None:
+            self.scratch = np.empty(category_shape)
+            self.grad_weighted = np.empty(category_shape)
+            self.grad_pair = np.empty(self.pair.shape)
+        else:
+            self.scratch, self.grad_weighted = share.scratch, share.grad_weighted
+            self.grad_pair = share.grad_pair
 
 
 class CategoryAttentionLayer(nn.Module):
@@ -41,14 +64,20 @@ class CategoryAttentionLayer(nn.Module):
         """
         return self.forward_traced(item_states, category_states, category_mask)[0]
 
-    def forward_traced(self, item_states, category_states, category_mask
+    def forward_traced(self, item_states, category_states, category_mask,
+                       buffers: Optional[CategoryBuffers] = None
                        ) -> Tuple[np.ndarray, tuple]:
-        """:meth:`forward` plus the activations :meth:`backward` needs."""
+        """:meth:`forward` plus the activations :meth:`backward` needs.
+
+        The activations are written into ``buffers`` (by default a fresh
+        set); the returned context never aliases them.
+        """
+        if buffers is None:
+            buffers = CategoryBuffers(category_states.shape)
         num_items, max_categories, dim = category_states.shape
-        pair = np.concatenate([
-            np.broadcast_to(item_states.reshape(num_items, 1, dim),
-                            (num_items, max_categories, dim)),
-            category_states], axis=-1)
+        pair = buffers.pair
+        pair[..., :dim] = item_states[:, None, :]
+        pair[..., dim:] = category_states
         logits = pair @ self.score_transform.weight.data + self.score_transform.bias.data
         positive = logits > 0
         scores = np.where(positive, logits, self.negative_slope * logits)       # Eq. 8 (I, C, 1)
@@ -63,8 +92,9 @@ class CategoryAttentionLayer(nn.Module):
         normaliser = masked.sum(axis=-1, keepdims=True) + 1e-12
         attention = (masked / normaliser).reshape(num_items, max_categories, 1)
 
-        context = (category_states * attention).sum(axis=1)                    # Eq. 10
-        return context, (pair, positive, exps, exp_sum, masked, normaliser,
+        context = np.multiply(category_states, attention,
+                              out=buffers.scratch).sum(axis=1)                 # Eq. 10
+        return context, (buffers, positive, exps, exp_sum, masked, normaliser,
                          attention, category_states, category_mask)
 
     def backward(self, trace: tuple, grad_context: np.ndarray, gradients: GradientSink
@@ -74,15 +104,17 @@ class CategoryAttentionLayer(nn.Module):
         Returns ``(grad_item_states, grad_weighted, grad_paired)``: the
         category-state gradient arrives through two consumers (the weighted
         sum of Eq. 10 and the pair of Eq. 8), which the caller adds up across
-        layers in the autograd engine's order.
+        layers in the autograd engine's order.  The last two are the shared
+        buffers: the caller must be done with them before the next layer
+        call.
         """
-        (pair, positive, exps, exp_sum, masked, normaliser, attention,
+        (buffers, positive, exps, exp_sum, masked, normaliser, attention,
          category_states, category_mask) = trace
         num_items, max_categories, dim = category_states.shape
         grad = grad_context[:, None, :]
-        grad_weighted = grad * attention
-        grad_attention = (grad * category_states).sum(axis=2).reshape(
-            num_items, max_categories)
+        grad_weighted = np.multiply(grad, attention, out=buffers.grad_weighted)
+        grad_attention = np.multiply(grad, category_states, out=buffers.scratch).sum(
+            axis=2).reshape(num_items, max_categories)
         grad_normaliser = (-grad_attention * masked / (normaliser ** 2)).sum(
             axis=1, keepdims=True)
         grad_masked = grad_attention / normaliser + grad_normaliser
@@ -91,7 +123,8 @@ class CategoryAttentionLayer(nn.Module):
         grad_shifted = (grad_softmax / exp_sum + grad_exp_sum) * exps
         grad_logits = grad_shifted.reshape(num_items, max_categories, 1) * np.where(
             positive, 1.0, self.negative_slope)
-        gradients.put(self.score_transform.bias, bias_grad, grad_logits)
-        gradients.put(self.score_transform.weight, linear_weight_grad, pair, grad_logits)
-        grad_pair = input_grad(grad_logits, self.score_transform.weight.data)
+        gradients.bias(self.score_transform.bias, grad_logits)
+        gradients.weight(self.score_transform.weight, buffers.pair, grad_logits)
+        grad_pair = input_grad(grad_logits, self.score_transform.weight.data,
+                               out=buffers.grad_pair)
         return grad_pair[..., :dim].sum(axis=1), grad_weighted, grad_pair[..., dim:]

@@ -13,7 +13,7 @@ while item neighbours contribute the representation of the previous GNN layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from ..kg.entities import EntityType
 from ..kg.graph import KnowledgeGraph
 from ..kg.relations import Relation, relation_index
 from ..nn import Tensor
-from .category_attention import CategoryAttentionLayer
-from .gating import GatedAggregationLayer
+from .category_attention import CategoryAttentionLayer, CategoryBuffers
+from .gating import GatedAggregationLayer, GatingBuffers
 from .neighbourhood import NeighbourhoodTable, build_neighbourhood_table
-from .propagation import AdaptivePropagationLayer, GradientSink
+from .propagation import AdaptivePropagationLayer, GradientSink, PropagationBuffers
 
 
 @dataclass
@@ -147,44 +147,62 @@ class CGGNN(nn.Module):
         self._purchase_state = self._static_relations[relation_index(Relation.PURCHASE)]
         self._category_gather = table.category_ids.reshape(-1)
         self._gathered_shape = (table.num_items, table.max_neighbors, dim)
+        # The scatter cells of the two gathers' backward passes (constant).
+        self._item_cells = row_cells(self._item_gather, dim)
+        self._category_cells = row_cells(self._category_gather, dim)
 
     # ------------------------------------------------------------------ #
     def forward(self) -> np.ndarray:
         """Return the refined item representation matrix ``(num_items, dim)``."""
         return self.forward_traced()[0]
 
-    def forward_traced(self) -> Tuple[np.ndarray, tuple]:
-        """:meth:`forward` plus the activations :meth:`backward` needs."""
+    def forward_traced(self, buffers: Optional[StepBuffers] = None
+                       ) -> Tuple[np.ndarray, tuple]:
+        """:meth:`forward` plus the activations :meth:`backward` needs.
+
+        The activations are written into ``buffers`` (by default a fresh
+        set); the returned matrix never aliases them.
+        """
         table = self.table
+        buffers = buffers or StepBuffers(self)
         item_states = self.item_embeddings.data
         hops = []
-        if self.config.use_ggnn:
-            for propagation, gating in zip(self.propagation_layers, self.gating_layers):
-                neighbor_states = self._neighbor_states(item_states)
-                message, propagation_trace = propagation.forward_traced(
-                    item_states, neighbor_states, self._relation_states,
-                    self._purchase_state, table.neighbor_mask,
-                    table.neighbor_is_outgoing)
-                item_states, gating_trace = gating.forward_traced(message, item_states)
-                hops.append((propagation_trace, gating_trace))
+        # The buffers hold one set per hop the configuration runs.
+        for propagation, gating, propagation_buffers, gating_buffers in zip(
+                self.propagation_layers, self.gating_layers, buffers.propagation,
+                buffers.gating):
+            neighbor_states = self._neighbor_states(item_states, buffers.neighbor_states)
+            message, propagation_trace = propagation.forward_traced(
+                item_states, neighbor_states, self._relation_states,
+                self._purchase_state, table.neighbor_mask,
+                table.neighbor_is_outgoing, propagation_buffers)
+            item_states, gating_trace = gating.forward_traced(message, item_states,
+                                                              gating_buffers)
+            hops.append((propagation_trace, gating_trace))
 
         category_traces = []
-        if self.config.use_category_attention and self.config.num_category_layers > 0:
-            category_states = self.category_table.data[self._category_gather].reshape(
-                table.num_items, table.max_categories, self.config.embedding_dim)
+        if buffers.category:
+            category_states = buffers.category_states
+            np.take(self.category_table.data, self._category_gather, axis=0, mode="clip",
+                    out=category_states.reshape(-1, self.config.embedding_dim))
             context = item_states
-            for layer in self.category_layers:
+            for layer, layer_buffers in zip(self.category_layers, buffers.category):
                 context, layer_trace = layer.forward_traced(
-                    context, category_states, table.category_mask)
+                    context, category_states, table.category_mask, layer_buffers)
                 category_traces.append(layer_trace)
             item_states = item_states + context * self.config.delta         # Eq. 11
-        return item_states, (hops, category_traces)
+        return item_states, (hops, category_traces, buffers)
 
-    def _neighbor_states(self, item_states: np.ndarray) -> np.ndarray:
-        """Neighbour representations: current item states for item neighbours,
-        static TransE vectors for attributes."""
-        gathered_items = item_states[self._item_gather].reshape(self._gathered_shape)
-        return gathered_items * self._is_item_column + self._static_neighbor_part
+    def _neighbor_states(self, item_states: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Neighbour representations, written into ``out``: current item states
+        for item neighbours, static TransE vectors for attributes."""
+        # mode="clip" lets ``take`` write ``out`` directly (the default mode
+        # buffers it); every index is in range, so the values are the same.
+        gathered_items = np.take(item_states, self._item_gather, axis=0,
+                                 out=out.reshape(-1, self.config.embedding_dim),
+                                 mode="clip")
+        gathered_items *= self._is_item_column.reshape(-1, 1)
+        return np.add(out, self._static_neighbor_part, out=out)
 
     def backward(self, trace: tuple, grad_output: np.ndarray,
                  gradients: GradientSink) -> None:
@@ -198,7 +216,8 @@ class CGGNN(nn.Module):
         up in the autograd engine's order, so the result is bit-identical to
         it.
         """
-        hops, category_traces = trace
+        hops, category_traces, buffers = trace
+        dim = self.config.embedding_dim
         grad_items = grad_output
         if category_traces:
             grad_context = grad_output * self.config.delta
@@ -207,13 +226,16 @@ class CGGNN(nn.Module):
                                           reversed(category_traces)):
                 grad_context, grad_weighted, grad_paired = layer.backward(
                     layer_trace, grad_context, gradients)
-                grad_categories = (grad_weighted if grad_categories is None
-                                   else grad_categories + grad_weighted)
-                grad_categories = grad_categories + grad_paired
+                if grad_categories is None:
+                    grad_categories = np.add(grad_weighted, grad_paired,
+                                             out=buffers.grad_categories)
+                else:
+                    grad_categories += grad_weighted
+                    grad_categories += grad_paired
             grad_items = grad_output + grad_context
-            self.category_table.grad = scatter_rows(
-                self.category_table.data, self._category_gather,
-                grad_categories.reshape(-1, self.config.embedding_dim))
+            self.category_table.grad = scatter_cells(
+                self._category_cells, self.category_table.data.shape[0],
+                grad_categories.reshape(-1, dim))
         for (propagation_trace, gating_trace), propagation, gating in zip(
                 reversed(hops), reversed(self.propagation_layers),
                 reversed(self.gating_layers)):
@@ -221,10 +243,10 @@ class CGGNN(nn.Module):
                                                              gradients)
             grad_from_tile, grad_neighbors = propagation.backward(
                 propagation_trace, grad_message, gradients)
-            grad_gathered = grad_neighbors * self._is_item_column
+            grad_neighbors *= self._is_item_column               # the gather's share
             grad_items = (grad_from_gating
-                          + scatter_rows(self.item_embeddings.data, self._item_gather,
-                                          grad_gathered.reshape(-1, self.config.embedding_dim))
+                          + scatter_cells(self._item_cells, self.table.num_items,
+                                          grad_neighbors.reshape(-1, dim))
                           + grad_from_tile)
         self.item_embeddings.grad = grad_items.copy()
 
@@ -249,15 +271,55 @@ class CGGNN(nn.Module):
         )
 
 
-def scatter_rows(like: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """The gradient of ``like[rows]``: ``grad`` scatter-added in index order.
+class StepBuffers:
+    """The step-sized arrays of one :class:`CGGNN`'s forward and backward.
 
-    ``np.bincount`` over flattened ``(row, column)`` cells adds each cell's
-    contributions one by one in ``rows`` order onto 0.0 — exactly the
-    sequence ``np.add.at`` (the autograd gather's backward) performs, at a
-    fraction of its cost.
+    :meth:`CGGNN.forward_traced` writes into them; a training run builds one
+    set and hands it to every step, and drops it when it ends.  One :class:`PropagationBuffers` and one
+    :class:`GatingBuffers` per GGNN hop and one :class:`CategoryBuffers` per
+    attention hop (each kind sharing its within-call scratch), plus the
+    gathered neighbour and category states.
     """
-    num_rows, dim = like.shape
-    cells = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+
+    def __init__(self, model: CGGNN) -> None:
+        config, table = model.config, model.table
+        category_shape = (table.num_items, table.max_categories, config.embedding_dim)
+        self.neighbor_states = np.empty(model._gathered_shape)
+        self.category_states = np.empty(category_shape)
+        self.grad_categories = np.empty(category_shape)
+        self.propagation: List[PropagationBuffers] = []
+        self.gating: List[GatingBuffers] = []
+        self.category: List[CategoryBuffers] = []
+        for _ in (model.propagation_layers if config.use_ggnn else ()):
+            self.propagation.append(PropagationBuffers(
+                model._relation_states, model._purchase_state,
+                share=self.propagation[0] if self.propagation else None))
+            self.gating.append(GatingBuffers(
+                (table.num_items, config.embedding_dim),
+                share=self.gating[0] if self.gating else None))
+        for _ in (model.category_layers if config.use_category_attention else ()):
+            self.category.append(CategoryBuffers(
+                category_shape, share=self.category[0] if self.category else None))
+
+
+def row_cells(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The flat ``(row, column)`` cell of every element of ``table[rows]``."""
+    return (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+
+
+def scatter_cells(cells: np.ndarray, num_rows: int, grad: np.ndarray) -> np.ndarray:
+    """``grad`` scatter-added onto a zero ``(num_rows, d)`` table at ``cells``.
+
+    ``np.bincount`` adds each cell's contributions one by one in ``cells``
+    order onto 0.0 — exactly the sequence ``np.add.at`` (the autograd
+    gather's backward) performs, at a fraction of its cost.
+    """
+    dim = grad.shape[-1]
     return np.bincount(cells, weights=grad.reshape(-1),
                        minlength=num_rows * dim).reshape(num_rows, dim)
+
+
+def scatter_rows(like: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient of ``like[rows]``: ``grad`` scatter-added in index order."""
+    num_rows, dim = like.shape
+    return scatter_cells(row_cells(rows, dim), num_rows, grad)

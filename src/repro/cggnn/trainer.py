@@ -20,9 +20,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import nn
+from ..blas import blas_threads
 from ..kg.graph import KnowledgeGraph
 from ..kg.relations import Relation
-from .model import CGGNN, Representations, scatter_rows
+from .model import CGGNN, Representations, StepBuffers, scatter_rows
 from .propagation import GradientSink
 
 
@@ -67,6 +68,9 @@ class CGGNNTrainer:
         # sink for its whole run, on a worker thread the call creates and
         # shuts down; outside it each step computes them inline.
         self._gradients: Optional[GradientSink] = None
+        # The arrays every step of :meth:`train` writes into (one set per
+        # run); outside it each step allocates its own.
+        self._buffers: Optional[StepBuffers] = None
 
     def _collect_purchase_pairs(self) -> np.ndarray:
         """(user_entity, item_row) pairs for every training purchase edge."""
@@ -84,7 +88,11 @@ class CGGNNTrainer:
         """Run the optimisation; returns per-epoch mean BPR loss.
 
         The layers' weight gradients run on a worker thread this call owns,
-        beside the input-gradient chain (see :class:`GradientSink`).
+        beside the input-gradient chain (see :class:`GradientSink`), every
+        step writes its activations into one set of buffers
+        (:class:`~repro.cggnn.model.StepBuffers`), and OpenBLAS runs on one
+        thread.  The worker and the buffers are gone when it returns, and
+        the previous BLAS thread count is back, also when it raises.
         """
         if len(self._pairs) == 0 or self.config.epochs == 0:
             return []
@@ -92,13 +100,18 @@ class CGGNNTrainer:
         # boot, the CLI) should not pay at start-up.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix="cggnn-weight-grads") as executor:
+        # The worker and this thread already fill two cores; OpenBLAS
+        # threads on top of them only contend.  The count does not change
+        # bits: OpenBLAS threads a GEMM by splitting its output, not its
+        # inner sum, and the paper arrays are byte-equal on one and two.
+        with blas_threads(1), ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="cggnn-weight-grads") as executor:
             self._gradients = GradientSink(executor)
+            self._buffers = StepBuffers(self.model)
             try:
                 return self._optimise()
             finally:
-                self._gradients = None
+                self._gradients = self._buffers = None
 
     def _optimise(self) -> List[float]:
         rng = np.random.default_rng(self.config.seed)
@@ -134,7 +147,7 @@ class CGGNNTrainer:
         gradients are bit-identical to the reference trainer's.  Every
         gradient is in place when this returns, wherever it was computed.
         """
-        item_matrix, trace = self.model.forward_traced()
+        item_matrix, trace = self.model.forward_traced(self._buffers)
         # Translated user query u + r_purchase; users keep their TransE vectors.
         query = self.model._static_entities[users] + self.model._purchase_state  # (B, d)
         positive_diff = query - item_matrix[positives]

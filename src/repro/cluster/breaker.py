@@ -22,7 +22,7 @@ forwarded to an optional listener, e.g. the fault ledger).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 CLOSED = "closed"

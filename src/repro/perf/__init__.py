@@ -6,6 +6,7 @@ implementations (and the autograd DARL episode and CGGNN step) that serve as
 equivalence oracles and in-run baselines.
 """
 
+from ..blas import set_blas_threads
 from .bench import (
     GATED_METRICS,
     PROFILES,
@@ -17,7 +18,6 @@ from .bench import (
     load_baseline,
     render_report,
     run_bench,
-    set_blas_threads,
     write_bench_json,
 )
 from .reference import (

@@ -31,18 +31,17 @@ by construction, unlike raw QPS.  Results land in ``BENCH_<timestamp>.json``;
 :func:`compare_with_baseline` flags any gated ratio that fell more than the
 threshold below the committed baseline.  The document's ``meta`` block
 fingerprints the stack it measured, BLAS library and thread count included;
-``python -m repro bench`` pins BLAS to one thread (:func:`set_blas_threads`)
-before it builds anything, since a two-thread OpenBLAS made the serving
-ratios bimodal from run to run.
+``python -m repro bench`` pins BLAS to one thread
+(:func:`repro.blas.set_blas_threads`) before it builds anything, since a
+two-thread OpenBLAS made the serving ratios bimodal from run to run.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
 import platform
+import resource
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -52,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..blas import blas_fingerprint
 from ..cggnn import CGGNN, CGGNNTrainer
 from ..darl.model import CADRLConfig
 from ..darl.trainer import DARLTrainer
@@ -222,12 +222,16 @@ def bench_cggnn_train(result: PipelineResult, profile: BenchProfile) -> Dict[str
     Both sides train a fresh CGGNN of the stack's own configuration on the
     stack's graph and TransE tables, from the same seed, so they must end
     with bit-identical weights and loss histories; ``identical_weights``
-    records whether they did.
+    records whether they did.  ``fused_minor_faults_per_step`` (ungated) is
+    the process's minor page faults over every fused run, per optimiser
+    step: memory the step hands back to the heap and faults in again shows
+    here, beside the wall time it costs.
     """
     model_config = result.config.model.cggnn
     config = replace(result.config.model.cggnn_training, epochs=CGGNN_BENCH_EPOCHS)
     graph, transe = result.graph, result.transe
     outcome: Dict[type, Tuple[List[float], Dict[str, np.ndarray], int]] = {}
+    fused_faults = {"faults": 0, "runs": 0}
 
     def training(trainer_type: type) -> Callable[[], None]:
         def run() -> None:
@@ -236,8 +240,14 @@ def bench_cggnn_train(result: PipelineResult, profile: BenchProfile) -> Dict[str
                                      len(trainer._pairs))
         return run
 
-    fused, reference = _median_ab(training(CGGNNTrainer), training(ReferenceCGGNNTrainer),
-                                  profile.repeats)
+    def fused() -> None:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        training(CGGNNTrainer)()
+        fused_faults["faults"] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        fused_faults["runs"] += 1
+
+    fused_s, reference_s = _median_ab(fused, training(ReferenceCGGNNTrainer),
+                                      profile.repeats)
     fused_losses, fused_weights, pairs = outcome[CGGNNTrainer]
     reference_losses, reference_weights, _ = outcome[ReferenceCGGNNTrainer]
     steps = config.epochs * -(-pairs // config.batch_size)
@@ -246,10 +256,11 @@ def bench_cggnn_train(result: PipelineResult, profile: BenchProfile) -> Dict[str
                  and all(np.array_equal(array, reference_weights[name])
                          for name, array in fused_weights.items()))
     return {
-        "fused_steps_per_s": steps / fused,
-        "reference_steps_per_s": steps / reference,
-        "speedup": reference / fused,
+        "fused_steps_per_s": steps / fused_s,
+        "reference_steps_per_s": steps / reference_s,
+        "speedup": reference_s / fused_s,
         "identical_weights": float(identical),
+        "fused_minor_faults_per_step": fused_faults["faults"] / (fused_faults["runs"] * steps),
         "steps": float(steps),
     }
 
@@ -405,50 +416,6 @@ def bench_fault_overhead(result: PipelineResult,
         "identical_signatures": float(
             len({run.signature() for run in replays}) == 1),
     }
-
-
-# --------------------------------------------------------------------------- #
-# BLAS threading
-# --------------------------------------------------------------------------- #
-@functools.lru_cache(maxsize=None)
-def _openblas() -> Optional[ctypes.CDLL]:
-    """numpy's bundled scipy-openblas, or ``None`` when numpy links another BLAS."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            library = ctypes.CDLL(str(path))
-            set_threads = library.scipy_openblas_set_num_threads64_
-            get_threads = library.scipy_openblas_get_num_threads64_
-            get_config = library.scipy_openblas_get_config64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-        return library
-    return None
-
-
-def set_blas_threads(threads: int) -> bool:
-    """Pin numpy's OpenBLAS to ``threads`` threads; ``False`` if it cannot be reached."""
-    library = _openblas()
-    if library is None:
-        return False
-    library.scipy_openblas_set_num_threads64_(threads)
-    return True
-
-
-def blas_fingerprint() -> Dict[str, object]:
-    """The BLAS library numpy runs on and its current thread count.
-
-    Both are ``None`` when numpy does not bundle scipy-openblas (another
-    BLAS, or an older wheel): the run is then not pinned either.
-    """
-    library = _openblas()
-    if library is None:
-        return {"blas": None, "blas_threads": None}
-    return {"blas": library.scipy_openblas_get_config64_().decode().strip(),
-            "blas_threads": int(library.scipy_openblas_get_num_threads64_())}
 
 
 # --------------------------------------------------------------------------- #
@@ -629,6 +596,7 @@ def render_report(document: Dict) -> str:
         f"  cggnn train {cggnn['fused_steps_per_s']:7.1f} steps/s "
         f"(reference {cggnn['reference_steps_per_s']:.1f}, "
         f"speedup {cggnn['speedup']:.2f}x, "
+        f"{cggnn['fused_minor_faults_per_step']:.0f} minor faults/step, "
         f"{'identical weights' if cggnn['identical_weights'] else 'WEIGHTS DIVERGED'})",
         f"  beam cold  {metrics['beam_cold']['vectorised_qps']:8.1f} QPS "
         f"(reference {metrics['beam_cold']['reference_qps']:.1f}, "

@@ -15,6 +15,7 @@ The headline guarantees under test:
 
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -340,6 +341,11 @@ def _replay(cluster_or_service, workload, clock):
 
 
 class TestClusterService:
+    def test_shadow_key_annotations_resolve(self):
+        """Every name in the fault-shadow annotations is imported (pyflakes F821)."""
+        hints = typing.get_type_hints(ClusterService._shadow_key)
+        assert hints["return"] == typing.Tuple[int, int, typing.Tuple[int, ...]]
+
     @pytest.fixture(scope="class")
     def workload(self, cluster_stack):
         _, _, population, graph = cluster_stack

@@ -17,7 +17,6 @@ The headline guarantees under test:
 """
 
 import dataclasses
-import json
 
 import pytest
 
@@ -45,7 +44,6 @@ from repro.faults import (
     TornLogFault,
     chaos_plan,
 )
-from repro.kg.entities import EntityType
 from repro.live import TornLogError, UpdateLog, synthesize_deltas
 from repro.pipeline import ArtifactError, ArtifactStore
 from repro.serving import RecommendationService, ServingConfig, ServingTier

@@ -14,7 +14,10 @@ autograd reference exactly.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +31,7 @@ from repro.baselines.rl_single import (
     PGPRRecommender,
     UCPRRecommender,
 )
+from repro.blas import blas_fingerprint, blas_threads
 from repro.cggnn import (
     CGGNN,
     CGGNNConfig,
@@ -37,6 +41,7 @@ from repro.cggnn import (
     warm_start_cggnn,
 )
 from repro.cggnn import propagation
+from repro.cggnn.model import StepBuffers
 from repro.cggnn.propagation import GradientSink
 from repro.darl.collaborative import GuidanceModel
 from repro.darl.inference import InferenceConfig, PathRecommender
@@ -448,6 +453,114 @@ class TestCGGNNTrainingEquivalence:
         assert created  # the counter does see the autograd step's tensors
 
 
+def _step_arrays(trace):
+    """The buffer-held activations of one fused CGGNN step's trace."""
+    hops, category_traces, _ = trace
+    arrays = []
+    for propagation_trace, gating_trace in hops:
+        layer, gate = propagation_trace[0], gating_trace[0]
+        arrays += [layer.triplet_input, layer.triplet_repr, layer.interaction,
+                   layer.messages, layer.grad_hidden, gate.update_gate, gate.candidate,
+                   gate.grad_update_logit]
+    arrays += [layer_trace[0].pair for layer_trace in category_traces]
+    return arrays
+
+
+def _record_traces(model, record):
+    """Wrap ``model.backward`` so every step's trace goes to ``record``."""
+    backward = model.backward
+
+    def recording(trace, grad_output, gradients):
+        record(trace)
+        return backward(trace, grad_output, gradients)
+
+    model.backward = recording
+
+
+class TestCGGNNStepBuffers:
+    """The fused step's reused buffers: shared across steps, gone after train()."""
+
+    def _steps(self, trainer, count):
+        rng = np.random.default_rng(5)
+        for _ in range(count):
+            batch = trainer._pairs[rng.permutation(len(trainer._pairs))[:48]]
+            negatives = rng.integers(0, trainer.model.table.num_items, size=(48, 2))
+            trainer._loss_and_gradients(batch[:, 0], batch[:, 1], negatives)
+
+    def test_consecutive_steps_write_into_the_same_buffers(self, tiny_kg, tiny_transe):
+        fused, _ = _cggnn_pair(tiny_kg, tiny_transe, "deep")
+        traces = []
+        _record_traces(fused.model, traces.append)
+        fused._buffers = StepBuffers(fused.model)
+        self._steps(fused, 2)
+        first, second = (_step_arrays(trace) for trace in traces)
+        assert len(first) == 3 * 8 + 2
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
+        # Without a run's buffers every step allocates its own.
+        fused._buffers = None
+        traces.clear()
+        self._steps(fused, 2)
+        first, second = (_step_arrays(trace) for trace in traces)
+        assert not any(np.shares_memory(a, b) for a, b in zip(first, second))
+
+    def test_no_buffer_outlives_train(self, tiny_kg, tiny_transe):
+        fused, reference = _cggnn_pair(tiny_kg, tiny_transe, "default", seed=3)
+        first, reused = [], []
+
+        def record(trace):
+            held = _step_arrays(trace) + [trace[2], fused._gradients]
+            if not first:
+                first.extend(weakref.ref(item) for item in held)
+            # Every step of the run writes into the first step's arrays ...
+            reused.append(all(ref() is item for ref, item in zip(first, held)))
+
+        _record_traces(fused.model, record)
+        assert fused.train() == reference.train()
+        assert len(reused) > 2 and all(reused)
+        assert fused._buffers is None and fused._gradients is None
+        gc.collect()
+        # ... and none of them, nor the sink, is left once train() returns.
+        assert all(ref() is None for ref in first)
+
+    def test_exported_tables_do_not_alias_the_buffers(self, tiny_kg, tiny_transe):
+        fused, _ = _cggnn_pair(tiny_kg, tiny_transe, "default", seed=5)
+        fused.train()
+        tables, matrix = fused.export(), fused.model.forward()
+        saved = [array.copy() for array in (tables.entity, tables.relation,
+                                            tables.category, matrix)]
+        fused._buffers = StepBuffers(fused.model)
+        self._steps(fused, 1)
+        fused.train()
+        for before, after in zip(saved, (tables.entity, tables.relation,
+                                         tables.category, matrix)):
+            assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_train_holds_blas_at_one_thread_and_restores_it(self, tiny_kg, tiny_transe,
+                                                            fails, monkeypatch):
+        if blas_fingerprint()["blas"] is None:
+            pytest.skip("numpy does not bundle scipy-openblas")
+        fused, _ = _cggnn_pair(tiny_kg, tiny_transe, "default")
+        inside = []
+
+        def optimise():
+            inside.append(blas_fingerprint()["blas_threads"])
+            if fails:
+                raise RuntimeError("step failed")
+            return [0.0]
+
+        monkeypatch.setattr(fused, "_optimise", optimise)
+        with blas_threads(2):
+            if fails:
+                with pytest.raises(RuntimeError, match="step failed"):
+                    fused.train()
+            else:
+                assert fused.train() == [0.0]
+            assert blas_fingerprint()["blas_threads"] == 2
+        assert inside == [1]
+        assert fused._buffers is None and fused._gradients is None
+
+
 # --------------------------------------------------------------------------- #
 # numpy single-agent baselines ≡ autograd reference, bit for bit
 # --------------------------------------------------------------------------- #
@@ -656,6 +769,33 @@ class TestTrainingKernelEquivalence:
                 marginal += weight * distribution
             expected = 1.0 / (1.0 + np.exp(-kl_divergence(conditional, marginal)))
             assert guidance_reward(conditional, counterfactuals, weights) == expected
+
+    @pytest.mark.parametrize("threads", [1, os.cpu_count() or 1])
+    def test_input_grad_layouts_equal_the_batched_product(self, threads):
+        """At the paper shapes (I=240, N=10, C=4, d=32), the flat ``[:2d]``
+        triplet input gradient and the K = 1 broadcasts are byte-equal to the
+        batched ``grad @ W.T`` (sliced) the engine computes, on one BLAS
+        thread and on one per core, and the square d×d case is that batched
+        product.  A BLAS build that rounds the flattened GEMM differently
+        fails here."""
+        rng = np.random.default_rng(threads)
+        items, neighbours, categories, dim = 240, 10, 4, 32
+        grad = rng.normal(size=(items, neighbours, dim))
+        triplet_weight = rng.normal(size=(4 * dim, dim))
+        square_weight = rng.normal(size=(dim, dim))
+        logits = [(rng.normal(size=(items, neighbours, 1)), rng.normal(size=(dim, 1))),
+                  (rng.normal(size=(items, categories, 1)), rng.normal(size=(2 * dim, 1)))]
+        before = blas_fingerprint()
+        with blas_threads(threads):
+            batched = (grad @ np.swapaxes(triplet_weight, -1, -2))[..., :2 * dim]
+            assert np.array_equal(propagation.input_grad(grad, triplet_weight[:2 * dim]),
+                                  batched)
+            for logit_grad, weight in logits:
+                assert np.array_equal(propagation.input_grad(logit_grad, weight),
+                                      logit_grad @ np.swapaxes(weight, -1, -2))
+            assert np.array_equal(propagation.input_grad(grad, square_weight),
+                                  grad @ np.swapaxes(square_weight, -1, -2))
+        assert blas_fingerprint() == before
 
     @pytest.mark.parametrize("block_bytes", [1, 3000, 1 << 20])
     def test_blocked_weight_gradient_equals_the_one_shot_sum(self, block_bytes,
@@ -899,7 +1039,7 @@ class TestBenchHarness:
         assert compare_with_baseline(baseline, baseline, threshold=0.30) == []
 
     def test_blas_threads_can_be_pinned_and_fingerprinted(self):
-        from repro.perf.bench import blas_fingerprint, set_blas_threads
+        from repro.blas import set_blas_threads
 
         before = blas_fingerprint()
         if before["blas"] is None:
@@ -1003,7 +1143,8 @@ def _full_bench_document(transe_speedup=3.0):
                            "identical_weights": 1.0},
             "cggnn_train": {"fused_steps_per_s": 18.0,
                             "reference_steps_per_s": 10.0, "speedup": 1.8,
-                            "identical_weights": 1.0},
+                            "identical_weights": 1.0,
+                            "fused_minor_faults_per_step": 3.0},
             "beam_cold": {"vectorised_qps": 60.0, "reference_qps": 10.0,
                           "speedup": 6.0},
             "beam_warm": {"vectorised_qps": 70.0, "reference_qps": 10.0,
@@ -1043,6 +1184,8 @@ class TestBenchEndToEnd:
         assert metrics["darl_train"]["identical_weights"] == 1.0
         assert metrics["cggnn_train"]["speedup"] > 0
         assert metrics["cggnn_train"]["identical_weights"] == 1.0
+        assert metrics["cggnn_train"]["fused_minor_faults_per_step"] >= 0
+        assert "cggnn_train.fused_minor_faults_per_step" not in document["gated"]
         for gated in ("darl_train.speedup", "darl_train.identical_weights",
                       "cggnn_train.speedup", "cggnn_train.identical_weights"):
             assert gated in document["gated"]

@@ -1,7 +1,6 @@
 """Tests for the unified pipeline API, artifact persistence and the CLI."""
 
 import inspect
-import json
 
 import numpy as np
 import pytest
