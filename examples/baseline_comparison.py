@@ -6,7 +6,7 @@ Run with:  python examples/baseline_comparison.py
 from repro.baselines import SingleAgentConfig, build_baseline
 from repro.darl import CADRL, CADRLConfig
 from repro.data import load_dataset, split_interactions
-from repro.eval import compare_models, evaluate_recommender
+from repro.eval import compare_models
 
 BASELINES = ["Popularity", "CKE", "RippleNet", "HeteroEmbed", "PGPR", "CAFE", "UCPR"]
 RL_BASELINES = {"PGPR", "UCPR"}

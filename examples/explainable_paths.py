@@ -11,7 +11,6 @@ from repro.baselines import SingleAgentConfig, build_baseline
 from repro.darl import CADRL, CADRLConfig
 from repro.data import load_dataset, split_interactions
 from repro.eval.explanations import (
-    categories_along_path,
     explain_recommendations,
     fraction_beyond_three_hops,
     render_path,

@@ -16,6 +16,8 @@ NAN001  measurement-like functions return NaN for the undefined case, not 0.0
 MUT001  no mutable default arguments
 EXC001  no bare/overbroad ``except`` without re-raise
 SIG001  signature/fingerprint/ledger code must not iterate unordered sets
+IMP001  unused import outside ``__init__.py`` (ruff F401)
+IMP002  ``typing`` name used in an annotation but never imported (ruff F821)
 ======  =====================================================================
 
 Suppress one finding inline with ``# repro: ignore[RULE] reason`` (same line

@@ -12,6 +12,7 @@ from .base import BaseRule, Rule
 from .clock import DEFAULT_CLOCK_ALLOWLIST, WallClockRule
 from .conventions import MutableDefaultRule, NaNMeasurementRule, OverbroadExceptRule
 from .determinism import OrderedSignatureRule, SeededRandomnessRule
+from .imports import UnimportedTypingNameRule, UnusedImportRule
 
 RULE_CLASSES = (
     SeededRandomnessRule,    # DET001
@@ -20,6 +21,8 @@ RULE_CLASSES = (
     MutableDefaultRule,      # MUT001
     OverbroadExceptRule,     # EXC001
     OrderedSignatureRule,    # SIG001
+    UnusedImportRule,        # IMP001
+    UnimportedTypingNameRule,  # IMP002
 )
 
 
@@ -44,6 +47,8 @@ __all__ = [
     "RULE_CLASSES",
     "Rule",
     "SeededRandomnessRule",
+    "UnimportedTypingNameRule",
+    "UnusedImportRule",
     "WallClockRule",
     "default_rules",
     "rule_table",

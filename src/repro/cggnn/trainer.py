@@ -22,7 +22,7 @@ import numpy as np
 from .. import nn
 from ..blas import blas_threads
 from ..kg.graph import KnowledgeGraph
-from ..kg.relations import Relation
+from ..kg.relations import Relation, relation_index
 from .model import CGGNN, Representations, StepBuffers, scatter_rows
 from .propagation import GradientSink
 
@@ -73,15 +73,20 @@ class CGGNNTrainer:
         self._buffers: Optional[StepBuffers] = None
 
     def _collect_purchase_pairs(self) -> np.ndarray:
-        """(user_entity, item_row) pairs for every training purchase edge."""
-        pairs: List[Tuple[int, int]] = []
-        position = self.model.table.item_position
-        for triplet in self.graph.triplets():
-            if triplet.relation != Relation.PURCHASE:
-                continue
-            if triplet.tail in position:
-                pairs.append((triplet.head, position[triplet.tail]))
-        return np.array(pairs, dtype=np.int64) if pairs else np.zeros((0, 2), dtype=np.int64)
+        """(user_entity, item_row) pairs for every training purchase edge.
+
+        Rows follow the graph's edge order; purchases of items outside the
+        model's table are skipped.
+        """
+        triplets = self.graph.adjacency().triplets
+        purchases = triplets[triplets[:, 1] == relation_index(Relation.PURCHASE)]
+        item_ids = self.model.table.item_ids
+        item_row = np.full(self.graph.num_entities, -1, dtype=np.int64)
+        inside = item_ids < len(item_row)
+        item_row[item_ids[inside]] = np.flatnonzero(inside)
+        rows = item_row[purchases[:, 2]]
+        kept = rows >= 0
+        return np.stack([purchases[kept, 0], rows[kept]], axis=1)
 
     # ------------------------------------------------------------------ #
     def train(self) -> List[float]:

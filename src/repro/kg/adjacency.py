@@ -17,22 +17,26 @@ every hot query becomes an array slice or gather:
 * ``triplets`` is the ``(num_edges, 3)`` ``[head, relation, tail]`` table the
   TransE trainer consumes directly.
 
-Compilation is cheap (one pass over the edges) and cached on the graph via
-:meth:`KnowledgeGraph.adjacency`; any mutation of the graph bumps its version
-counter and invalidates the cached view.
+Compilation is cheap and cached on the graph via
+:meth:`KnowledgeGraph.adjacency`: the triplet table is read off the graph's
+insertion-ordered edge store in bulk, and one stable sort of its head column
+groups the edges into rows without reordering any row.  Any mutation of the
+graph bumps its version counter and invalidates the cached view.
 
 For *streaming* updates a full recompile is wasteful: a burst of new
 interactions touches a handful of entity rows while the rest of the CSR arrays
 is unchanged.  :func:`patch_adjacency` therefore delta-rebuilds only the dirty
 rows — clean row spans are bulk-copied from the previous view, the append-only
 triplet table is extended in place, and the result is element-identical to a
-full :func:`compile_adjacency` (the full compile is kept, verbatim, as the
-equivalence oracle for the property suite).
+full :func:`compile_adjacency` (the full compile is the equivalence oracle
+for the property suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
@@ -84,50 +88,52 @@ class CSRAdjacency:
 
 
 def compile_adjacency(graph: "KnowledgeGraph") -> CSRAdjacency:
-    """One-pass flattening of ``graph`` into a :class:`CSRAdjacency`.
+    """Flatten ``graph`` into a :class:`CSRAdjacency` with whole-array passes.
 
     Edge order within each entity matches ``graph.outgoing(entity)`` exactly,
     which is what lets the vectorised pruning return identical action sets to
-    the list-based implementation.
+    the list-based implementation: both are the graph's insertion order
+    restricted to one head, and a stable sort by head keeps it.
     """
     num_entities = graph.num_entities
-    counts = np.zeros(num_entities, dtype=np.int64)
-    outgoing = graph._outgoing
-    for entity_id, edges in outgoing.items():
-        counts[entity_id] = len(edges)
-    indptr = np.zeros(num_entities + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-
-    num_edges = int(indptr[-1])
-    relations = np.zeros(num_edges, dtype=np.int32)
-    targets = np.zeros(num_edges, dtype=np.int32)
-    for entity_id, edges in outgoing.items():
-        start = indptr[entity_id]
-        for offset, (relation, target) in enumerate(edges):
-            relations[start + offset] = relation_index(relation)
-            targets[start + offset] = target
-
-    entity_category = np.full(num_entities, -1, dtype=np.int32)
-    for item_id, category in graph._item_category.items():
-        entity_category[item_id] = category
-
-    is_item = np.zeros(num_entities, dtype=bool)
-    for item_id in graph.entities.ids_of_type(EntityType.ITEM):
-        is_item[item_id] = True
-
     # The triplet table preserves *global* insertion order (the order of
     # ``graph.triplets()``): the TransE trainer permutes row indices, so the
     # row order is part of the reproducible training trajectory.
-    triplets = np.empty((num_edges, 3), dtype=np.int64)
-    for row, triplet in enumerate(graph._triplets):
-        triplets[row, 0] = triplet.head
-        triplets[row, 1] = relation_index(triplet.relation)
-        triplets[row, 2] = triplet.tail
+    triplets = _edge_rows(graph)
+    heads = triplets[:, 0]
+    indptr = np.zeros(num_entities + 1, dtype=np.int32)
+    np.cumsum(np.bincount(heads, minlength=num_entities), out=indptr[1:])
+    by_head = np.argsort(heads, kind="stable")
 
-    return CSRAdjacency(indptr=indptr, relations=relations, targets=targets,
+    entity_category = np.full(num_entities, -1, dtype=np.int32)
+    item_category = graph._item_category
+    entity_category[np.fromiter(item_category, np.int64, len(item_category))] = \
+        np.fromiter(item_category.values(), np.int64, len(item_category))
+    is_item = np.zeros(num_entities, dtype=bool)
+    is_item[np.array(graph.entities.ids_of_type(EntityType.ITEM), dtype=np.int64)] = True
+
+    return CSRAdjacency(indptr=indptr,
+                        relations=triplets[by_head, 1].astype(np.int32),
+                        targets=triplets[by_head, 2].astype(np.int32),
                         degrees=np.diff(indptr).astype(np.int32),
                         entity_category=entity_category, is_item=is_item,
                         triplets=triplets)
+
+
+def _edge_rows(graph: "KnowledgeGraph", start: int = 0) -> np.ndarray:
+    """``[head, relation_index, tail]`` rows of the graph's edges from ``start`` on.
+
+    Rows follow insertion order, so ``_edge_rows(graph)`` is the compiled
+    triplet table and ``_edge_rows(graph, n)`` is what was appended after
+    its first ``n`` rows.
+    """
+    edges = graph._edges
+    count = len(edges) - start
+    rows = np.empty((count, 3), dtype=np.int64)
+    rows[:, 0] = np.fromiter(map(itemgetter(0), islice(edges, start, None)), np.int64, count)
+    rows[:, 1] = np.fromiter(islice(edges.values(), start, None), np.int64, count)
+    rows[:, 2] = np.fromiter(map(itemgetter(2), islice(edges, start, None)), np.int64, count)
+    return rows
 
 
 def patch_adjacency(old: CSRAdjacency, graph: "KnowledgeGraph",
@@ -145,13 +151,13 @@ def patch_adjacency(old: CSRAdjacency, graph: "KnowledgeGraph",
     The result is element-identical to ``compile_adjacency(graph)``: dirty
     rows are rebuilt from the dict-of-lists source of truth in insertion
     order, clean row spans between consecutive dirty entities are copied as
-    single array slices, and new triplet rows are appended in global
-    insertion order.
+    single array slices, and the new triplet rows are read off the graph's
+    edge store in global insertion order.
     """
     num_entities = graph.num_entities
     old_entities = old.num_entities
-    all_triplets = graph._triplets
-    if num_entities < old_entities or len(all_triplets) < old.num_edges:
+    total_edges = graph.num_triplets
+    if num_entities < old_entities or total_edges < old.num_edges:
         raise ValueError("patch_adjacency requires an append-only graph history")
     outgoing = graph._outgoing
     dirty = sorted(entity for entity in dirty_entities if entity < old_entities)
@@ -165,9 +171,9 @@ def patch_adjacency(old: CSRAdjacency, graph: "KnowledgeGraph",
     indptr = np.zeros(num_entities + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     num_edges = int(indptr[-1])
-    if num_edges != len(all_triplets):
+    if num_edges != total_edges:
         raise ValueError("dirty-entity set is incomplete: edge totals disagree "
-                         f"({num_edges} CSR edges vs {len(all_triplets)} triplets)")
+                         f"({num_edges} CSR edges vs {total_edges} triplets)")
 
     relations = np.zeros(num_edges, dtype=np.int32)
     targets = np.zeros(num_edges, dtype=np.int32)
@@ -211,11 +217,7 @@ def patch_adjacency(old: CSRAdjacency, graph: "KnowledgeGraph",
 
     triplets = np.empty((num_edges, 3), dtype=np.int64)
     triplets[:old.num_edges] = old.triplets
-    for row in range(old.num_edges, num_edges):
-        triplet = all_triplets[row]
-        triplets[row, 0] = triplet.head
-        triplets[row, 1] = relation_index(triplet.relation)
-        triplets[row, 2] = triplet.tail
+    triplets[old.num_edges:] = _edge_rows(graph, old.num_edges)
 
     return CSRAdjacency(indptr=indptr, relations=relations, targets=targets,
                         degrees=np.diff(indptr).astype(np.int32),

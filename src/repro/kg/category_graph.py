@@ -13,9 +13,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
+
 from .entities import EntityType
 from .graph import KnowledgeGraph
-from .relations import Relation
+from .relations import NUM_RELATIONS, Relation, relation_from_index
 
 
 class CategoryGraph:
@@ -34,28 +36,40 @@ class CategoryGraph:
     @classmethod
     def from_knowledge_graph(cls, graph: KnowledgeGraph) -> "CategoryGraph":
         """Build ``Gc`` by projecting every item↔item (and item↔attribute↔item)
-        edge of the KG onto the category assignment of its endpoints."""
+        edge of the KG onto the category assignment of its endpoints.
+
+        Reads the graph's compiled view: its triplet table and
+        ``entity_category`` give each edge's endpoint categories, and each
+        distinct projected edge is added once.
+        """
         category_graph = cls(graph.num_categories)
-        item_category = graph.item_category_map()
-        for triplet in graph.triplets():
-            head_category = item_category.get(triplet.head)
-            tail_category = item_category.get(triplet.tail)
-            if head_category is None or tail_category is None:
-                continue
-            category_graph.add_edge(head_category, tail_category, triplet.relation)
+        adjacency = graph.adjacency()
+        heads, relations, tails = adjacency.triplets.T
+        category = adjacency.entity_category.astype(np.int64)
+        head_category, tail_category = category[heads], category[tails]
+        width = int(category.max(initial=-1)) + 1
+        projected = (head_category >= 0) & (tail_category >= 0)
+        # One integer per (source, target, relation), so one 1-D unique
+        # finds the distinct projected edges.
+        codes = np.unique((head_category[projected] * width + tail_category[projected])
+                          * NUM_RELATIONS + relations[projected])
+        for code in codes.tolist():
+            pair, relation = divmod(code, NUM_RELATIONS)
+            source, target = divmod(pair, width)
+            category_graph.add_edge(source, target, relation_from_index(relation))
         # Attribute-mediated connections: two items sharing a brand or feature
-        # are category-adjacent even without a direct item-item edge.
+        # are category-adjacent even without a direct item-item edge.  Each
+        # attribute row marks the categories it links; two categories marked
+        # by one attribute are connected.
+        is_attribute = np.zeros(graph.num_entities, dtype=bool)
         for attribute_type in (EntityType.BRAND, EntityType.FEATURE):
-            for attribute_id in graph.entities.ids_of_type(attribute_type):
-                linked_categories = {
-                    item_category[tail]
-                    for _, tail in graph.outgoing(attribute_id)
-                    if tail in item_category
-                }
-                for source in linked_categories:
-                    for target in linked_categories:
-                        category_graph.add_edge(source, target, Relation.SELF_LOOP
-                                                if source == target else Relation.ALSO_VIEWED)
+            is_attribute[graph.entities.ids_of_type(attribute_type)] = True
+        linked = is_attribute[heads] & (tail_category >= 0)
+        marks = np.zeros((graph.num_entities, width), dtype=bool)
+        marks[heads[linked], tail_category[linked]] = True
+        for source, target in np.argwhere(marks.T @ marks).tolist():
+            category_graph.add_edge(source, target, Relation.SELF_LOOP
+                                    if source == target else Relation.ALSO_VIEWED)
         return category_graph
 
     def add_edge(self, source: int, target: int, relation: Relation) -> None:

@@ -6,6 +6,11 @@ the automatically added inverse triplets (Section III of the paper), offers
 neighbour queries used by both the CGGNN and the RL agents, and records the
 item → category assignment from which the category knowledge graph ``Gc`` is
 derived.
+
+The edges live once, as the keys of one insertion-ordered ``dict`` that maps
+each ``(head, relation, tail)`` to its relation's table row; the compiled CSR
+view (:mod:`repro.kg.adjacency`) is built from it in bulk, and
+:meth:`KnowledgeGraph.triplets` makes :class:`Triplet` records only on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .adjacency import CSRAdjacency, compile_adjacency, patch_adjacency
 from .entities import EntityStore, EntityType
-from .relations import Relation, inverse_of, schema_is_valid
+from .relations import SCHEMA_TRIPLES, Relation, inverse_of, relation_index
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,10 @@ class KnowledgeGraph:
     def __init__(self, entities: EntityStore, validate_schema: bool = True) -> None:
         self.entities = entities
         self.validate_schema = validate_schema
-        self._triplets: List[Triplet] = []
-        self._edges: Set[Tuple[int, Relation, int]] = set()
+        # Every directed edge (forward + inverse) in insertion order, mapped
+        # to ``relation_index(relation)``: the order of :meth:`triplets` and
+        # of the compiled triplet table.
+        self._edges: Dict[Tuple[int, Relation, int], int] = {}
         self._outgoing: Dict[int, List[Tuple[Relation, int]]] = defaultdict(list)
         self._incoming: Dict[int, List[Tuple[Relation, int]]] = defaultdict(list)
         self._item_category: Dict[int, int] = {}
@@ -70,28 +77,36 @@ class KnowledgeGraph:
         """Add a triplet (and by default its inverse).
 
         Returns ``True`` if the forward edge was new, ``False`` if it already
-        existed.  Raises ``ValueError`` if the edge violates the schema and
-        schema validation is enabled.
+        existed (its inverse is then left as it is).  Raises ``KeyError`` for
+        an unknown entity id and ``ValueError`` if the edge violates the
+        schema and schema validation is enabled.
         """
-        head_entity = self.entities.get(head)
-        tail_entity = self.entities.get(tail)
-        if self.validate_schema and not schema_is_valid(
-                head_entity.entity_type, relation, tail_entity.entity_type):
-            raise ValueError(
-                f"triplet violates schema: ({head_entity.entity_type.value}, "
-                f"{relation.value}, {tail_entity.entity_type.value})")
-        key = (head, relation, tail)
-        if key in self._edges:
+        records = self.entities._entities
+        for entity_id in (head, tail):
+            if not 0 <= entity_id < len(records):
+                raise KeyError(f"unknown entity id {entity_id}")
+        if self.validate_schema:
+            head_type, tail_type = records[head].entity_type, records[tail].entity_type
+            if (head_type, relation, tail_type) not in SCHEMA_TRIPLES:
+                raise ValueError(f"triplet violates schema: ({head_type.value}, "
+                                 f"{relation.value}, {tail_type.value})")
+        if (head, relation, tail) in self._edges:
             return False
-        self._edges.add(key)
-        self._triplets.append(Triplet(head, relation, tail))
+        self._insert(head, relation, tail)
+        if add_inverse:
+            # The schema is closed under inversion, so the inverse is valid.
+            inverse = inverse_of(relation)
+            if (tail, inverse, head) not in self._edges:
+                self._insert(tail, inverse, head)
+        return True
+
+    def _insert(self, head: int, relation: Relation, tail: int) -> None:
+        """Record one new directed edge in every index and mark its head dirty."""
+        self._edges[(head, relation, tail)] = relation_index(relation)
         self._outgoing[head].append((relation, tail))
         self._incoming[tail].append((relation, head))
         self._dirty_entities.add(head)
         self._version += 1
-        if add_inverse:
-            self.add_triplet(tail, inverse_of(relation), head, add_inverse=False)
-        return True
 
     def set_item_category(self, item_id: int, category_id: int) -> None:
         """Assign an item to a category (top-level ontology, not an entity)."""
@@ -112,8 +127,8 @@ class KnowledgeGraph:
 
         Equivalent to ``copy.deepcopy`` for every observable, at a fraction of
         the cost: the containers (and the entity registry) are copied, while
-        the immutable :class:`Triplet`, :class:`Entity` and ``(relation,
-        neighbour)`` records are shared.  The compiled :class:`CSRAdjacency`
+        the immutable edge keys, :class:`Entity` and ``(relation, neighbour)``
+        records are shared.  The compiled :class:`CSRAdjacency`
         is shared too — its arrays are read-only, and a mutation of either
         graph makes that graph build a *new* view (:func:`patch_adjacency`
         only reads the old one), so neither copy can see the other's writes.
@@ -121,8 +136,7 @@ class KnowledgeGraph:
         clone = type(self).__new__(type(self))
         clone.entities = self.entities.copy()
         clone.validate_schema = self.validate_schema
-        clone._triplets = list(self._triplets)
-        clone._edges = set(self._edges)
+        clone._edges = dict(self._edges)
         clone._outgoing = defaultdict(list, {entity: list(edges) for entity, edges
                                              in self._outgoing.items()})
         clone._incoming = defaultdict(list, {entity: list(edges) for entity, edges
@@ -147,7 +161,7 @@ class KnowledgeGraph:
     @property
     def num_triplets(self) -> int:
         """Number of stored directed edges (forward + inverse)."""
-        return len(self._triplets)
+        return len(self._edges)
 
     @property
     def num_categories(self) -> int:
@@ -158,8 +172,8 @@ class KnowledgeGraph:
         return max(self._item_category.values()) + 1
 
     def triplets(self) -> Iterator[Triplet]:
-        """Iterate over all stored directed edges."""
-        return iter(self._triplets)
+        """Iterate over all stored directed edges, in insertion order."""
+        return (Triplet(head, relation, tail) for head, relation, tail in self._edges)
 
     def has_edge(self, head: int, relation: Relation, tail: int) -> bool:
         """True if the directed edge exists."""
@@ -224,7 +238,7 @@ class KnowledgeGraph:
         old = self._adjacency
         if old is None or old.num_entities > self.num_entities:
             return False
-        if len(self._triplets) < old.num_edges:
+        if len(self._edges) < old.num_edges:
             return False
         budget = max(1, int(self.ADJACENCY_PATCH_FRACTION * old.num_entities))
         new_entities = self.num_entities - old.num_entities
@@ -289,8 +303,8 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------ #
     def statistics(self) -> Dict[str, int]:
         """Summary counts matching the columns of Table II."""
-        interactions = sum(1 for triplet in self._triplets
-                           if triplet.relation == Relation.PURCHASE)
+        interactions = sum(1 for _, relation, _ in self._edges
+                           if relation == Relation.PURCHASE)
         return {
             "users": self.entities.count(EntityType.USER),
             "items": self.entities.count(EntityType.ITEM),

@@ -10,7 +10,7 @@ attention in the GGNN's adaptive propagation layer (Eq. 1).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .entities import EntityType
 
@@ -86,6 +86,12 @@ RELATION_SCHEMA.update({
     inverse_of(rel): (tail, head) for rel, (head, tail) in list(RELATION_SCHEMA.items())
 })
 
+#: Every valid ``(head type, relation, tail type)`` triple: the schema above
+#: plus a self-loop on each entity type.  One set lookup validates an edge.
+SCHEMA_TRIPLES: FrozenSet[Tuple[EntityType, Relation, EntityType]] = frozenset(
+    [(head, rel, tail) for rel, (head, tail) in RELATION_SCHEMA.items()]
+    + [(etype, Relation.SELF_LOOP, etype) for etype in EntityType])
+
 
 #: Definition-order list of every relation; index = embedding-table row.
 RELATION_LIST: List[Relation] = list(Relation)
@@ -112,9 +118,4 @@ def all_relations() -> List[Relation]:
 
 def schema_is_valid(head_type: EntityType, relation: Relation, tail_type: EntityType) -> bool:
     """Check a triplet's types against the relation schema."""
-    if relation == Relation.SELF_LOOP:
-        return head_type == tail_type
-    expected = RELATION_SCHEMA.get(relation)
-    if expected is None:
-        return False
-    return expected == (head_type, tail_type)
+    return (head_type, relation, tail_type) in SCHEMA_TRIPLES

@@ -16,7 +16,7 @@ JSON-round-trippable :class:`RunConfig`:
   dataset/KG metadata, gated by an atomic manifest.
 * :func:`save_pipeline` / :func:`load_pipeline` — first-class persistence of
   a trained stack; ``RecommendationService.from_artifacts`` boots a serving
-  process from such a directory without importing any training code paths.
+  process from such a directory without running any training code.
 
 The single CLI over this API is ``python -m repro`` (see :mod:`repro.cli`).
 """

@@ -11,7 +11,7 @@ one dataset, say) share that prefix's outputs instead of retraining it.
 
 ``save_pipeline`` / ``load_pipeline`` are the first-class persistence API: a
 trained stack round-trips through a plain directory, and a fresh process can
-boot a :class:`repro.serving.RecommendationService` from it without touching
+boot a :class:`repro.serving.RecommendationService` from it without running
 any training code (see ``RecommendationService.from_artifacts``).
 """
 

@@ -246,6 +246,109 @@ class TestSIG001:
         assert report.clean
 
 
+class TestIMP001:
+    def test_flags_unused_imports(self, tmp_path):
+        report = lint_source(
+            "import json\n"
+            "import os.path\n"
+            "from typing import Dict, List\n"
+            "def f() -> Dict[str, int]:\n"
+            "    return {}\n", tmp_path)
+        assert rule_ids(report) == ["IMP001", "IMP001", "IMP001"]
+        assert ["`json`" in f.message for f in report.findings] == [True, False, False]
+        assert "`os.path`" in report.findings[1].message
+        assert "`List`" in report.findings[2].message
+
+    def test_reads_of_every_kind_count_as_use(self, tmp_path):
+        report = lint_source(
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import numpy as np\n"
+            "from typing import TYPE_CHECKING, Optional\n"
+            "from .values import exported, kept as kept\n"
+            "if TYPE_CHECKING:\n"
+            "    from .graph import Graph\n"
+            "__all__ = ['exported']\n"
+            "def f(graph: 'Graph') -> Optional[int]:\n"
+            "    return np.size(os.path.sep)\n", tmp_path)
+        assert report.clean
+
+    def test_package_facades_are_exempt(self, tmp_path):
+        package = tmp_path / "package"
+        package.mkdir()
+        report = lint_source("from .module import name\n", package, "__init__.py")
+        assert report.clean
+
+    def test_ruff_noqa_f401_is_honoured(self, tmp_path):
+        assert lint_source("import json  # noqa: F401\n", tmp_path).clean
+        assert rule_ids(lint_source("import json  # noqa: E731\n", tmp_path)) == ["IMP001"]
+
+    def test_flags_the_unused_imports_once_found_in_the_tree(self, tmp_path):
+        # ``field`` in cluster/breaker.py; ``json`` and ``EntityType`` in
+        # tests/test_faults.py; ``json`` in tests/test_pipeline.py.
+        breaker = lint_source(
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\n"
+            "class Breaker:\n"
+            "    threshold: int = 3\n", tmp_path, "breaker.py")
+        faults = lint_source(
+            "import dataclasses\n"
+            "import json\n"
+            "from repro.kg.entities import EntityType\n"
+            "def test_replace():\n"
+            "    assert dataclasses.replace\n", tmp_path, "test_faults.py")
+        pipeline = lint_source(
+            "import inspect\n"
+            "import json\n"
+            "def test_signature():\n"
+            "    assert inspect.signature\n", tmp_path, "test_pipeline.py")
+        assert [(f.line, f.rule_id) for f in breaker.findings] == [(1, "IMP001")]
+        assert [(f.line, f.rule_id) for f in faults.findings] == [(2, "IMP001"),
+                                                                  (3, "IMP001")]
+        assert [(f.line, f.rule_id) for f in pipeline.findings] == [(2, "IMP001")]
+
+
+class TestIMP002:
+    def test_flags_the_unimported_tuple_once_found_in_the_tree(self, tmp_path):
+        # cluster/service.py annotated with ``Tuple`` it never imported;
+        # postponed annotations meant no test ever evaluated them.
+        report = lint_source(
+            "from __future__ import annotations\n"
+            "from typing import Dict\n"
+            "class Service:\n"
+            "    def __init__(self) -> None:\n"
+            "        self._shadow: Dict[Tuple[int, int], str] = {}\n"
+            "    def key(self) -> Tuple[int, int]:\n"
+            "        return (0, 0)\n", tmp_path)
+        assert [(f.line, f.rule_id) for f in report.findings] == [(5, "IMP002"),
+                                                                  (6, "IMP002")]
+        assert "`Tuple`" in report.findings[0].message
+
+    def test_flags_string_and_argument_annotations(self, tmp_path):
+        report = lint_source(
+            "def f(values: 'List[int]', *rest: Any) -> None:\n"
+            "    return None\n", tmp_path)
+        assert sorted(rule_ids(report)) == ["IMP002", "IMP002"]
+
+    def test_imported_or_defined_names_pass(self, tmp_path):
+        report = lint_source(
+            "from typing import List\n"
+            "import typing\n"
+            "class Any:\n"
+            "    pass\n"
+            "def f(values: List[int], other: Any) -> typing.Tuple[int]:\n"
+            "    return (len(values),)\n", tmp_path)
+        assert report.clean
+
+    def test_only_annotations_are_checked(self, tmp_path):
+        assert lint_source("Mapping = dict\nVALUE = Mapping()\n", tmp_path).clean
+        assert lint_source("def f():\n    return List\n", tmp_path).clean
+
+    def test_ruff_noqa_f821_is_honoured(self, tmp_path):
+        assert lint_source("def f() -> 'Tuple':  # noqa: F821\n    pass\n",
+                           tmp_path).clean
+
+
 # --------------------------------------------------------------------------- #
 # suppressions
 # --------------------------------------------------------------------------- #
@@ -439,7 +542,7 @@ class TestEngine:
     def test_rule_table_covers_battery(self):
         table = rule_table()
         assert set(table) == {"DET001", "CLK001", "NAN001", "MUT001",
-                              "EXC001", "SIG001"}
+                              "EXC001", "SIG001", "IMP001", "IMP002"}
         assert all(table.values())
 
     def test_fresh_rule_instances_per_run(self):
@@ -506,6 +609,11 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in ("DET001", "CLK001", "NAN001", "MUT001", "EXC001", "SIG001"):
             assert rule_id in out
+
+    def test_list_rules_names_the_import_rules(self, capsys):
+        assert lint_main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        assert "IMP001" in out and "IMP002" in out
 
 
 # --------------------------------------------------------------------------- #

@@ -65,9 +65,9 @@ class TestCopyEqualsDeepcopy:
     def test_records_are_shared_containers_are_not(self, original):
         clone = original.copy()
         assert clone.entities is not original.entities
-        assert clone._triplets is not original._triplets
+        assert clone._edges is not original._edges
         assert clone._outgoing[0] is not original._outgoing[0]
-        assert clone._triplets[0] is original._triplets[0]
+        assert next(iter(clone._edges)) is next(iter(original._edges))
         assert clone.entities.get(0) is original.entities.get(0)
         assert clone._adjacency is original._adjacency
 

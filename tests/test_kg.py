@@ -1,6 +1,10 @@
 """Unit tests for the knowledge-graph substrate (entities, relations, graph, Gc, pruning)."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kg import (
     CategoryGraph,
@@ -8,6 +12,7 @@ from repro.kg import (
     EntityType,
     KnowledgeGraph,
     Relation,
+    Triplet,
     all_relations,
     category_guided_prune_arrays,
     degree_prune_arrays,
@@ -18,6 +23,7 @@ from repro.kg import (
     relation_index,
     schema_is_valid,
 )
+from repro.kg.relations import RELATION_SCHEMA
 
 
 def as_actions(arrays):
@@ -129,6 +135,13 @@ class TestRelations:
         assert schema_is_valid(EntityType.ITEM, Relation.REV_PURCHASE, EntityType.USER)
         assert schema_is_valid(EntityType.ITEM, Relation.SELF_LOOP, EntityType.ITEM)
         assert not schema_is_valid(EntityType.ITEM, Relation.SELF_LOOP, EntityType.USER)
+
+    def test_schema_set_matches_the_schema_table(self):
+        for head_type in EntityType:
+            for relation in Relation:
+                for tail_type in EntityType:
+                    assert schema_is_valid(head_type, relation, tail_type) == \
+                        _table_schema_is_valid(head_type, relation, tail_type)
 
 
 class TestKnowledgeGraph:
@@ -308,3 +321,190 @@ class TestBuilder:
             user = builder.user_to_entity(interaction.user_id)
             item = builder.item_to_entity(interaction.item_id)
             assert not graph.has_edge(user, Relation.PURCHASE, item)
+
+
+# --------------------------------------------------------------------------- #
+# the edge store against the list + set + recursive insertion it replaced
+# --------------------------------------------------------------------------- #
+def _table_schema_is_valid(head_type, relation, tail_type):
+    """The schema check read straight off ``RELATION_SCHEMA``."""
+    if relation == Relation.SELF_LOOP:
+        return head_type == tail_type
+    return RELATION_SCHEMA.get(relation) == (head_type, tail_type)
+
+
+class ListSetGraph:
+    """A ``Triplet`` list, an edge set and a recursive add for the inverse."""
+
+    def __init__(self, entities, validate_schema=True):
+        self.entities = entities
+        self.validate_schema = validate_schema
+        self.triplets = []
+        self.edges = set()
+        self.outgoing = defaultdict(list)
+        self.incoming = defaultdict(list)
+        self.version = 0
+        self.dirty = set()
+
+    def add_triplet(self, head, relation, tail, add_inverse=True):
+        head_entity = self.entities.get(head)
+        tail_entity = self.entities.get(tail)
+        if self.validate_schema and not _table_schema_is_valid(
+                head_entity.entity_type, relation, tail_entity.entity_type):
+            raise ValueError(
+                f"triplet violates schema: ({head_entity.entity_type.value}, "
+                f"{relation.value}, {tail_entity.entity_type.value})")
+        key = (head, relation, tail)
+        if key in self.edges:
+            return False
+        self.edges.add(key)
+        self.triplets.append(Triplet(head, relation, tail))
+        self.outgoing[head].append((relation, tail))
+        self.incoming[tail].append((relation, head))
+        self.dirty.add(head)
+        self.version += 1
+        if add_inverse:
+            self.add_triplet(tail, inverse_of(relation), head, add_inverse=False)
+        return True
+
+
+def walk_category_graph(graph):
+    """Gc's adjacency and edge relations from a walk of ``graph.triplets()``
+    plus every brand and feature entity's outgoing row."""
+    adjacency, relations = defaultdict(set), defaultdict(set)
+
+    def connect(source, target, relation):
+        adjacency[source].add(target)
+        adjacency[target].add(source)
+        relations[(source, target)].add(relation)
+        relations[(target, source)].add(relation)
+
+    item_category = graph.item_category_map()
+    for triplet in graph.triplets():
+        if triplet.head in item_category and triplet.tail in item_category:
+            connect(item_category[triplet.head], item_category[triplet.tail],
+                    triplet.relation)
+    for attribute_type in (EntityType.BRAND, EntityType.FEATURE):
+        for attribute in graph.entities.ids_of_type(attribute_type):
+            linked = {item_category[tail] for _, tail in graph.outgoing(attribute)
+                      if tail in item_category}
+            for source in linked:
+                for target in linked:
+                    connect(source, target, Relation.SELF_LOOP if source == target
+                            else Relation.ALSO_VIEWED)
+    return dict(adjacency), dict(relations)
+
+
+def assert_category_graph_matches_walk(graph):
+    category_graph = CategoryGraph.from_knowledge_graph(graph)
+    adjacency, relations = walk_category_graph(graph)
+    assert dict(category_graph._adjacency) == adjacency
+    assert dict(category_graph._edge_relations) == relations
+
+
+_TYPES = (EntityType.USER, EntityType.ITEM, EntityType.BRAND, EntityType.FEATURE)
+_PER_TYPE = 3
+_NUM_ENTITIES = len(_TYPES) * _PER_TYPE
+
+#: One ``add_triplet`` call, decoded against the calls before it: ``new``
+#: takes the ids as drawn (unknown ids and schema violations included),
+#: ``typed`` picks entities the relation's schema allows, ``again`` repeats
+#: an earlier call, ``inverse`` adds an earlier edge's inverse explicitly and
+#: ``self`` makes a self-loop.
+_CALLS = st.lists(st.tuples(
+    st.sampled_from(["new", "typed", "typed", "again", "inverse", "self"]),
+    st.integers(-1, _NUM_ENTITIES),
+    st.sampled_from(list(Relation)),
+    st.integers(-1, _NUM_ENTITIES),
+    st.booleans(),
+    st.integers(0, 1000)), max_size=40)
+
+
+def _entity_store():
+    store = EntityStore()
+    for entity_type in _TYPES:
+        for index in range(_PER_TYPE):
+            store.add(entity_type, f"{entity_type.value}{index}")
+    return store
+
+
+def _decode(calls, store):
+    made = []
+    for kind, head, relation, tail, add_inverse, pick in calls:
+        if kind == "typed":
+            head_type, tail_type = RELATION_SCHEMA.get(
+                relation, (EntityType.ITEM, EntityType.ITEM))
+            head = store.ids_of_type(head_type)[pick % _PER_TYPE]
+            tail = store.ids_of_type(tail_type)[(pick // _PER_TYPE) % _PER_TYPE]
+        elif kind in ("again", "inverse") and made:
+            head, relation, tail, add_inverse = made[pick % len(made)]
+            if kind == "inverse":
+                head, relation, tail = tail, inverse_of(relation), head
+        elif kind == "self":
+            tail = head
+        made.append((head, relation, tail, add_inverse))
+    return made
+
+
+def _outcome(graph, call):
+    head, relation, tail, add_inverse = call
+    try:
+        return graph.add_triplet(head, relation, tail, add_inverse=add_inverse)
+    except (KeyError, ValueError) as error:
+        return type(error), str(error)
+
+
+class TestEdgeStoreEquivalence:
+    @given(calls=_CALLS, validate=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_insertion_matches_list_set_recursion(self, calls, validate):
+        store = _entity_store()
+        graph = KnowledgeGraph(store, validate_schema=validate)
+        reference = ListSetGraph(store, validate_schema=validate)
+        for call in _decode(calls, store):
+            assert _outcome(graph, call) == _outcome(reference, call)
+            assert graph.version == reference.version
+        assert list(graph.triplets()) == reference.triplets
+        assert graph.num_triplets == len(reference.triplets)
+        assert graph._dirty_entities == reference.dirty
+        for entity in range(len(store)):
+            assert graph.outgoing(entity) == reference.outgoing.get(entity, [])
+            assert graph.incoming(entity) == reference.incoming.get(entity, [])
+        for head, relation, tail in reference.edges:
+            assert graph.has_edge(head, relation, tail)
+            assert graph.has_edge(tail, relation, head) == \
+                ((tail, relation, head) in reference.edges)
+        interactions = sum(t.relation == Relation.PURCHASE for t in reference.triplets)
+        assert graph.statistics()["interactions"] == interactions
+        assert graph.statistics()["triplets"] == len(reference.triplets)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_unknown_ids_raise_like_the_reference(self, validate):
+        store = _entity_store()
+        graph = KnowledgeGraph(store, validate_schema=validate)
+        reference = ListSetGraph(store, validate_schema=validate)
+        for head, tail in ((-1, _NUM_ENTITIES), (_NUM_ENTITIES, -1), (0, -1), (-1, 0)):
+            call = (head, Relation.ALSO_BOUGHT, tail, True)
+            assert _outcome(graph, call) == _outcome(reference, call)
+            assert _outcome(graph, call)[0] is KeyError
+
+    @given(calls=_CALLS, categories=st.lists(st.integers(0, 2), min_size=_PER_TYPE,
+                                             max_size=_PER_TYPE))
+    @settings(max_examples=60, deadline=None)
+    def test_category_graph_matches_walk(self, calls, categories):
+        store = _entity_store()
+        graph = KnowledgeGraph(store)
+        for call in _decode(calls, store):
+            _outcome(graph, call)
+        for item, category in zip(store.ids_of_type(EntityType.ITEM), categories):
+            graph.set_item_category(item, category)
+        assert_category_graph_matches_walk(graph)
+
+    def test_category_graph_matches_walk_on_the_tiny_graph(self, tiny_kg):
+        assert_category_graph_matches_walk(tiny_kg[0])
+
+    def test_category_graph_rejects_an_unnamed_category(self, small_graph):
+        graph, _, (_, _, item1, *_rest) = small_graph
+        graph.set_item_category(item1.entity_id, 2)  # only two names are set
+        with pytest.raises(ValueError, match="category id out of range"):
+            CategoryGraph.from_knowledge_graph(graph)

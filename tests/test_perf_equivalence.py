@@ -868,7 +868,67 @@ class TestKLGuidanceEquivalence:
                                                weights) == expected_reward
 
 
+_CSR_ARRAYS = ("indptr", "relations", "targets", "degrees", "entity_category", "is_item",
+               "triplets")
+
+
+def _walk_csr(graph):
+    """The CSR arrays from a per-entity walk of ``graph.outgoing``."""
+    num_entities = graph.num_entities
+    indptr = np.zeros(num_entities + 1, dtype=np.int32)
+    relations, targets = [], []
+    for entity in range(num_entities):
+        edges = graph.outgoing(entity)
+        indptr[entity + 1] = indptr[entity] + len(edges)
+        relations.extend(relation_index(relation) for relation, _ in edges)
+        targets.extend(target for _, target in edges)
+    categories = [graph.category_of(entity) for entity in range(num_entities)]
+    return {
+        "indptr": indptr,
+        "relations": np.array(relations, dtype=np.int32),
+        "targets": np.array(targets, dtype=np.int32),
+        "degrees": np.diff(indptr).astype(np.int32),
+        "entity_category": np.array([-1 if c is None else c for c in categories],
+                                    dtype=np.int32),
+        "is_item": np.array([graph.entities.is_item(e) for e in range(num_entities)],
+                            dtype=bool),
+        "triplets": np.array([(t.head, relation_index(t.relation), t.tail)
+                              for t in graph.triplets()], dtype=np.int64).reshape(-1, 3),
+    }
+
+
+def _assert_csr_matches_walk(graph):
+    adjacency, walked = graph.adjacency(), _walk_csr(graph)
+    for name in _CSR_ARRAYS:
+        actual = getattr(adjacency, name)
+        assert actual.dtype == walked[name].dtype, name
+        assert actual.shape == walked[name].shape, name
+        assert np.array_equal(actual, walked[name]), name
+
+
+@pytest.fixture(scope="module")
+def paper_kg():
+    from repro.pipeline import Pipeline, RunConfig
+
+    return Pipeline(RunConfig.from_profile("paper")).run(until=("kg",)).context.graph
+
+
 class TestCSRAdjacency:
+    @pytest.mark.parametrize("profile", ["tiny", "paper"])
+    @pytest.mark.parametrize("deltas, branch", [(0, None), (6, "delta_patches"),
+                                                (400, "full_compiles")])
+    def test_arrays_match_a_walk_of_the_graph(self, tiny_kg, paper_kg, profile,
+                                              deltas, branch):
+        graph = (tiny_kg[0] if profile == "tiny" else paper_kg).copy()
+        graph.adjacency()
+        if deltas:
+            UpdateLog(synthesize_deltas(graph, deltas, seed=5)).apply(graph)
+            before = graph.adjacency_compile_stats()
+            _assert_csr_matches_walk(graph)
+            assert graph.adjacency_compile_stats()[branch] == before[branch] + 1
+        else:
+            _assert_csr_matches_walk(graph)
+
     def test_edges_match_graph_order(self, tiny_kg):
         graph, _, _ = tiny_kg
         adjacency = graph.adjacency()
@@ -927,6 +987,49 @@ class TestCSRAdjacency:
             graph.set_item_category(item, graph.category_of(item) or 0)
             second = graph.adjacency()
         assert second is not first
+
+
+def _loop_purchase_pairs(model, graph):
+    """(user, item row) for each purchase triplet, in triplet order."""
+    position = model.table.item_position
+    pairs = [(t.head, position[t.tail]) for t in graph.triplets()
+             if t.relation == Relation.PURCHASE and t.tail in position]
+    return np.array(pairs, dtype=np.int64) if pairs else np.zeros((0, 2), dtype=np.int64)
+
+
+class TestPurchasePairs:
+    def _model(self, graph, transe):
+        return CGGNN(graph, transe, CGGNNConfig(embedding_dim=16, max_neighbors=6,
+                                                max_categories=3, seed=0))
+
+    def test_pairs_match_the_triplet_loop(self, tiny_kg, tiny_transe):
+        graph = tiny_kg[0]
+        model = self._model(graph, tiny_transe[0])
+        pairs = CGGNNTrainer(model, graph)._pairs
+        expected = _loop_purchase_pairs(model, graph)
+        assert pairs.dtype == expected.dtype and pairs.flags.c_contiguous
+        assert np.array_equal(pairs, expected)
+
+    def test_purchases_of_items_outside_the_table_are_skipped(self, tiny_kg, tiny_transe):
+        from repro.kg import EntityType
+
+        graph = tiny_kg[0]
+        model = self._model(graph, tiny_transe[0])
+        grown = graph.copy()
+        UpdateLog(synthesize_deltas(grown, 40, seed=4)).apply(grown)
+        assert grown.entities.count(EntityType.ITEM) > model.table.num_items
+        pairs = CGGNNTrainer(model, grown)._pairs
+        expected = _loop_purchase_pairs(model, grown)
+        assert len(expected) > len(CGGNNTrainer(model, graph)._pairs)
+        assert np.array_equal(pairs, expected)
+
+    def test_no_purchases_gives_an_empty_table(self, tiny_kg, tiny_transe):
+        from repro.kg import KnowledgeGraph
+
+        graph = tiny_kg[0]
+        model = self._model(graph, tiny_transe[0])
+        pairs = CGGNNTrainer(model, KnowledgeGraph(graph.entities))._pairs
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
 
 class TestEnvironmentCaches:
