@@ -3,6 +3,12 @@
 Real deployments would load the Amazon review dumps; this module writes and
 reads the same logical content (products, interactions, item relations) as
 plain tab-separated files so experiments can be checkpointed and shared.
+
+Every pipeline restore reads these files, so the loader makes one
+``csv.reader`` pass per table, finds each column by its header position and
+builds each record straight from the row.  ``csv`` on both sides keeps any
+field :func:`save_dataset` writes (tabs, quotes and newlines in product
+names included) readable back.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import Iterator, List, TextIO, Tuple, Union
 
 from .schema import Interaction, InteractionDataset, ItemRelation, Product
 
@@ -59,39 +65,24 @@ def load_dataset_from_directory(directory: PathLike) -> InteractionDataset:
     path = Path(directory)
     meta = json.loads((path / "meta.json").read_text())
 
-    products: List[Product] = []
     with open(path / "products.tsv", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter="\t")
-        for row in reader:
-            feature_ids = tuple(int(f) for f in row["feature_ids"].split(",") if f)
-            products.append(Product(
-                item_id=int(row["item_id"]),
-                name=row["name"],
-                brand_id=int(row["brand_id"]),
-                category_id=int(row["category_id"]),
-                feature_ids=feature_ids,
-            ))
+        rows, (item, name, brand, category, features) = _table(
+            handle, "item_id", "name", "brand_id", "category_id", "feature_ids")
+        products = [Product(int(row[item]), row[name], int(row[brand]),
+                            int(row[category]), _ids(row[features]))
+                    for row in rows]
 
-    interactions: List[Interaction] = []
     with open(path / "interactions.tsv", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter="\t")
-        for row in reader:
-            mentioned = tuple(int(f) for f in row["mentioned_feature_ids"].split(",") if f)
-            interactions.append(Interaction(
-                user_id=int(row["user_id"]),
-                item_id=int(row["item_id"]),
-                mentioned_feature_ids=mentioned,
-            ))
+        rows, (user, item, mentioned) = _table(
+            handle, "user_id", "item_id", "mentioned_feature_ids")
+        interactions = [Interaction(int(row[user]), int(row[item]), _ids(row[mentioned]))
+                        for row in rows]
 
-    item_relations: List[ItemRelation] = []
     with open(path / "item_relations.tsv", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter="\t")
-        for row in reader:
-            item_relations.append(ItemRelation(
-                source_item_id=int(row["source_item_id"]),
-                target_item_id=int(row["target_item_id"]),
-                relation=row["relation"],
-            ))
+        rows, (source, target, relation) = _table(
+            handle, "source_item_id", "target_item_id", "relation")
+        item_relations = [ItemRelation(int(row[source]), int(row[target]), row[relation])
+                          for row in rows]
 
     dataset = InteractionDataset(
         name=meta["name"],
@@ -105,3 +96,19 @@ def load_dataset_from_directory(directory: PathLike) -> InteractionDataset:
     )
     dataset.validate()
     return dataset
+
+
+def _table(handle: TextIO, *columns: str) -> Tuple[Iterator[List[str]], List[int]]:
+    """The non-blank rows of a TSV after its header, and the named columns'
+    positions in that header."""
+    reader = csv.reader(handle, delimiter="\t")
+    header = next(reader, [])
+    missing = [column for column in columns if column not in header]
+    if missing:
+        raise ValueError(f"{handle.name} lacks columns {missing}")
+    return filter(None, reader), [header.index(column) for column in columns]
+
+
+def _ids(field: str) -> Tuple[int, ...]:
+    """A comma-separated id list (empty pieces skipped) as a tuple of ints."""
+    return tuple(map(int, filter(None, field.split(","))))

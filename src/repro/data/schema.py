@@ -91,27 +91,30 @@ class InteractionDataset:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on dangling references; used by loaders and tests."""
+        num_users, num_items = self.num_users, self.num_items
+        num_brands, num_categories = self.num_brands, self.num_categories
+        num_features = self.num_features
         for product in self.products:
-            if not (0 <= product.brand_id < self.num_brands):
+            if not (0 <= product.brand_id < num_brands):
                 raise ValueError(f"product {product.item_id} references unknown brand")
-            if not (0 <= product.category_id < self.num_categories):
+            if not (0 <= product.category_id < num_categories):
                 raise ValueError(f"product {product.item_id} references unknown category")
             for feature in product.feature_ids:
-                if not (0 <= feature < self.num_features):
+                if not (0 <= feature < num_features):
                     raise ValueError(f"product {product.item_id} references unknown feature")
         for interaction in self.interactions:
-            if not (0 <= interaction.user_id < self.num_users):
+            if not (0 <= interaction.user_id < num_users):
                 raise ValueError("interaction references unknown user")
-            if not (0 <= interaction.item_id < self.num_items):
+            if not (0 <= interaction.item_id < num_items):
                 raise ValueError("interaction references unknown item")
             for feature in interaction.mentioned_feature_ids:
-                if not (0 <= feature < self.num_features):
+                if not (0 <= feature < num_features):
                     raise ValueError("interaction references unknown feature")
         for relation in self.item_relations:
             if relation.relation not in ("also_bought", "also_viewed", "bought_together"):
                 raise ValueError(f"unknown item relation {relation.relation!r}")
             for item in (relation.source_item_id, relation.target_item_id):
-                if not (0 <= item < self.num_items):
+                if not (0 <= item < num_items):
                     raise ValueError("item relation references unknown item")
 
 

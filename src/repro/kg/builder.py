@@ -12,7 +12,7 @@ items remain reachable only through genuine multi-hop structure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..data.schema import Interaction, InteractionDataset
 from .category_graph import CategoryGraph
@@ -56,8 +56,7 @@ class KGBuilder:
         graph = KnowledgeGraph(self.entities)
         graph.set_category_names(self.dataset.category_names)
 
-        self._add_catalogue_edges(graph)
-        self._add_interaction_edges(graph, interactions)
+        graph.add_triplets(self._edge_table(interactions))
         self._assign_categories(graph)
 
         category_graph = CategoryGraph.from_knowledge_graph(graph)
@@ -78,25 +77,32 @@ class KGBuilder:
             entity = self.entities.add(EntityType.FEATURE, name)
             self.feature_entity[feature_id] = entity.entity_id
 
-    def _add_catalogue_edges(self, graph: KnowledgeGraph) -> None:
+    def _edge_table(self, interactions: Iterable[Interaction]
+                    ) -> List[Tuple[int, Relation, int]]:
+        """The forward ``(head, relation, tail)`` rows: catalogue edges (each
+        product's brand then features, then the item relations), then each
+        interaction's purchase and mentions."""
+        user_entity, item_entity = self.user_entity, self.item_entity
+        brand_entity, feature_entity = self.brand_entity, self.feature_entity
+        # Enum member lookups are slow on the class; bind them once.
+        produced_by, described_by = Relation.PRODUCED_BY, Relation.DESCRIBED_BY
+        purchase, mention = Relation.PURCHASE, Relation.MENTION
+        rows: List[Tuple[int, Relation, int]] = []
         for product in self.dataset.products:
-            item = self.item_entity[product.item_id]
-            graph.add_triplet(item, Relation.PRODUCED_BY, self.brand_entity[product.brand_id])
-            for feature_id in product.feature_ids:
-                graph.add_triplet(item, Relation.DESCRIBED_BY, self.feature_entity[feature_id])
-        for relation in self.dataset.item_relations:
-            source = self.item_entity[relation.source_item_id]
-            target = self.item_entity[relation.target_item_id]
-            graph.add_triplet(source, _ITEM_RELATION_MAP[relation.relation], target)
-
-    def _add_interaction_edges(self, graph: KnowledgeGraph,
-                               interactions: Iterable[Interaction]) -> None:
+            item = item_entity[product.item_id]
+            rows.append((item, produced_by, brand_entity[product.brand_id]))
+            rows += [(item, described_by, feature_entity[feature_id])
+                     for feature_id in product.feature_ids]
+        rows += [(item_entity[relation.source_item_id],
+                  _ITEM_RELATION_MAP[relation.relation],
+                  item_entity[relation.target_item_id])
+                 for relation in self.dataset.item_relations]
         for interaction in interactions:
-            user = self.user_entity[interaction.user_id]
-            item = self.item_entity[interaction.item_id]
-            graph.add_triplet(user, Relation.PURCHASE, item)
-            for feature_id in interaction.mentioned_feature_ids:
-                graph.add_triplet(user, Relation.MENTION, self.feature_entity[feature_id])
+            user = user_entity[interaction.user_id]
+            rows.append((user, purchase, item_entity[interaction.item_id]))
+            rows += [(user, mention, feature_entity[feature_id])
+                     for feature_id in interaction.mentioned_feature_ids]
+        return rows
 
     def _assign_categories(self, graph: KnowledgeGraph) -> None:
         for product in self.dataset.products:

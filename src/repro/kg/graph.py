@@ -11,17 +11,28 @@ The edges live once, as the keys of one insertion-ordered ``dict`` that maps
 each ``(head, relation, tail)`` to its relation's table row; the compiled CSR
 view (:mod:`repro.kg.adjacency`) is built from it in bulk, and
 :meth:`KnowledgeGraph.triplets` makes :class:`Triplet` records only on demand.
+:meth:`KnowledgeGraph.add_triplet` inserts one edge (live ingest);
+:meth:`KnowledgeGraph.add_triplets` inserts a whole edge table (the builder)
+and leaves the same graph.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .adjacency import CSRAdjacency, compile_adjacency, patch_adjacency
 from .entities import EntityStore, EntityType
 from .relations import SCHEMA_TRIPLES, Relation, inverse_of, relation_index
+
+
+#: :func:`inverse_of` and :func:`relation_index` as tables, for the bulk
+#: insert's ``map`` calls.
+_INVERSE_OF = {relation: inverse_of(relation) for relation in Relation}
+_RELATION_ROW = {relation: relation_index(relation) for relation in Relation}
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,6 @@ class KnowledgeGraph:
         # of the compiled triplet table.
         self._edges: Dict[Tuple[int, Relation, int], int] = {}
         self._outgoing: Dict[int, List[Tuple[Relation, int]]] = defaultdict(list)
-        self._incoming: Dict[int, List[Tuple[Relation, int]]] = defaultdict(list)
         self._item_category: Dict[int, int] = {}
         self._category_names: List[str] = []
         # Mutation counter + cached compiled view (see :meth:`adjacency`).
@@ -81,15 +91,7 @@ class KnowledgeGraph:
         an unknown entity id and ``ValueError`` if the edge violates the
         schema and schema validation is enabled.
         """
-        records = self.entities._entities
-        for entity_id in (head, tail):
-            if not 0 <= entity_id < len(records):
-                raise KeyError(f"unknown entity id {entity_id}")
-        if self.validate_schema:
-            head_type, tail_type = records[head].entity_type, records[tail].entity_type
-            if (head_type, relation, tail_type) not in SCHEMA_TRIPLES:
-                raise ValueError(f"triplet violates schema: ({head_type.value}, "
-                                 f"{relation.value}, {tail_type.value})")
+        self._check(head, relation, tail)
         if (head, relation, tail) in self._edges:
             return False
         self._insert(head, relation, tail)
@@ -100,11 +102,79 @@ class KnowledgeGraph:
                 self._insert(tail, inverse, head)
         return True
 
+    def add_triplets(self, rows: Sequence[Tuple[int, Relation, int]]) -> None:
+        """Add forward ``(head, relation, tail)`` tuples and their inverses in bulk.
+
+        Leaves the graph exactly as ``add_triplet(head, relation, tail)`` on
+        each row in order would: the same edge order, outgoing rows, version
+        and dirty set.  Every row is validated before anything is inserted;
+        the first bad row raises the ``KeyError``/``ValueError`` that
+        ``add_triplet`` would, and the graph is then left unchanged.
+        """
+        if not rows:
+            return
+        heads = list(map(itemgetter(0), rows))
+        relations = list(map(itemgetter(1), rows))
+        tails = list(map(itemgetter(2), rows))
+        self._check_rows(heads, relations, tails)
+        forward = rows
+        inverse = list(zip(tails, map(_INVERSE_OF.__getitem__, relations), heads))
+        existing = self._edges
+        if existing:
+            # ``add_triplet`` skips a row whose forward edge is already there,
+            # inverse included.
+            fresh = [key not in existing for key in forward]
+            forward = list(compress(forward, fresh))
+            inverse = list(compress(inverse, fresh))
+        # Forward and inverse interleaved, as ``add_triplet`` inserts them: a
+        # key seen earlier in the sequence was inserted (or skipped) then.
+        keys = [None] * (2 * len(forward))
+        keys[0::2] = forward
+        keys[1::2] = inverse
+        added = dict(zip(keys, map(_RELATION_ROW.__getitem__, map(itemgetter(1), keys))))
+        if existing:
+            added = {key: row for key, row in added.items() if key not in existing}
+        existing.update(added)
+        outgoing = self._outgoing
+        for head, relation, tail in added:
+            outgoing[head].append((relation, tail))
+        self._dirty_entities.update(map(itemgetter(0), added))
+        self._version += len(added)
+
+    def _check(self, head: int, relation: Relation, tail: int) -> None:
+        """Raise ``KeyError`` for an unknown id, ``ValueError`` for a schema violation."""
+        records = self.entities._entities
+        for entity_id in (head, tail):
+            if not 0 <= entity_id < len(records):
+                raise KeyError(f"unknown entity id {entity_id}")
+        if self.validate_schema:
+            head_type, tail_type = records[head].entity_type, records[tail].entity_type
+            if (head_type, relation, tail_type) not in SCHEMA_TRIPLES:
+                raise ValueError(f"triplet violates schema: ({head_type.value}, "
+                                 f"{relation.value}, {tail_type.value})")
+
+    def _check_rows(self, heads: Sequence[int], relations: Sequence[Relation],
+                    tails: Sequence[int]) -> None:
+        """:meth:`_check` every row, raising the first row's error.
+
+        The whole table is checked at once; only a table that fails is walked
+        row by row, to raise exactly what ``add_triplet`` would.
+        """
+        records = self.entities._entities
+        valid = (min(min(heads), min(tails)) >= 0
+                 and max(max(heads), max(tails)) < len(records))
+        if valid and self.validate_schema:
+            types = [record.entity_type for record in records]
+            valid = set(zip(map(types.__getitem__, heads), relations,
+                            map(types.__getitem__, tails))) <= SCHEMA_TRIPLES
+        if not valid:
+            for row in zip(heads, relations, tails):
+                self._check(*row)
+
     def _insert(self, head: int, relation: Relation, tail: int) -> None:
         """Record one new directed edge in every index and mark its head dirty."""
         self._edges[(head, relation, tail)] = relation_index(relation)
         self._outgoing[head].append((relation, tail))
-        self._incoming[tail].append((relation, head))
         self._dirty_entities.add(head)
         self._version += 1
 
@@ -139,8 +209,6 @@ class KnowledgeGraph:
         clone._edges = dict(self._edges)
         clone._outgoing = defaultdict(list, {entity: list(edges) for entity, edges
                                              in self._outgoing.items()})
-        clone._incoming = defaultdict(list, {entity: list(edges) for entity, edges
-                                             in self._incoming.items()})
         clone._item_category = dict(self._item_category)
         clone._category_names = list(self._category_names)
         clone._version = self._version
@@ -257,8 +325,12 @@ class KnowledgeGraph:
         return list(self._outgoing.get(entity_id, ()))
 
     def incoming(self, entity_id: int) -> List[Tuple[Relation, int]]:
-        """Incoming ``(relation, neighbour)`` pairs of an entity."""
-        return list(self._incoming.get(entity_id, ()))
+        """Incoming ``(relation, neighbour)`` pairs of an entity, in insertion order.
+
+        Read off the edge store in one scan (no index is kept for it).
+        """
+        return [(relation, head) for head, relation, tail in self._edges
+                if tail == entity_id]
 
     def neighbors(self, entity_id: int) -> List[Tuple[Relation, int]]:
         """Alias for :meth:`outgoing` — inverse edges make the graph symmetric."""

@@ -6,9 +6,10 @@ An :class:`ArtifactStore` manages one artifact directory::
       config.json          # the RunConfig that produced the artifacts
       manifest.json        # stage -> {fingerprint, metadata}; completion marks
       data/                # dataset TSVs (repro.data.io) + split.json
-      embed/               # transe.npz
+      kg/                  # statistics.json; the graph is rebuilt from data/
+      embed/               # transe.npz + losses.json
       cggnn/               # representations.npz + losses.json
-      train/               # policy.npz + policy.json + history.json
+      train/               # policy.npz + history.json
       eval/                # metrics.json
       serve-check/         # report.json
 

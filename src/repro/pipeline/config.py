@@ -20,6 +20,7 @@ the TransE/CGGNN/DARL/inference configurations) and ``serving`` is a
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import typing
@@ -94,14 +95,21 @@ def config_to_dict(config: Any) -> Dict[str, Any]:
     return dataclasses.asdict(config)
 
 
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    """Field name → resolved type of a config dataclass, resolved once per class
+    (``typing.get_type_hints`` evaluates every string annotation anew)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
 def config_from_dict(cls: type, data: Dict[str, Any]) -> Any:
     """Rebuild a config dataclass (recursively) from :func:`config_to_dict` output.
 
     Unknown keys raise ``ValueError`` so typos in hand-written JSON configs
     fail loudly instead of silently falling back to defaults.
     """
-    hints = typing.get_type_hints(cls)
-    field_types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    field_types = _field_types(cls)
     unknown = set(data) - set(field_types)
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
@@ -127,9 +135,9 @@ def _model_from_dict(payload: Dict[str, Any]) -> CADRLConfig:
     trigger ``__post_init__``) restores exactly what the JSON says.
     """
     model = config_from_dict(CADRLConfig, payload)
-    hints = typing.get_type_hints(CADRLConfig)
+    field_types = _field_types(CADRLConfig)
     for name, value in payload.items():
-        target = hints[name]
+        target = field_types[name]
         if dataclasses.is_dataclass(target) and isinstance(value, dict):
             setattr(model, name, config_from_dict(target, value))
     return model

@@ -69,14 +69,14 @@ class PipelineResult:
     ``statuses`` maps stage name → ``"ran"`` (computed fresh), ``"cached"``
     (restored from the artifact store or the memo) or ``"skipped"`` (not
     requested).  ``seconds`` maps every stage the run reached to the time
-    its ``run`` took on the pipeline's clock, or ``None`` when it was
-    restored instead.
+    its ``run`` — or, for a cached stage, its ``load`` or memo recall —
+    took on the pipeline's clock.
     """
 
     config: RunConfig
     context: PipelineContext
     statuses: Dict[str, str] = field(default_factory=dict)
-    seconds: Dict[str, Optional[float]] = field(default_factory=dict)
+    seconds: Dict[str, float] = field(default_factory=dict)
 
     # convenience accessors over the context ---------------------------- #
     @property
@@ -139,13 +139,18 @@ class PipelineResult:
             serving_config=serving_config or self.config.serving, **kwargs)
 
     def summary(self) -> str:
-        """One line per stage: status, seconds (if it ran) and fingerprint prefix."""
+        """One line per stage: status, seconds (``-`` if skipped) and fingerprint prefix."""
         fingerprints = self.config.stage_fingerprints()
         lines = []
         for name in STAGE_NAMES:
             status = self.statuses.get(name, "skipped")
             seconds = self.seconds.get(name)
-            took = "-" if seconds is None else f"{seconds:.2f}s"
+            if seconds is None:
+                took = "-"
+            elif seconds >= 1.0:
+                took = f"{seconds:.2f}s"
+            else:  # a restore takes milliseconds
+                took = f"{1e3 * seconds:.1f}ms"
             lines.append(f"{name:<12} {status:<8} {took:>8}  {fingerprints[name][:12]}")
         return "\n".join(lines)
 
@@ -166,8 +171,8 @@ class Pipeline:
         A :class:`StageMemo` to restore stages from and record computed
         stages in: the in-memory alternative to ``store`` (pass at most one).
     clock:
-        Seconds source that times each stage's ``run`` (injectable, e.g. a
-        fake clock in tests).
+        Seconds source that times each stage's ``run``, ``load`` or recall
+        (injectable, e.g. a fake clock in tests).
     """
 
     def __init__(self, config: RunConfig,
@@ -224,14 +229,15 @@ class Pipeline:
         context = PipelineContext(config=self.config, store=self.store)
         fingerprints = self.config.stage_fingerprints()
         statuses: Dict[str, str] = {}
-        seconds: Dict[str, Optional[float]] = {}
+        seconds: Dict[str, float] = {}
 
         for name in self.resolve(until):
             stage = self.stages[name]
             fingerprint = fingerprints[name]
+            start = self.clock()
             if not self.force and self._restore(stage, context, fingerprint):
                 statuses[name] = "cached"
-                seconds[name] = None
+                seconds[name] = self.clock() - start
                 continue
             if require_cached:
                 recorded = self.store.fingerprint_of(name) if self.store else None

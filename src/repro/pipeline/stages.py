@@ -130,10 +130,17 @@ class DataStage(Stage):
         context.dataset = load_dataset_from_directory(
             store.stage_dir(self.name) / "dataset")
         payload = store.load_json(self.name, "split.json")
-        context.split = TrainTestSplit(
-            train=[_interaction_from_list(row) for row in payload["train"]],
-            test=[_interaction_from_list(row) for row in payload["test"]],
-        )
+        # The split reuses the dataset's (frozen) records, as the split a run
+        # makes does; a row the dataset lacks gets a record of its own.
+        records = {(record.user_id, record.item_id, record.mentioned_feature_ids): record
+                   for record in context.dataset.interactions}
+
+        def record_of(row: List[Any]) -> Interaction:
+            return (records.get((row[0], row[1], tuple(row[2])))
+                    or _interaction_from_list(row))
+
+        context.split = TrainTestSplit(train=list(map(record_of, payload["train"])),
+                                       test=list(map(record_of, payload["test"])))
 
     def loadable(self, store: ArtifactStore) -> bool:
         return ((store.stage_dir(self.name) / "dataset" / "meta.json").exists()
@@ -143,9 +150,12 @@ class DataStage(Stage):
 class KGStage(Stage):
     """Build the knowledge graph and category graph from the training split.
 
-    The build is deterministic and cheap relative to training, so ``load``
-    simply rebuilds from the restored dataset; only the statistics are
-    persisted (for bookkeeping and the manifest).
+    The graph is a pure function of the ``data`` stage, so only its
+    statistics are persisted (for bookkeeping and the manifest) and ``load``
+    rebuilds it from the restored dataset.  That rebuild is on every restore
+    path (serving boot, scale-up, failover), so :class:`repro.kg.KGBuilder`
+    inserts the whole edge table at once
+    (:meth:`repro.kg.KnowledgeGraph.add_triplets`).
     """
 
     name = "kg"

@@ -204,6 +204,24 @@ class TestIO:
         save_dataset(tiny_dataset, tmp_path / "tiny2")
         load_dataset_from_directory(tmp_path / "tiny2").validate()
 
+    def test_roundtrip_keeps_tabs_quotes_and_newlines(self, tmp_path):
+        dataset = InteractionDataset(
+            name="quoted", num_users=2,
+            products=[Product(0, 'Tab\there "quoted"\nline two', 0, 0, (0, 1)),
+                      Product(1, "plain", 0, 0, ())],
+            interactions=[Interaction(0, 0, (1,)), Interaction(1, 1, ())],
+            item_relations=[ItemRelation(0, 1, "also_bought")],
+            brand_names=["brand"], feature_names=["a", "b"], category_names=["c"])
+        save_dataset(dataset, tmp_path / "quoted")
+        assert load_dataset_from_directory(tmp_path / "quoted") == dataset
+
+    def test_load_rejects_a_table_without_a_column(self, tiny_dataset, tmp_path):
+        save_dataset(tiny_dataset, tmp_path / "cut")
+        table = tmp_path / "cut" / "item_relations.tsv"
+        table.write_text(table.read_text().replace("relation\n", "kind\n", 1))
+        with pytest.raises(ValueError, match=r"lacks columns \['relation'\]"):
+            load_dataset_from_directory(tmp_path / "cut")
+
     def test_saved_files_exist(self, tiny_dataset, tmp_path):
         save_dataset(tiny_dataset, tmp_path / "out")
         for name in ("meta.json", "products.tsv", "interactions.tsv", "item_relations.tsv"):

@@ -454,6 +454,16 @@ def _outcome(graph, call):
         return type(error), str(error)
 
 
+def _observables(graph):
+    """What a caller can see of a graph's edges, per entity and in total."""
+    entities = range(graph.num_entities)
+    return {"triplets": list(graph.triplets()), "version": graph.version,
+            "dirty": set(graph._dirty_entities),
+            "outgoing": [graph.outgoing(e) for e in entities],
+            "incoming": [graph.incoming(e) for e in entities],
+            "interactions": graph.statistics()["interactions"]}
+
+
 class TestEdgeStoreEquivalence:
     @given(calls=_CALLS, validate=st.booleans())
     @settings(max_examples=120, deadline=None)
@@ -487,6 +497,57 @@ class TestEdgeStoreEquivalence:
             call = (head, Relation.ALSO_BOUGHT, tail, True)
             assert _outcome(graph, call) == _outcome(reference, call)
             assert _outcome(graph, call)[0] is KeyError
+
+    @given(calls=_CALLS, split=st.integers(0, 40), validate=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_bulk_insertion_matches_list_set_recursion(self, calls, split, validate):
+        """``add_triplets`` after ``split`` single adds: a table with a bad row
+        raises the reference's error for its first bad row and changes
+        nothing; the good rows then match the reference adding them one by
+        one with their inverses."""
+        store = _entity_store()
+        graph = KnowledgeGraph(store, validate_schema=validate)
+        reference = ListSetGraph(store, validate_schema=validate)
+        decoded = _decode(calls, store)
+        for call in decoded[:split]:
+            assert _outcome(graph, call) == _outcome(reference, call)
+        rows = [(head, relation, tail) for head, relation, tail, _ in decoded[split:]]
+        # A row's error depends on its ids and types only, not on the graph.
+        errors = [_outcome(ListSetGraph(store, validate_schema=validate), (*row, True))
+                  for row in rows]
+        bad = [error for error in errors if error is not True]
+        if bad:
+            before = _observables(graph)
+            with pytest.raises(bad[0][0]) as raised:
+                graph.add_triplets(rows)
+            assert str(raised.value) == bad[0][1]
+            assert _observables(graph) == before
+        good = [row for row, error in zip(rows, errors) if error is True]
+        graph.add_triplets(good)
+        for row in good:
+            _outcome(reference, (*row, True))
+        assert _observables(graph) == {
+            "triplets": reference.triplets,
+            "version": reference.version,
+            "dirty": reference.dirty,
+            "outgoing": [reference.outgoing.get(e, []) for e in range(len(store))],
+            "incoming": [reference.incoming.get(e, []) for e in range(len(store))],
+            "interactions": sum(t.relation == Relation.PURCHASE for t in reference.triplets),
+        }
+        assert all(graph.has_edge(*edge) for edge in reference.edges)
+
+    def test_bulk_insertion_checks_every_row_before_inserting(self, small_graph):
+        graph, _, (user, item0, item1, _, brand, feature) = small_graph
+        before = _observables(graph)
+        good = (item1.entity_id, Relation.DESCRIBED_BY, feature.entity_id)
+        with pytest.raises(ValueError, match=r"triplet violates schema: "
+                                             r"\(user, produced_by, brand\)"):
+            graph.add_triplets([good, (user.entity_id, Relation.PRODUCED_BY, brand.entity_id),
+                                (item0.entity_id, Relation.ALSO_BOUGHT, 99)])
+        with pytest.raises(KeyError, match="unknown entity id 99"):
+            graph.add_triplets([good, (item0.entity_id, Relation.ALSO_BOUGHT, 99),
+                                (user.entity_id, Relation.PRODUCED_BY, brand.entity_id)])
+        assert _observables(graph) == before
 
     @given(calls=_CALLS, categories=st.lists(st.integers(0, 2), min_size=_PER_TYPE,
                                              max_size=_PER_TYPE))

@@ -1,5 +1,6 @@
 """Tests for the unified pipeline API, artifact persistence and the CLI."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.darl import CADRLConfig
-from repro.data import load_dataset
+from repro.data import Interaction, InteractionDataset, load_dataset
 from repro.experiments import EXPERIMENTS
 from repro.pipeline import (
     ArtifactStore,
@@ -193,8 +194,16 @@ class TestPipelineExecution:
 
         store, _ = trained
         cached = Pipeline(tiny_config(), store=store, clock=clock).run()
-        assert cached.seconds == {name: None for name in STAGE_NAMES}
-        assert all(line.split()[2] == "-" for line in cached.summary().splitlines())
+        assert cached.seconds == {name: 3.0 for name in STAGE_NAMES}
+        assert all(line.split()[1:3] == ["cached", "3.00s"]
+                   for line in cached.summary().splitlines())
+
+    def test_summary_prints_a_restore_in_milliseconds(self, trained):
+        store, _ = trained
+        ticks = iter([0.0, 0.0047] * len(STAGE_NAMES))
+        cached = Pipeline(tiny_config(), store=store, clock=lambda: next(ticks)).run()
+        assert cached.statuses == {name: "cached" for name in STAGE_NAMES}
+        assert all(line.split()[2] == "4.7ms" for line in cached.summary().splitlines())
 
     def test_force_recomputes(self, tmp_path):
         config = tiny_config()
@@ -214,6 +223,73 @@ class TestPipelineExecution:
         result = Pipeline(tiny_config()).run(until=("kg",))
         assert result.artifacts_dir is None
         assert result.graph is not None
+
+
+class TestSmokeStoreRoundTrip:
+    """A restored smoke stack equals the run that wrote it, KG included."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("smoke")
+        ran = Pipeline(RunConfig.from_profile("smoke"), store=store).run(until=("train",))
+        return ran, load_pipeline(store)
+
+    def test_dataset_and_split_are_equal(self, runs):
+        ran, loaded = runs
+        for field in dataclasses.fields(InteractionDataset):
+            assert getattr(loaded.dataset, field.name) == getattr(ran.dataset, field.name)
+        assert loaded.split == ran.split
+
+    def test_graph_is_equal(self, runs):
+        ran, loaded = runs
+        graph, restored = ran.graph, loaded.graph
+        assert list(restored._edges.items()) == list(graph._edges.items())
+        for entity in range(graph.num_entities):
+            assert restored.outgoing(entity) == graph.outgoing(entity)
+        assert restored.version == graph.version
+        assert restored._dirty_entities == graph._dirty_entities
+        assert restored.adjacency_compile_stats() == graph.adjacency_compile_stats()
+        assert restored.item_category_map() == graph.item_category_map()
+        assert restored.statistics() == graph.statistics()
+        for name in ("indptr", "relations", "targets", "degrees", "entity_category",
+                     "is_item", "triplets"):
+            left, right = getattr(graph.adjacency(), name), getattr(restored.adjacency(), name)
+            assert left.dtype == right.dtype and np.array_equal(left, right), name
+
+    def test_category_graph_is_equal(self, runs):
+        ran, loaded = runs
+        category_graph = ran.context.category_graph
+        restored = loaded.context.category_graph
+        assert restored.num_categories == category_graph.num_categories
+        assert dict(restored._adjacency) == dict(category_graph._adjacency)
+        assert dict(restored._edge_relations) == dict(category_graph._edge_relations)
+
+    def test_split_shares_the_dataset_records(self, runs):
+        _, loaded = runs
+        records = {id(record) for record in loaded.dataset.interactions}
+        assert all(id(record) in records
+                   for record in loaded.split.train + loaded.split.test)
+
+    def test_a_split_row_the_dataset_lacks_is_restored(self, runs, tmp_path):
+        import shutil
+
+        ran, _ = runs
+        store = ArtifactStore(shutil.copytree(ran.artifacts_dir, tmp_path / "store"))
+        split = store.load_json("data", "split.json")
+        split["test"].append([0, 0, [0, 1]])
+        store.save_json("data", "split.json", split)
+        manifest = store.read_manifest()["stages"]["data"]
+        store.complete("data", manifest["fingerprint"], manifest["metadata"])
+        restored = load_pipeline(store.root, until=("data",))
+        assert Interaction(0, 0, (0, 1)) not in restored.dataset.interactions
+        assert restored.split.test[-1] == Interaction(0, 0, (0, 1))
+        assert restored.split.train == ran.split.train
+
+    def test_restore_times_each_stage(self, runs):
+        _, loaded = runs
+        assert set(loaded.seconds) == {"data", "kg", "embed", "cggnn", "train"}
+        assert all(status == "cached" for status in loaded.statuses.values())
+        assert all(seconds >= 0.0 for seconds in loaded.seconds.values())
 
 
 class TestArtifactRoundTrip:
