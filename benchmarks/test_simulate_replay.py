@@ -16,9 +16,9 @@ from repro.simulate import (
     ReplayDriver,
     UserPopulation,
     WorkloadConfig,
+    audit,
     generate_workload,
     render_report,
-    run_oracles,
     summarize,
 )
 
@@ -57,7 +57,7 @@ def test_replay_throughput_with_oracles(bench_once, benchmark):
 
     result = bench_once(benchmark, ReplayDriver(service).replay, workload)
 
-    reports = run_oracles(service, result.records, full_search_sample=30, seed=0)
+    reports = audit(service, result.records, full_search_sample=30, seed=0)
     print()
     print(render_report(summarize(result, reports)))
     assert len(result) == NUM_REQUESTS

@@ -18,50 +18,51 @@ Run with:
     python examples/autoscale_quickstart.py
 """
 
-from repro.cluster import AutoscaleConfig, Autoscaler, ClusterConfig, ClusterService
-from repro.darl import CADRL, CADRLConfig
-from repro.data import load_dataset, split_interactions
+from repro.cluster import ClusterConfig
+from repro.darl import CADRLConfig
 from repro.kg.entities import EntityType
+from repro.pipeline import Pipeline, RunConfig
+from repro.pipeline.config import DataConfig
 from repro.serving import ServingConfig
 from repro.simulate import (
-    ReplayDriver,
-    TraceClock,
+    StackSpec,
     UserPopulation,
     WorkloadConfig,
+    audit,
+    build_stack,
     generate_workload,
-    run_autoscale_oracles,
 )
 
 MIN_SHARDS, MAX_SHARDS = 2, 6
 MAX_QUEUE = 8
 
 
-def boot_cluster(model, shards, clock):
-    return ClusterService.from_cadrl(
-        model,
-        config=ClusterConfig(num_shards=shards, replication_factor=1,
-                             max_queue_per_shard=MAX_QUEUE),
-        serving_config=ServingConfig(cache_ttl_seconds=600.0),
-        clock=clock)
+def train():
+    """A small trained stack; its services keep answers cached for 10 min."""
+    config = RunConfig(data=DataConfig(dataset="beauty", scale=0.4, split_seed=0),
+                       model=CADRLConfig.fast(embedding_dim=32, seed=0),
+                       serving=ServingConfig(cache_ttl_seconds=600.0))
+    config.model.darl.epochs = 4
+    return Pipeline(config).run(until=("train",))
 
 
-def static_replay(model, workload, shards):
-    clock = TraceClock()
-    cluster = boot_cluster(model, shards, clock)
-    result = ReplayDriver(cluster, clock=clock).replay(workload)
-    return cluster, result
+def stack_spec(shards, autoscale=None):
+    """A single-replica cluster of ``shards`` with a tight admission queue."""
+    return StackSpec(cluster_config=ClusterConfig(num_shards=shards,
+                                                  replication_factor=1,
+                                                  max_queue_per_shard=MAX_QUEUE),
+                     autoscale=autoscale)
 
 
-def autoscaled_replay(model, workload):
-    clock = TraceClock()
-    cluster = boot_cluster(model, MIN_SHARDS, clock)
-    autoscaler = Autoscaler(
-        cluster,
-        AutoscaleConfig(min_shards=MIN_SHARDS, max_shards=MAX_SHARDS,
-                        tick_interval_s=workload.duration_s / 40.0, seed=0),
-        clock=clock)
-    result = ReplayDriver(autoscaler, clock=clock).replay(workload)
-    return autoscaler, result
+def static_replay(result, workload, shards):
+    return build_stack(result, stack_spec(shards), workload=workload).replay()
+
+
+def autoscaled_replay(result, workload):
+    """Boots at the floor; the autoscaler ticks every duration / 40 seconds."""
+    stack = build_stack(result, stack_spec(MIN_SHARDS, (MIN_SHARDS, MAX_SHARDS)),
+                        workload=workload)
+    return stack.autoscaler, stack.replay()
 
 
 def shed_count(result):
@@ -69,30 +70,27 @@ def shed_count(result):
 
 
 def main() -> None:
-    # 1. Train a small model (same recipe as the other examples).
-    dataset = load_dataset("beauty", scale=0.4)
-    split = split_interactions(dataset, seed=0)
-    config = CADRLConfig.fast(embedding_dim=32, seed=0)
-    config.darl.epochs = 4
-    model = CADRL(config).fit(dataset, split)
-    print(f"trained on {dataset.num_users} users / {dataset.num_items} items")
+    # 1. Train a small model through the pipeline.
+    result = train()
+    print(f"trained on {result.dataset.num_users} users / "
+          f"{result.dataset.num_items} items")
 
     # 2. A seeded bursty workload: long calm stretches, 10× bursts.
-    cold_standins = model.graph.entities.ids_of_type(EntityType.FEATURE)[:5]
-    population = UserPopulation.from_graph(model.graph,
+    cold_standins = result.graph.entities.ids_of_type(EntityType.FEATURE)[:5]
+    population = UserPopulation.from_graph(result.graph,
                                            extra_cold_users=cold_standins)
     workload = generate_workload(
         population,
         WorkloadConfig(num_requests=600, seed=7, arrival="bursty",
                        cold_fraction=0.1),
-        model.graph)
+        result.graph)
     print(f"workload: {len(workload)} requests over "
           f"{workload.duration_s:.2f}s of trace time "
           f"(signature {workload.signature()[:16]}…)")
 
     # 3. The elastic replay: the autoscaler grows into bursts and shrinks
     #    back through calm windows, warm-migrating cache entries each time.
-    autoscaler, elastic = autoscaled_replay(model, workload)
+    autoscaler, elastic = autoscaled_replay(result, workload)
     snapshot = autoscaler.autoscale_snapshot()
     print(f"\nautoscale: started {snapshot['initial_shards']} shards, "
           f"ended {snapshot['current_shards']}; "
@@ -104,8 +102,8 @@ def main() -> None:
     assert snapshot["scale_ups"] >= 1 and snapshot["scale_downs"] >= 1
 
     # 4. The capacity story against both static extremes.
-    _, small = static_replay(model, workload, MIN_SHARDS)
-    _, large = static_replay(model, workload, MAX_SHARDS)
+    small = static_replay(result, workload, MIN_SHARDS)
+    large = static_replay(result, workload, MAX_SHARDS)
     print(f"\nshed: static-{MIN_SHARDS} {shed_count(small)}, "
           f"autoscaled {shed_count(elastic)}, "
           f"static-{MAX_SHARDS} {shed_count(large)}")
@@ -116,15 +114,14 @@ def main() -> None:
 
     # 5. Scaling never changes answers: the oracle battery (including the
     #    scaling oracle's event-ledger and answer-stability checks) is clean.
-    reports = run_autoscale_oracles(autoscaler, elastic.records,
-                                    full_search_sample=60, seed=0)
+    reports = audit(autoscaler, elastic.records, full_search_sample=60, seed=0)
     for report in reports:
         assert report.ok, f"oracle failed: {report.summary()}"
     print("oracles: " + ", ".join(f"{report.oracle} ok ({report.checked})"
                                   for report in reports))
 
     # 6. Determinism: same seeds ⇒ bit-identical replay and event ledger.
-    again_scaler, again = autoscaled_replay(model, workload)
+    again_scaler, again = autoscaled_replay(result, workload)
     assert again.signature() == elastic.signature(), "replay diverged!"
     assert len(again_scaler.events) == len(autoscaler.events)
     print(f"elastic replay signature (reproducible): "

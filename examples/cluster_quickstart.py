@@ -16,66 +16,70 @@ Run with:
     python examples/cluster_quickstart.py
 """
 
-from repro.cluster import ClusterConfig, ClusterService
-from repro.darl import CADRL, CADRLConfig
+from repro.cluster import ClusterConfig
+from repro.darl import CADRLConfig
 from repro.kg.entities import EntityType
-from repro.data import load_dataset, split_interactions
+from repro.pipeline import Pipeline, RunConfig
+from repro.pipeline.config import DataConfig
 from repro.serving import RecommendationRequest, ServingConfig, ServingTier
 from repro.simulate import (
-    ReplayDriver,
-    TraceClock,
+    StackSpec,
     UserPopulation,
     WorkloadConfig,
+    audit,
+    build_stack,
     generate_workload,
     render_report,
-    run_oracles,
     summarize,
 )
 
 
-def boot_cluster(model, failed=(), clock=None, max_queue=256):
-    """A fresh 4×2 cluster over the shared trained artifacts."""
-    return ClusterService.from_cadrl(
-        model,
-        config=ClusterConfig(num_shards=4, replication_factor=2,
-                             max_queue_per_shard=max_queue,
-                             failed_shards=tuple(failed)),
-        serving_config=ServingConfig(cache_ttl_seconds=600.0),
-        **({"clock": clock} if clock is not None else {}))
+def train():
+    """A small trained stack; its services keep answers cached for 10 min."""
+    config = RunConfig(data=DataConfig(dataset="beauty", scale=0.4, split_seed=0),
+                       model=CADRLConfig.fast(embedding_dim=32, seed=0),
+                       serving=ServingConfig(cache_ttl_seconds=600.0))
+    config.model.darl.epochs = 4
+    return Pipeline(config).run(until=("train",))
 
 
-def replay(model, workload, failed=()):
-    clock = TraceClock()
-    cluster = boot_cluster(model, failed=failed, clock=clock)
-    result = ReplayDriver(cluster, clock=clock).replay(workload)
-    return cluster, result
+def cluster_config(failed=(), max_queue=256):
+    """A 4-shard × 2-replica topology, optionally with shards DOWN at boot."""
+    return ClusterConfig(num_shards=4, replication_factor=2,
+                         max_queue_per_shard=max_queue,
+                         failed_shards=tuple(failed))
+
+
+def replay(result, workload, failed=()):
+    """One virtual-time replay through a fresh cluster stack."""
+    stack = build_stack(result, StackSpec(cluster_config=cluster_config(failed)),
+                        workload=workload)
+    return stack, stack.replay()
 
 
 def main() -> None:
-    # 1. Train a small model (same recipe as the other examples).
-    dataset = load_dataset("beauty", scale=0.4)
-    split = split_interactions(dataset, seed=0)
-    config = CADRLConfig.fast(embedding_dim=32, seed=0)
-    config.darl.epochs = 4
-    model = CADRL(config).fit(dataset, split)
-    print(f"trained on {dataset.num_users} users / {dataset.num_items} items")
+    # 1. Train a small model through the pipeline.
+    result = train()
+    print(f"trained on {result.dataset.num_users} users / "
+          f"{result.dataset.num_items} items")
 
     # 2. A seeded workload over the KG's users (plus cold stand-ins).
-    cold_standins = model.graph.entities.ids_of_type(EntityType.FEATURE)[:5]
-    population = UserPopulation.from_graph(model.graph,
+    cold_standins = result.graph.entities.ids_of_type(EntityType.FEATURE)[:5]
+    population = UserPopulation.from_graph(result.graph,
                                            extra_cold_users=cold_standins)
     workload = generate_workload(
         population,
         WorkloadConfig(num_requests=800, seed=7, arrival="bursty",
                        mean_qps=500.0, cold_fraction=0.1),
-        model.graph)
+        result.graph)
     print(f"workload: {len(workload)} requests, "
           f"{workload.distinct_users()} distinct users "
           f"(signature {workload.signature()[:16]}…)")
 
     # 3. Healthy cluster replay, verified by the full oracle battery.
-    cluster, healthy = replay(model, workload)
-    reports = run_oracles(cluster, healthy.records, full_search_sample=60, seed=0)
+    stack, healthy = replay(result, workload)
+    cluster = stack.service
+    reports = audit(stack.front, healthy.records, full_search_sample=60, seed=0)
     print()
     print(render_report(summarize(healthy, reports)))
     for report in reports:
@@ -83,20 +87,20 @@ def main() -> None:
     print(f"routing: {cluster.telemetry_snapshot()['routing']}")
 
     # 4. Kill shard 1 at boot: everything is still served, *identically*.
-    degraded_cluster, degraded = replay(model, workload, failed=(1,))
+    degraded_stack, degraded = replay(result, workload, failed=(1,))
     assert len(degraded.records) == len(workload), "requests were dropped!"
     assert all(a.items == b.items
                for a, b in zip(healthy.records, degraded.records)), \
         "failover changed a recommendation!"
-    routing = degraded_cluster.telemetry_snapshot()["routing"]
+    routing = degraded_stack.service.telemetry_snapshot()["routing"]
     print(f"\nwith shard 1 down: all {len(degraded.records)} requests served, "
           f"{routing['failover']} failovers, recommendations identical")
-    for report in run_oracles(degraded_cluster, degraded.records,
-                              full_search_sample=60, seed=0):
+    for report in audit(degraded_stack.front, degraded.records,
+                        full_search_sample=60, seed=0):
         assert report.ok, f"oracle failed under failover: {report.summary()}"
 
     # 5. Determinism: the degraded replay is bit-reproducible.
-    _, again = replay(model, workload, failed=(1,))
+    _, again = replay(result, workload, failed=(1,))
     assert again.signature() == degraded.signature(), "replay diverged!"
     print(f"degraded replay signature (reproducible): "
           f"{degraded.signature()[:16]}…")
@@ -104,7 +108,7 @@ def main() -> None:
     # 6. Backpressure: a queue bound of 1 makes a same-user burst spill its
     #    second request to the replica (full quality) and *shed* the rest
     #    into the fallback tier chain — degraded answers, never a stall.
-    tight = boot_cluster(model, max_queue=1)
+    tight = result.cluster_service(cluster_config(max_queue=1))
     user = population.warm_users[0]
     burst = [RecommendationRequest(user_entity=user, top_k=k)
              for k in (3, 4, 5, 6)]

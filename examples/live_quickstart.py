@@ -1,19 +1,21 @@
 """Live-updates quickstart: zero-downtime streaming ingestion + generation swap.
 
-Trains a small stack through the pipeline, boots a 2-shard cluster behind a
-``repro.live.LiveSession``, and replays a seeded workload in virtual time
-while — mid-stream —
+Trains a small stack through the pipeline, builds a 2-shard cluster behind a
+``repro.live.LiveSession`` with ``repro.simulate.build_stack``, and replays a
+seeded workload in virtual time while — mid-stream —
 
 * an ``IngestEvent`` appends a burst of interaction/new-item deltas to the
   update log and folds them into the *staging* graph (delta CSR patch, the
   serving generation never sees a mutation),
 * a ``SwapEvent`` warm-start refreshes TransE + CGGNN from the previous
-  generation's weights, persists generation N+1 to the artifact store, and
-  flips the cluster's shards one at a time with scoped cache invalidation.
+  generation's weights and flips the cluster's shards one at a time with
+  scoped cache invalidation.
 
-The replay then has to satisfy the cross-generation oracle battery: every
-answer valid against the generation tables it was served from, zero
-swap-induced sheds, and the whole run bit-reproducible from its seeds.
+The replay then has to pass ``repro.simulate.audit``: every answer valid
+against (and a sample re-derived on) the generation tables it was served
+from, zero swap-induced sheds, and the whole run bit-reproducible from its
+seeds.  Generation 1 is finally persisted next to the base artifacts and
+reloaded bit-identically.
 
 Run with:
 
@@ -27,24 +29,23 @@ import numpy as np
 
 from repro.cluster import ClusterConfig
 from repro.darl import CADRLConfig
-from repro.live import (
-    GenerationBundle,
-    IngestEvent,
-    LiveSession,
-    RefreshConfig,
-    SwapEvent,
-)
+from repro.live import save_generation
 from repro.pipeline import ArtifactStore, Pipeline, RunConfig, load_pipeline
 from repro.pipeline.config import DataConfig, EvalConfig
-from repro.serving import ServingConfig
 from repro.simulate import (
-    ReplayDriver,
-    TraceClock,
+    StackSpec,
     UserPopulation,
     WorkloadConfig,
+    audit,
+    build_stack,
     generate_workload,
-    run_live_oracles,
 )
+
+#: One ingest burst of 20 deltas at 40% of the trace, one swap at 75%; the
+#: seed drives the burst, the warm-start refresh and nothing else here.
+LIVE = StackSpec(cluster_config=ClusterConfig(num_shards=2, replication_factor=2),
+                 workload_seed=7, live_ingest=20, ingest_at=(0.4,),
+                 swap_at=(0.75,), refresh_epochs=2)
 
 
 def small_run_config() -> RunConfig:
@@ -60,25 +61,10 @@ def small_run_config() -> RunConfig:
     return config
 
 
-def run_live_replay(result, store_dir):
-    """One seeded live replay: ingest at t=1.0s, swap at t=2.2s (trace time)."""
-    clock = TraceClock()
-    cluster = result.cluster_service(serving_config=ServingConfig(), clock=clock)
-    session = LiveSession(
-        cluster,
-        GenerationBundle.from_pipeline(result),
-        clock=clock,
-        refresh_config=RefreshConfig(transe_epochs=2, cggnn_epochs=1, seed=3),
-        schedule=[IngestEvent(at_s=1.0, count=20, seed=11),
-                  SwapEvent(at_s=2.2)],
-        store=ArtifactStore(store_dir))
-    population = UserPopulation.from_graph(session.graph)
-    workload = generate_workload(
-        population,
-        WorkloadConfig(num_requests=150, seed=7, mean_qps=40.0),
-        session.graph)
-    replay = ReplayDriver(session, clock=clock).replay(workload)
-    return session, replay
+def run_live_replay(result, workload):
+    """One seeded live replay through a fresh stack."""
+    stack = build_stack(result, LIVE, workload=workload)
+    return stack.session, stack.replay()
 
 
 def main() -> None:
@@ -89,7 +75,11 @@ def main() -> None:
           f"{result.graph.num_triplets} triplets")
 
     # 2. Live replay: streaming ingestion + one generation swap mid-stream.
-    session, replay = run_live_replay(result, store_dir)
+    population = UserPopulation.from_graph(result.graph)
+    workload = generate_workload(
+        population, WorkloadConfig(num_requests=150, seed=7, mean_qps=40.0),
+        result.graph)
+    session, replay = run_live_replay(result, workload)
     per_generation = {}
     for record in replay.records:
         per_generation[record.generation] = \
@@ -112,26 +102,26 @@ def main() -> None:
           f"(signature {live['log_signature'][:16]}…), "
           f"staging compiles {live['staging_compile_stats']}")
 
-    # 3. The cross-generation oracle battery: pre-swap answers must be valid
-    #    against generation-0 tables, post-swap against generation 1 — and a
-    #    sample is re-derived against the right generation's recommender.
-    for oracle_report in run_live_oracles(session, replay.records,
-                                          full_search_sample=40, seed=0):
+    # 3. The oracle battery: pre-swap answers must be valid against
+    #    generation-0 tables, post-swap against generation 1 — and a sample
+    #    is re-derived against the right generation's recommender.
+    for oracle_report in audit(session, replay.records,
+                               full_search_sample=40, seed=0):
         assert oracle_report.ok, f"oracle failed: {oracle_report.summary()}"
         print(f"oracle ok: {oracle_report.summary()}")
 
     # 4. Determinism: same seeds → bit-identical replay, generation stamps
-    #    and all.  (Fresh cluster, fresh session, fresh store directory.)
-    other_dir = pathlib.Path(tempfile.mkdtemp()) / "artifacts"
-    Pipeline(small_run_config(), store=other_dir).run(until=("train",))
-    _, again = run_live_replay(result, other_dir)
+    #    and all.  (Fresh cluster, fresh session.)
+    _, again = run_live_replay(result, workload)
     assert again.signature() == replay.signature(), "live replay diverged!"
     print(f"\nreplay signature (reproducible): {replay.signature()[:16]}…")
 
-    # 5. Generation 1 is a first-class artifact: the store now holds both
-    #    generations and `load_pipeline` reconstructs the latest one —
-    #    bit-identical to the bundle that served traffic.
+    # 5. Generation 1 is a first-class artifact: persisted next to the base
+    #    stack (its refreshed arrays plus the delta slice that produced it),
+    #    `load_pipeline` reconstructs the latest generation — bit-identical
+    #    to the bundle that served traffic.
     store = ArtifactStore(store_dir)
+    save_generation(store, session.current, session.log)
     print(f"generations on disk: {store.list_generations()}")
     restored = load_pipeline(store_dir)          # defaults to latest
     current = session.current

@@ -17,36 +17,31 @@ Run with:
     python examples/scenario_explorer.py
 """
 
-from repro.cluster import ClusterConfig, ClusterService
-from repro.darl import CADRL, CADRLConfig
-from repro.data import load_dataset, split_interactions
+from repro.cluster import ClusterConfig
+from repro.darl import CADRLConfig
+from repro.pipeline import Pipeline, RunConfig
+from repro.pipeline.config import DataConfig
 from repro.scenarios import (Explorer, ExplorerConfig, get_scenario,
                              render_matrix)
 from repro.serving import ServingConfig
-from repro.simulate import UserPopulation, WorkloadConfig
+from repro.simulate import WorkloadConfig
 
 
 def main() -> None:
-    # 1. Train a small model (same recipe as the other examples).
-    dataset = load_dataset("beauty", scale=0.4)
-    split = split_interactions(dataset, seed=0)
-    config = CADRLConfig.fast(embedding_dim=32, seed=0)
-    config.darl.epochs = 4
-    model = CADRL(config).fit(dataset, split)
-    print(f"trained on {dataset.num_users} users / {dataset.num_items} items")
+    # 1. Train a small model through the pipeline (services keep answers
+    #    cached for 10 min).
+    config = RunConfig(data=DataConfig(dataset="beauty", scale=0.4, split_seed=0),
+                       model=CADRLConfig.fast(embedding_dim=32, seed=0),
+                       serving=ServingConfig(cache_ttl_seconds=600.0))
+    config.model.darl.epochs = 4
+    result = Pipeline(config).run(until=("train",))
+    print(f"trained on {result.dataset.num_users} users / "
+          f"{result.dataset.num_items} items")
 
     # 2. An explorer over the trained stack: each episode builds a fresh
-    #    virtual-time cluster, so no cache state leaks between cells.
-    def make_service(cluster_config, clock):
-        return ClusterService.from_cadrl(
-            model, config=cluster_config,
-            serving_config=ServingConfig(cache_ttl_seconds=600.0),
-            clock=clock)
-
+    #    virtual-time stack, so no cache state leaks between cells.
     explorer = Explorer(
-        make_service,
-        population=UserPopulation.from_graph(model.graph),
-        graph=model.graph,
+        result,
         config=ExplorerConfig(
             episodes=3, seed=0,
             workload=WorkloadConfig(num_requests=200, arrival="bursty"),

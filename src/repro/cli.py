@@ -18,34 +18,32 @@ Commands
     it, printing the telemetry snapshot.
 ``simulate``
     Replay a seeded synthetic workload (``repro.simulate``) against the
-    serving stack and verify the answers with the correctness oracles.
+    serving stack and verify the answers with the oracle battery.  The flags
+    resolve into one :class:`repro.simulate.StackSpec` (rejected
+    combinations exit with ``error: …``); :func:`repro.simulate.build_stack`
+    wires the planes and :func:`repro.simulate.audit` picks the oracles.
     ``--shards N --replicas R`` serves through a :mod:`repro.cluster`
-    topology instead of a single service, ``--fail-shard K`` marks shard K
-    DOWN at boot (under a fault plan it is a ledgered ``shard_down`` event
-    from t=0 instead), and the replay runs in virtual
-    time by default, so the same ``--seed`` reproduces the identical result
-    signature bit for bit.  ``--live-ingest N`` turns on the live-update
-    loop (``repro.live``): scheduled mid-trace ingestion bursts, a
-    warm-start refresh and a zero-downtime generation swap, verified by the
-    cross-generation oracle; add ``--expect-no-shed`` to fail the run if
-    any request was shed.  ``--autoscale --min-shards A --max-shards B``
-    resizes the cluster mid-replay from shed/queue signals at virtual-time
-    ticks (``repro.cluster.Autoscaler``), verified by the scaling oracle.
-    ``--faults PLAN.json`` (or ``--chaos-seed N`` for a seeded random plan)
-    runs the fault-injection plane (``repro.faults``): a fault-free baseline
-    replay of the identical stack first, then the faulted replay with
-    per-shard circuit breakers, bounded retries and the fault ledger,
-    audited by the fault-tolerance oracle — every request answered, every
-    divergent answer carrying ledger-explained ``fault`` provenance.
-    ``--scenario NAME|SPEC.json`` reshapes the generated trace through a
-    :mod:`repro.scenarios` pipeline (flash crowds, cache busters,
-    shard-targeted hot keys, …), and ``--save-trace``/``--trace`` round-trip
-    the final trace to disk for bit-identical replay elsewhere.
+    topology, ``--fail-shard K`` marks shard K DOWN at boot (under a fault
+    plan, a ledgered ``shard_down`` event from t=0 instead), and the replay
+    runs in virtual time by default, so the same ``--seed`` reproduces the
+    identical result signature bit for bit.  ``--live-ingest N`` adds
+    scheduled ingest bursts and generation swaps (``repro.live``), each
+    answer checked against the generation that computed it;
+    ``--expect-no-shed`` fails the run if any request was shed.
+    ``--autoscale --min-shards A --max-shards B`` resizes the cluster at
+    virtual-time ticks (``repro.cluster.Autoscaler``), checked by the
+    scaling oracle.  ``--faults PLAN.json`` (or ``--chaos-seed N``) replays
+    a fault-free twin first, then the faulted stack with circuit breakers,
+    bounded retries and the fault ledger, audited by the fault-tolerance
+    oracle.  ``--scenario NAME|SPEC.json`` reshapes the trace through a
+    :mod:`repro.scenarios` pipeline, and ``--save-trace``/``--trace``
+    round-trip the final trace for bit-identical replay elsewhere.
 ``explore``
     Sweep scenarios × cluster configs (``repro.scenarios.Explorer``): k
-    seeded episodes per cell through the replay driver and the oracle
-    battery, aggregated into a deterministic comparison matrix (same seed ⇒
-    bit-identical matrix signature; exit 1 on any oracle mismatch).
+    seeded episodes per cell, each a fresh stack from the same builder,
+    audited by the same battery and aggregated into a deterministic
+    comparison matrix (same seed ⇒ bit-identical matrix signature; exit 1
+    on any oracle mismatch).
 ``experiments``
     Run the paper's tables/figures (replaces the old ad-hoc
     ``repro.experiments.runner`` argparse).
@@ -87,11 +85,11 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -221,7 +219,7 @@ def _command_serve_demo(arguments: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# simulate & explore: one flag resolution, one stack builder
+# simulate & explore: flags → StackSpec (the stack is built in repro.simulate)
 # --------------------------------------------------------------------------- #
 def _cluster_config(arguments: argparse.Namespace, config: RunConfig,
                     shards: int, replicas: int,
@@ -245,78 +243,27 @@ def _cluster_config(arguments: argparse.Namespace, config: RunConfig,
         failed_shards=failed_shards)
 
 
-def _boot_service(result: PipelineResult, arguments: argparse.Namespace,
-                  cluster_config, clock, breaker: bool = False):
-    """A fresh service over the trained stack, with ``--cache-capacity``.
-
-    ``cluster_config=None`` boots the single-service facade; otherwise a
-    cluster, with per-shard circuit breakers on ``clock`` if ``breaker``.
-    """
-    kwargs = {} if clock is None else {"clock": clock}
-    if arguments.cache_capacity is not None:
-        import dataclasses
-
-        kwargs["serving_config"] = dataclasses.replace(
-            result.config.serving, cache_capacity=arguments.cache_capacity)
-    if cluster_config is None:
-        return result.service(**kwargs)
-    if breaker:
-        from .cluster import CircuitBreaker
-
-        kwargs["breaker"] = CircuitBreaker(clock)
-    return result.cluster_service(cluster_config=cluster_config, **kwargs)
+def _checked(spec):
+    """``spec``, or exit with its rejection in the ``error: …`` style."""
+    try:
+        spec.validate()
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
+    return spec
 
 
-@dataclass(frozen=True)
-class _SimulateSpec:
-    """Every ``simulate`` flag, resolved and validated once."""
+def _stack_spec(arguments: argparse.Namespace, config: RunConfig):
+    """Every ``simulate`` flag as one validated :class:`StackSpec`."""
+    from .simulate import StackSpec
 
-    cluster_config: Optional[object]   # None: the single-service facade
-    workload_seed: int
-    virtual: bool
-    live: bool
-    faulted: bool
-    #: ``--fail-shard`` targets.  Without a fault plan they are DOWN at boot
-    #: (``cluster_config.failed_shards``); with one they become ledgered
-    #: ``ShardDownFault`` events the faulted twin suffers and the clean
-    #: twin does not.
-    failed_shards: Tuple[int, ...]
-    autoscale: Optional[Tuple[int, int]]   # (min_shards, max_shards)
-
-
-def _resolve_simulate(arguments: argparse.Namespace,
-                      config: RunConfig) -> _SimulateSpec:
-    """Reject unsupported flag combinations, then resolve the topology."""
+    if arguments.faults is not None and arguments.chaos_seed is not None:
+        raise SystemExit("error: pass --faults PLAN.json or --chaos-seed N, "
+                         "not both")
     faulted = arguments.faults is not None or arguments.chaos_seed is not None
-    live = bool(arguments.live_ingest)
-    autoscale = bool(arguments.autoscale)
+    autoscale = arguments.autoscale
     failed_shards = tuple(arguments.fail_shard or ())
     min_shards = arguments.min_shards if arguments.min_shards is not None else 2
     max_shards = arguments.max_shards if arguments.max_shards is not None else 6
-    wall_clock = arguments.wall_clock
-    for rejected, message in (
-            (arguments.faults is not None and arguments.chaos_seed is not None,
-             "pass --faults PLAN.json or --chaos-seed N, not both"),
-            (wall_clock and faulted,
-             "fault replays are virtual-time only (the injector and breakers "
-             "run on the trace clock); drop --wall-clock"),
-            (wall_clock and live,
-             "--live-ingest replays run in virtual time; drop --wall-clock"),
-            (wall_clock and autoscale,
-             "--autoscale decisions are evaluated at virtual-time ticks; "
-             "drop --wall-clock"),
-            (autoscale and faulted,
-             "--faults/--chaos-seed cannot be combined with --autoscale yet"),
-            (autoscale and live,
-             "--autoscale cannot be combined with --live-ingest (one "
-             "resharding actor per replay)"),
-            (autoscale and failed_shards,
-             "--autoscale cannot be combined with --fail-shard yet"),
-            (autoscale and min_shards > max_shards,
-             f"--min-shards {min_shards} exceeds --max-shards {max_shards}")):
-        if rejected:
-            raise SystemExit(f"error: {message}")
-
     # CLI flags override the run's persisted cluster spec; an autoscaled
     # cluster boots at its floor (or an explicit --shards within the range)
     # and earns its capacity from the trace.
@@ -324,19 +271,6 @@ def _resolve_simulate(arguments: argparse.Namespace,
         shards = arguments.shards
     else:
         shards = min_shards if autoscale else config.cluster.num_shards
-    if autoscale and not min_shards <= shards <= max_shards:
-        raise SystemExit(f"error: --shards {shards} outside the autoscale "
-                         f"range [{min_shards}, {max_shards}]")
-    bad = [shard for shard in failed_shards if not 0 <= shard < shards]
-    if bad:
-        raise SystemExit(
-            f"error: --fail-shard {bad} outside the {shards}-shard "
-            f"topology; pass --shards N with N > {max(failed_shards)}")
-    if (failed_shards and not faulted
-            and set(failed_shards) >= set(range(shards))):
-        raise SystemExit(
-            "error: --fail-shard would take every shard down; "
-            "leave at least one healthy (or raise --shards)")
     if arguments.replicas is not None:
         replicas = arguments.replicas
     elif arguments.shards is None:
@@ -344,9 +278,11 @@ def _resolve_simulate(arguments: argparse.Namespace,
     else:
         replicas = min(2, shards)
     # Failover, breakers, generation swaps and resharding all live in the
-    # cluster facade, so only a plain replay may use the single service.
-    clustered = shards > 1 or bool(failed_shards) or live or faulted or autoscale
-    return _SimulateSpec(
+    # cluster facade, so only a plain one-shard replay may use the single
+    # service; a shard count below one reaches validate() and is rejected.
+    clustered = (shards != 1 or bool(failed_shards) or arguments.live_ingest != 0
+                 or faulted or autoscale)
+    return _checked(StackSpec(
         cluster_config=(_cluster_config(
             arguments, config, shards, replicas,
             () if faulted else failed_shards) if clustered else None),
@@ -355,12 +291,15 @@ def _resolve_simulate(arguments: argparse.Namespace,
         workload_seed=(arguments.workload_seed
                        if arguments.workload_seed is not None
                        else arguments.seed),
-        # Virtual time (default) pins the replay to the trace's timeline, so
-        # the whole run is a pure function of the seeds; --wall-clock opts
-        # into real latencies instead.
-        virtual=not wall_clock, live=live, faulted=faulted,
+        virtual=not arguments.wall_clock, faulted=faulted,
         failed_shards=failed_shards,
-        autoscale=(min_shards, max_shards) if autoscale else None)
+        autoscale=(min_shards, max_shards) if autoscale else None,
+        scale_tick=arguments.scale_tick,
+        cache_capacity=arguments.cache_capacity,
+        live_ingest=arguments.live_ingest,
+        ingest_at=tuple(arguments.ingest_at or StackSpec.ingest_at),
+        swap_at=tuple(arguments.swap_at or StackSpec.swap_at),
+        refresh_epochs=arguments.refresh_epochs))
 
 
 def _prepare_workload(arguments: argparse.Namespace, service,
@@ -417,105 +356,7 @@ def _prepare_workload(arguments: argparse.Namespace, service,
     return workload
 
 
-@dataclass
-class _Stack:
-    """One replayable stack: a service plus whichever planes wrap it."""
-
-    clock: Optional[object]
-    service: object
-    workload: object
-    injector: Optional[object] = None
-    autoscaler: Optional[object] = None
-    session: Optional[object] = None
-
-    def replay(self):
-        from .simulate import ReplayDriver
-
-        front = self.session or self.autoscaler or self.service
-        return ReplayDriver(front, clock=self.clock).replay(self.workload)
-
-    def oracles(self, records, sample: int):
-        """The oracle battery that matches the outermost plane."""
-        from .simulate import (run_autoscale_oracles, run_live_oracles,
-                               run_oracles)
-
-        if self.session is not None:
-            return run_live_oracles(self.session, records,
-                                    full_search_sample=sample, seed=0)
-        if self.autoscaler is not None:
-            return run_autoscale_oracles(self.autoscaler, records,
-                                         full_search_sample=sample, seed=0)
-        return run_oracles(self.service, records,
-                           full_search_sample=sample, seed=0)
-
-
-def _build_stack(result: PipelineResult, arguments: argparse.Namespace,
-                 spec: _SimulateSpec, workload=None, plan=None,
-                 workdir: Optional[Path] = None) -> _Stack:
-    """Boot one stack: service, then fault injector, autoscaler, live session.
-
-    The first call prepares the workload against its own service (a scenario
-    may target the cluster's ring); a fault replay then calls it again with
-    that workload and the plan to build the faulted twin.  ``workdir`` gives
-    live sessions a persisted store and write-ahead log for the plan to
-    corrupt and tear.
-    """
-    from .simulate import TraceClock
-
-    clock = TraceClock() if spec.virtual else None
-    service = _boot_service(result, arguments, spec.cluster_config, clock,
-                            breaker=spec.faulted)
-    if workload is None:
-        workload = _prepare_workload(arguments, service, spec.workload_seed)
-    stack = _Stack(clock, service, workload)
-    if plan is not None:
-        from .faults import FaultInjector
-
-        stack.injector = FaultInjector(plan, clock)
-        stack.injector.install(service)
-    if spec.autoscale is not None:
-        from .cluster import AutoscaleConfig, Autoscaler
-
-        tick = (arguments.scale_tick if arguments.scale_tick is not None
-                else max(workload.duration_s / 40.0, 1e-3))
-        stack.autoscaler = Autoscaler(
-            service,
-            AutoscaleConfig(min_shards=spec.autoscale[0],
-                            max_shards=spec.autoscale[1],
-                            tick_interval_s=tick, seed=spec.workload_seed),
-            clock=clock)
-    if spec.live:
-        from .live import (GenerationBundle, IngestEvent, LiveSession,
-                           RefreshConfig, SwapEvent)
-
-        duration = workload.duration_s
-        schedule = [IngestEvent(at_s=fraction * duration,
-                                count=arguments.live_ingest,
-                                seed=spec.workload_seed + offset)
-                    for offset, fraction in
-                    enumerate(arguments.ingest_at or [0.35])]
-        schedule += [SwapEvent(at_s=fraction * duration)
-                     for fraction in (arguments.swap_at or [0.6])]
-        persisted = {}
-        if workdir is not None:
-            from .pipeline.artifacts import ArtifactStore
-
-            root = workdir / ("baseline" if plan is None else "faulted")
-            root.mkdir(parents=True, exist_ok=True)
-            persisted = {"store": ArtifactStore(root / "store"),
-                         "log_path": root / "updates.jsonl"}
-        stack.session = LiveSession(
-            service, GenerationBundle.from_pipeline(result), clock=clock,
-            refresh_config=RefreshConfig(
-                transe_epochs=arguments.refresh_epochs,
-                cggnn_epochs=max(1, arguments.refresh_epochs // 2),
-                seed=spec.workload_seed),
-            schedule=schedule, injector=stack.injector, **persisted)
-    return stack
-
-
-def _fault_plan(arguments: argparse.Namespace, spec: _SimulateSpec,
-                duration_s: float):
+def _fault_plan(arguments: argparse.Namespace, spec, duration_s: float):
     """The ``--faults``/``--chaos-seed`` plan over the trace span, plus one
     permanent ``shard_down`` event at t=0 per ``--fail-shard``."""
     from .faults import FaultPlan, ShardDownFault, chaos_plan
@@ -548,10 +389,10 @@ def _command_simulate(arguments: argparse.Namespace) -> int:
     import contextlib
     import tempfile
 
-    from .simulate import render_report, run_fault_oracles, summarize
+    from .simulate import audit, build_stack, render_report, summarize
 
     result = _result_for_serving(arguments)
-    spec = _resolve_simulate(arguments, result.config)
+    spec = _stack_spec(arguments, result.config)
     cluster = spec.cluster_config
     if cluster is not None:
         print(f"cluster: {cluster.num_shards} shards × "
@@ -566,22 +407,27 @@ def _command_simulate(arguments: argparse.Namespace) -> int:
                if spec.faulted and spec.live else contextlib.nullcontext())
     with scratch as workdir:
         workdir = None if workdir is None else Path(workdir)
-        stack = _build_stack(result, arguments, spec, workdir=workdir)
+        stack = build_stack(
+            result, spec, workdir=workdir,
+            workload=lambda service: _prepare_workload(
+                arguments, service, spec.workload_seed))
         plan = (_fault_plan(arguments, spec, stack.workload.duration_s)
                 if spec.faulted else None)
         replay = stack.replay()
-        reports = stack.oracles(replay.records, arguments.oracle_sample)
         baseline = None
-        if plan is not None:
+        if plan is None:
+            reports = audit(stack.front, replay.records,
+                            full_search_sample=arguments.oracle_sample, seed=0)
+        else:
             print(f"baseline replay     {len(replay.records)} answered, "
                   f"signature {replay.signature()[:32]}…")
-            baseline = replay
-            stack = _build_stack(result, arguments, spec,
-                                 workload=stack.workload, plan=plan,
-                                 workdir=workdir)
+            clean, baseline = stack, replay
+            stack = build_stack(result, spec, workload=stack.workload,
+                                plan=plan, workdir=workdir)
             replay = stack.replay()
-            reports = reports + run_fault_oracles(
-                replay.records, baseline.records, stack.injector.ledger)
+            reports = audit(clean.front, baseline.records,
+                            full_search_sample=arguments.oracle_sample, seed=0,
+                            twin=replay.records, ledger=stack.injector.ledger)
 
         summary = summarize(replay, reports)
         summary["workload_seed"] = spec.workload_seed
@@ -654,7 +500,7 @@ def _command_explore(arguments: argparse.Namespace) -> int:
     """
     from .scenarios import (Explorer, ExplorerConfig, ScenarioError,
                             load_scenario, render_matrix, scenario_names)
-    from .simulate import UserPopulation, WorkloadConfig
+    from .simulate import StackSpec, WorkloadConfig
 
     result = _result_for_serving(arguments)
     try:
@@ -667,14 +513,14 @@ def _command_explore(arguments: argparse.Namespace) -> int:
     if min(shard_counts) <= 0 or len(set(shard_counts)) != len(shard_counts):
         raise SystemExit(f"error: --shards {shard_counts} must be positive "
                          f"and distinct (one matrix column each)")
+    spec = StackSpec(cache_capacity=arguments.cache_capacity)
     configs = [_cluster_config(arguments, result.config, shards,
                                arguments.replicas) for shards in shard_counts]
+    for config in configs:
+        _checked(dataclasses.replace(spec, cluster_config=config))
 
     explorer = Explorer(
-        lambda cluster_config, clock: _boot_service(
-            result, arguments, cluster_config, clock),
-        population=UserPopulation.from_graph(result.graph),
-        graph=result.graph,
+        result, spec=spec,
         config=ExplorerConfig(
             episodes=arguments.episodes,
             seed=arguments.seed,

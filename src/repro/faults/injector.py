@@ -25,11 +25,10 @@ produces a bit-identical ledger — checkable via :meth:`FaultLedger.signature`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from ..canonical import canonical_sha256
 from .plan import (
     ArtifactCorruptionFault,
     CrashMidSwapFault,
@@ -105,9 +104,7 @@ class FaultLedger:
 
     def signature(self) -> str:
         """SHA-256 over the canonical entry list — ledger identity in one line."""
-        canonical = json.dumps(self.as_dicts(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_sha256(self.as_dicts())
 
 
 class FaultInjector:

@@ -32,13 +32,14 @@ absolute seconds — committed plans stay meaningful whatever the trace length.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
+
+from ..canonical import canonical_sha256
 
 PLAN_VERSION = 1
 
@@ -226,9 +227,7 @@ class FaultPlan:
 
     def signature(self) -> str:
         """SHA-256 over the canonical serialisation — plan identity in one line."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_sha256(self.to_dict())
 
 
 def chaos_plan(seed: int, *, num_shards: int, duration_s: float,

@@ -13,7 +13,7 @@ The live stack turns the frozen, generation-0 serving story into a loop:
   invalidation;
 * :mod:`repro.live.session` — :class:`LiveSession`: the serving-facade
   orchestrator that fires scheduled ingest/swap events on the replay clock
-  and keeps the generation ledger the cross-generation oracles audit.
+  and keeps the generation ledger the generation-scoped oracles audit.
 """
 
 from .log import (

@@ -20,7 +20,7 @@ and manages the whole zero-downtime update loop:
   timeline — bursts, refreshes, flips — is a pure function of the trace and
   the seeds;
 * the **generation ledger** (``bundles``): every generation ever served,
-  kept addressable so cross-generation oracles can re-derive any answer
+  kept addressable so the generation-scoped oracles can re-derive any answer
   against the exact tables that produced it.
 
 The session itself quacks like a service (``serve``/``serve_many`` plus the
@@ -326,7 +326,7 @@ class LiveSession:
     def generation_views(self) -> Dict[int, object]:
         """A fresh single-shard view service per generation ever served.
 
-        These are *off-path* reconstructions for the cross-generation
+        These are *off-path* reconstructions for the generation-scoped
         oracles: same frozen tables and search hyper-parameters as the
         services that answered, but private caches — deriving an answer
         through a view never perturbs the live cluster.

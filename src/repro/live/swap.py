@@ -19,7 +19,7 @@ model: the coordinator runs between serving bursts (the live session fires
 it before dispatching a batch), every shard always has *some* complete
 generation installed, and mid-swap the cluster simply serves mixed
 generations — each answer internally consistent with the generation that
-produced it (the cross-generation oracle checks exactly this).  No request
+produced it (the generation-scoped oracles check exactly this).  No request
 is ever shed because of a swap; the CI smoke test asserts
 ``routing.shed == 0`` across a full ingest-and-swap replay.
 """

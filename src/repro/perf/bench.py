@@ -378,10 +378,10 @@ def bench_fault_overhead(result: PipelineResult,
     never sees a fault must not change a single answer.  Trend metric, not
     gated (in-process wall time).
     """
-    from ..cluster import CircuitBreaker, ClusterConfig, ClusterService
-    from ..faults import FaultInjector, FaultPlan
-    from ..simulate import ReplayDriver, TraceClock, UserPopulation, \
-        WorkloadConfig, generate_workload
+    from ..cluster import ClusterConfig
+    from ..faults import FaultPlan
+    from ..simulate import (StackSpec, UserPopulation, WorkloadConfig,
+                            build_stack, generate_workload)
 
     graph = result.graph
     population = UserPopulation.from_graph(graph)
@@ -389,22 +389,18 @@ def bench_fault_overhead(result: PipelineResult,
         population,
         WorkloadConfig(num_requests=FAULT_BENCH_REQUESTS, seed=profile.seed),
         graph)
-    serving_config = ServingConfig(cache_capacity=max(4 * profile.beam_users, 64))
-    cluster_config = ClusterConfig(num_shards=FAULT_BENCH_SHARDS,
-                                   replication_factor=FAULT_BENCH_REPLICAS)
+    spec = StackSpec(
+        cluster_config=ClusterConfig(num_shards=FAULT_BENCH_SHARDS,
+                                     replication_factor=FAULT_BENCH_REPLICAS),
+        cache_capacity=max(4 * profile.beam_users, 64))
 
     replays = []
 
     def replay(armored: bool) -> None:
-        clock = TraceClock()
-        breaker = CircuitBreaker(clock=clock) if armored else None
-        cluster = ClusterService.from_cadrl(
-            result.cadrl, transe=result.transe, config=cluster_config,
-            serving_config=serving_config, clock=clock, breaker=breaker,
-            name=f"bench ({'armored' if armored else 'bare'})")
-        if armored:
-            FaultInjector(FaultPlan(events=()), clock).install(cluster)
-        replays.append(ReplayDriver(cluster, clock=clock).replay(workload))
+        stack = build_stack(result, replace(spec, faulted=armored),
+                            workload=workload,
+                            plan=FaultPlan(events=()) if armored else None)
+        replays.append(stack.replay())
 
     bare_s, armored_s = _median_ab(lambda: replay(False),
                                    lambda: replay(True), profile.repeats)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..canonical import canonical_sha256
 from ..cluster.config import ClusterConfig
 from ..darl import CADRLConfig
 from ..serving import ServingConfig
@@ -141,13 +141,6 @@ def _model_from_dict(payload: Dict[str, Any]) -> CADRLConfig:
         if dataclasses.is_dataclass(target) and isinstance(value, dict):
             setattr(model, name, config_from_dict(target, value))
     return model
-
-
-def _fingerprint(payload: Dict[str, Any]) -> str:
-    """Stable sha256 over a canonical JSON rendering of ``payload``."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -265,7 +258,7 @@ class RunConfig:
     # ------------------------------------------------------------------ #
     def fingerprint(self) -> str:
         """Content hash of the whole configuration (stable across processes)."""
-        return _fingerprint(self.to_dict())
+        return canonical_sha256(self.to_dict())
 
     def stage_fingerprints(self) -> Dict[str, str]:
         """One cache key per stage, chained through the stage DAG.
@@ -298,5 +291,5 @@ class RunConfig:
                 "inputs": own_inputs[name],
                 "upstream": [fingerprints[dep] for dep in STAGE_DEPENDENCIES[name]],
             }
-            fingerprints[name] = _fingerprint(payload)
+            fingerprints[name] = canonical_sha256(payload)
         return fingerprints

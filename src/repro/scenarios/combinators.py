@@ -43,7 +43,6 @@ The combinator battery:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -52,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..canonical import canonical_sha256
 from ..simulate.workload import SimulatedRequest, Workload, WorkloadConfig
 
 SCENARIO_VERSION = 1
@@ -597,6 +597,4 @@ class Scenario:
 
     def signature(self) -> str:
         """SHA-256 over the canonical serialisation — spec identity in one line."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_sha256(self.to_dict())

@@ -18,16 +18,16 @@ the CI ``scenario-matrix`` job asserts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..canonical import canonical_sha256
 from ..cluster.config import ClusterConfig
-from ..simulate.oracles import run_oracles
-from ..simulate.replay import ReplayConfig, ReplayDriver, TraceClock
+from ..simulate.replay import ReplayConfig
 from ..simulate.report import replay_telemetry
+from ..simulate.stack import StackSpec, audit, build_stack
 from ..simulate.workload import (UserPopulation, Workload, WorkloadConfig,
                                  generate_workload)
 from .combinators import Scenario, ScenarioContext
@@ -161,9 +161,7 @@ class ComparisonMatrix:
     def signature(self) -> str:
         """SHA-256 over the canonical matrix — bit-identical across same-seed
         runs because nothing in the cells reads the wall clock."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_sha256(self.to_dict())
 
 
 def render_matrix(matrix: ComparisonMatrix) -> str:
@@ -189,22 +187,21 @@ def render_matrix(matrix: ComparisonMatrix) -> str:
 class Explorer:
     """Sweeps scenarios × cluster configs, k seeded episodes per cell.
 
-    ``make_service`` builds a fresh service for one episode:
-    ``make_service(cluster_config, clock)`` — typically a closure over a
-    trained :class:`repro.pipeline.PipelineResult` calling its
-    ``cluster_service``.  A fresh service (and fresh :class:`TraceClock`) per
-    episode keeps episodes independent: no cache state or telemetry leaks
-    between cells, which is what makes the matrix order-insensitive and
-    bit-reproducible.
+    Every episode builds a fresh virtual-time stack over ``result`` (a
+    trained :class:`repro.pipeline.PipelineResult`) through
+    :func:`repro.simulate.build_stack`, with ``spec`` (cache capacity, …)
+    and the cell's cluster config.  A fresh stack per episode keeps
+    episodes independent: no cache state or telemetry leaks between cells,
+    which is what makes the matrix order-insensitive and bit-reproducible.
+    Traces draw from every user of the trained graph.
     """
 
-    def __init__(self, make_service: Callable[[ClusterConfig, TraceClock],
-                                              object],
-                 population: UserPopulation, graph=None,
+    def __init__(self, result, *, spec: Optional[StackSpec] = None,
                  config: Optional[ExplorerConfig] = None) -> None:
-        self.make_service = make_service
-        self.population = population
-        self.graph = graph
+        self.result = result
+        self.spec = spec or StackSpec()
+        self.graph = result.graph
+        self.population = UserPopulation.from_graph(self.graph)
         self.config = config or ExplorerConfig()
         self.config.validate()
 
@@ -243,22 +240,25 @@ class Explorer:
                     episode: int) -> EpisodeStats:
         """One seeded episode: generate → transform → replay → audit."""
         seed = self.config.episode_seed(episode)
-        clock = TraceClock()
-        service = self.make_service(config, clock)
-        workload = generate_workload(
-            self.population,
-            replace(self.config.workload, seed=seed),
-            self.graph)
-        context = ScenarioContext(graph=self.graph,
-                                  population=self.population,
-                                  ring=getattr(service, "ring", None))
-        shaped = scenario.apply(workload, context)
-        result = ReplayDriver(service, clock=clock).replay(
-            shaped, self.config.replay)
-        reports = run_oracles(
-            service, result.records,
-            full_search_sample=self.config.full_search_sample, seed=seed)
-        return self._stats(service, shaped, result, reports, episode, seed)
+
+        def shaped(service) -> Workload:
+            workload = generate_workload(
+                self.population, replace(self.config.workload, seed=seed),
+                self.graph)
+            return scenario.apply(workload, ScenarioContext(
+                graph=self.graph, population=self.population,
+                ring=getattr(service, "ring", None)))
+
+        stack = build_stack(self.result,
+                            replace(self.spec, cluster_config=config,
+                                    workload_seed=seed),
+                            workload=shaped)
+        result = stack.replay(self.config.replay)
+        reports = audit(stack.front, result.records,
+                        full_search_sample=self.config.full_search_sample,
+                        seed=seed)
+        return self._stats(stack.service, stack.workload, result, reports,
+                           episode, seed)
 
     # ------------------------------------------------------------------ #
     def _stats(self, service, workload: Workload, result, reports,

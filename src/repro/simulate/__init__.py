@@ -11,22 +11,25 @@ seeded experiment:
   through a :class:`repro.serving.RecommendationService` (open- or
   closed-loop) and collects per-request :class:`RequestRecord`\\ s.
 * :mod:`~repro.simulate.oracles` — correctness oracles replaying served
-  answers against direct ``PathRecommender`` searches (exact for full-search
-  payloads, relaxed validity invariants for the fallback tiers).
+  answers against direct ``PathRecommender`` searches on the generation that
+  computed them (exact for full-search payloads, relaxed validity invariants
+  for the fallback tiers).
+* :mod:`~repro.simulate.stack` — replay stacks: a frozen :class:`StackSpec`,
+  :func:`build_stack` (the one place a service is wrapped in fault,
+  autoscale and live planes) and :func:`audit` (the oracle battery that
+  matches a stack's planes).
 * :mod:`~repro.simulate.report` — summary + text report built on the
   existing serving telemetry types.
 
-Typical use::
+Typical use, over a trained :class:`repro.pipeline.PipelineResult`::
 
-    population = UserPopulation.from_graph(service.graph)
-    workload = generate_workload(population, WorkloadConfig(seed=7), service.graph)
-    result = ReplayDriver(service).replay(workload)
-    reports = run_oracles(service, result.records)
-    print(render_report(summarize(result, reports)))
+    stack = build_stack(result, StackSpec(workload_seed=7))
+    replay = stack.replay()
+    reports = audit(stack.front, replay.records, full_search_sample=50, seed=0)
+    print(render_report(summarize(replay, reports)))
 """
 
 from .oracles import (
-    CrossGenerationOracle,
     FallbackValidityOracle,
     FaultToleranceOracle,
     FullSearchOracle,
@@ -34,13 +37,11 @@ from .oracles import (
     OracleReport,
     ScalingOracle,
     StaleConsistencyOracle,
-    run_autoscale_oracles,
-    run_fault_oracles,
-    run_live_oracles,
-    run_oracles,
 )
 from .replay import ReplayConfig, ReplayDriver, ReplayResult, RequestRecord, TraceClock
 from .report import render_report, replay_telemetry, summarize
+from .stack import (Stack, StackSpec, audit, build_stack, run_live_oracles,
+                    run_oracles)
 from .workload import (
     ARRIVAL_PROCESSES,
     SimulatedRequest,
@@ -53,7 +54,6 @@ from .workload import (
 
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "CrossGenerationOracle",
     "FallbackValidityOracle",
     "FaultToleranceOracle",
     "FullSearchOracle",
@@ -65,17 +65,19 @@ __all__ = [
     "RequestRecord",
     "ScalingOracle",
     "SimulatedRequest",
+    "Stack",
+    "StackSpec",
     "StaleConsistencyOracle",
     "TraceClock",
     "UserPopulation",
     "Workload",
     "WorkloadConfig",
     "WorkloadSchemaError",
+    "audit",
+    "build_stack",
     "generate_workload",
     "render_report",
     "replay_telemetry",
-    "run_autoscale_oracles",
-    "run_fault_oracles",
     "run_live_oracles",
     "run_oracles",
     "summarize",

@@ -2,39 +2,42 @@
 
 Serving a request can legitimately answer from four tiers, and "correct" means
 something different per tier.  Each oracle re-derives the expected answer for
-the tiers it understands and reports mismatches as :class:`OracleFinding`\\ s:
+the tiers it understands and reports mismatches as :class:`OracleFinding`\\ s.
+Every answer is stamped with the artifact generation that computed it, and
+the first two oracles check it against *that* generation's tables — a plain
+service is the one-generation ledger ``{0: service}``, a live session's
+:meth:`~repro.live.LiveSession.generation_views` holds every generation it
+served.  An answer stamped with a generation outside the ledger is a finding.
 
 * :class:`FullSearchOracle` — responses whose payload was computed by the full
   beam search (``source_tier == FULL``, i.e. fresh full searches *and* cache
-  hits on them) must match a direct ``PathRecommender.recommend`` call
-  exactly, item for item and in order.
+  hits on them) must match a direct ``PathRecommender.recommend`` call on
+  their generation exactly, item for item and in order.
 * :class:`FallbackValidityOracle` — every response must satisfy the universal
   invariants (unique items, at most ``top_k`` of them, exclusions respected,
-  only item entities); embedding-tier payloads must additionally reproduce the
-  deterministic fallback ranking, and tier choice must match policy (cold
-  users never get the full search, unconstrained warm misses always do).
+  only item entities *of its generation* — an item a later generation
+  introduced proves a torn answer — and paths that end at their item and
+  respect ``min_path_length``); embedding-tier payloads must additionally
+  reproduce the deterministic fallback ranking, and tier choice must match
+  policy (cold users never get the full search, unconstrained warm misses
+  always do, shed requests never do).
 * :class:`StaleConsistencyOracle` — a stale response must replay, verbatim,
   the most recent non-stale answer served for the same cache key earlier in
   the trace.
-* :class:`CrossGenerationOracle` — in a live-updated replay every response
-  is stamped with the artifact generation that computed it; each answer must
-  be valid *against that generation's tables* (pre-swap answers against
-  generation N, post-swap against N+1, never a torn mix of both).
+* :class:`ScalingOracle` — scale events may change provenance, never answers.
 * :class:`FaultToleranceOracle` — under an injected fault plan, every request
   is still answered, and every answer is either bit-identical (items) to the
   fault-free same-seed replay or carries degraded ``fault`` provenance that a
   fault-ledger entry explains.  Divergence without provenance, and provenance
   without a matching ledgered cause, are both findings.
 
-``run_oracles`` wires the first three to a service and a record list;
-``run_live_oracles`` runs the live battery over a generation ledger;
-``run_fault_oracles`` audits a faulted replay against its clean twin.
+:func:`repro.simulate.audit` picks the battery that matches a stack's planes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -82,20 +85,40 @@ class OracleReport:
         return f"{self.oracle}: checked {self.checked} requests, {status}"
 
 
-class FullSearchOracle:
+class _GenerationScoped:
+    """An oracle over a generation ledger: generation number → view.
+
+    A view is anything service-like (``.graph``, ``.recommender``,
+    ``.tiers``) over exactly one generation's frozen tables.
+    """
+
+    def __init__(self, views: Mapping[int, object]) -> None:
+        if not views:
+            raise ValueError("the oracle needs at least one generation view")
+        self.views = dict(views)
+
+    def _view(self, record: RequestRecord, report: OracleReport):
+        """The view of the record's generation; a finding if there is none."""
+        view = self.views.get(record.generation)
+        if view is None:
+            report.add(record, f"answer stamped with unknown generation "
+                               f"{record.generation} (ledger has "
+                               f"{sorted(self.views)})")
+        return view
+
+
+class FullSearchOracle(_GenerationScoped):
     """Exact-match oracle for payloads produced by the full beam search."""
 
     name = "full_search_oracle"
-
-    def __init__(self, recommender) -> None:
-        self.recommender = recommender
 
     def check(self, records: Sequence[RequestRecord],
               sample_size: Optional[int] = None, seed: int = 0) -> OracleReport:
         """Recompute a (sampled) set of FULL-provenance answers and compare.
 
-        ``sample_size`` bounds the number of re-searches (they cost a full
-        beam search each); ``None`` checks every eligible record.
+        ``sample_size`` bounds the number of re-searches across all
+        generations (they cost a full beam search each); ``None`` checks
+        every eligible record.
         """
         report = OracleReport(oracle=self.name)
         eligible = [record for record in records
@@ -104,48 +127,52 @@ class FullSearchOracle:
             rng = np.random.default_rng(seed)
             chosen = rng.choice(len(eligible), size=sample_size, replace=False)
             eligible = [eligible[i] for i in sorted(chosen)]
-        # Records sharing a cache key share one expected answer — memoise so a
-        # Zipf-skewed trace (many cache hits per key) costs one beam search
-        # per distinct key instead of one per record.
+        # Records sharing a generation and cache key share one expected
+        # answer — memoise so a Zipf-skewed trace (many cache hits per key)
+        # costs one beam search per distinct key instead of one per record.
         expected_by_key: dict = {}
         for record in eligible:
             report.checked += 1
-            key = record.cache_key()
+            view = self._view(record, report)
+            if view is None:
+                continue
+            key = (record.generation, record.cache_key())
             expected_items = expected_by_key.get(key)
             if expected_items is None:
-                expected = self.recommender.recommend(
+                expected = view.recommender.recommend(
                     record.user_entity, exclude_items=set(record.exclude_items),
                     top_k=record.top_k)
                 expected_items = tuple(path.item_entity for path in expected)
                 expected_by_key[key] = expected_items
             if record.items != expected_items:
                 report.add(record, f"served items {list(record.items)} != "
-                                   f"direct search {list(expected_items)}")
+                                   f"generation {record.generation} direct "
+                                   f"search {list(expected_items)}")
         return report
 
 
-class FallbackValidityOracle:
+class FallbackValidityOracle(_GenerationScoped):
     """Universal invariants plus relaxed per-tier checks for degraded answers."""
 
     name = "fallback_validity_oracle"
-
-    def __init__(self, service) -> None:
-        self.service = service
-        self.graph = service.graph
 
     def check(self, records: Sequence[RequestRecord]) -> OracleReport:
         report = OracleReport(oracle=self.name)
         expected_by_key: dict = {}
         for record in records:
             report.checked += 1
-            self._check_universal(record, report)
+            view = self._view(record, report)
+            if view is None:
+                continue
+            self._check_universal(record, view, report)
             if record.source_tier is ServingTier.EMBEDDING:
-                self._check_embedding(record, report, expected_by_key)
-            self._check_tier_policy(record, report)
+                self._check_embedding(record, view, report, expected_by_key)
+            self._check_tier_policy(record, view, report)
         return report
 
     # ------------------------------------------------------------------ #
-    def _check_universal(self, record: RequestRecord, report: OracleReport) -> None:
+    def _check_universal(self, record: RequestRecord, view,
+                         report: OracleReport) -> None:
         items = record.items
         if len(items) > record.top_k:
             report.add(record, f"{len(items)} items exceed top_k={record.top_k}")
@@ -154,30 +181,35 @@ class FallbackValidityOracle:
         leaked = set(items) & set(record.exclude_items)
         if leaked:
             report.add(record, f"excluded items served: {sorted(leaked)}")
-        non_items = [entity for entity in items
-                     if not self.graph.entities.is_item(entity)]
-        if non_items:
-            report.add(record, f"non-item entities served: {non_items}")
+        # The generation-scoped item check: entity ids beyond this
+        # generation's tables (or non-item ids) prove a torn answer.
+        torn = [entity for entity in items
+                if entity not in view.graph.entities
+                or not view.graph.entities.is_item(entity)]
+        if torn:
+            report.add(record, f"items invalid for generation "
+                               f"{record.generation}: {torn}")
         for path in record.paths:
             if path.item_entity != (path.hops[-1][1] if path.hops else None):
                 report.add(record, f"path does not end at its item: {path}")
-            if path.length < self.service.recommender.config.min_path_length:
+            if path.length < view.recommender.config.min_path_length:
                 report.add(record, f"path shorter than min_path_length: {path}")
 
-    def _check_embedding(self, record: RequestRecord, report: OracleReport,
-                         expected_by_key: dict) -> None:
+    def _check_embedding(self, record: RequestRecord, view,
+                         report: OracleReport, expected_by_key: dict) -> None:
         """Embedding answers are deterministic — recompute (once per key) and compare."""
-        key = record.cache_key()
+        key = (record.generation, record.cache_key())
         expected = expected_by_key.get(key)
         if expected is None:
-            expected = tuple(self.service.tiers.fallback_items(record))
+            expected = tuple(view.tiers.fallback_items(record))
             expected_by_key[key] = expected
         if record.items != expected:
             report.add(record, f"embedding items {list(record.items)} != "
                                f"recomputed ranking {list(expected)}")
 
-    def _check_tier_policy(self, record: RequestRecord, report: OracleReport) -> None:
-        cold = self.service.tiers.is_cold(record.user_entity)
+    def _check_tier_policy(self, record: RequestRecord, view,
+                           report: OracleReport) -> None:
+        cold = view.tiers.is_cold(record.user_entity)
         if cold and record.source_tier is ServingTier.FULL:
             report.add(record, "cold user served a full-search payload")
         if (not cold and not record.cache_hit
@@ -245,119 +277,6 @@ class StaleConsistencyOracle:
             return True
         return (record.tier is ServingTier.EMBEDDING
                 and self.service.tiers.is_cold(record.user_entity))
-
-
-class CrossGenerationOracle:
-    """Every answer must be consistent with the generation that produced it.
-
-    ``views`` maps generation number → a service-like view (``.graph``,
-    ``.recommender``, ``.tiers``) over exactly that generation's frozen
-    tables (:meth:`repro.live.LiveSession.generation_views` builds them).
-    For each record the oracle:
-
-    * requires the stamped generation to exist in the ledger;
-    * re-checks the universal invariants against *that* generation's graph —
-      in particular, every served item must be an item entity of that
-      generation, which catches torn mixes: an item introduced by generation
-      N+1 has an entity id beyond generation N's tables, so it can never
-      legally appear in a generation-N answer;
-    * recomputes FULL-provenance payloads with that generation's recommender
-      (sampled, memoised per ``(generation, cache key)``) and
-      EMBEDDING-provenance payloads with its fallback ranker;
-    * checks tier policy against that generation's cold-user set.
-    """
-
-    name = "cross_generation_oracle"
-
-    def __init__(self, views) -> None:
-        if not views:
-            raise ValueError("the oracle needs at least one generation view")
-        self.views = dict(views)
-
-    def check(self, records: Sequence[RequestRecord],
-              full_search_sample: Optional[int] = None,
-              seed: int = 0) -> OracleReport:
-        report = OracleReport(oracle=self.name)
-        eligible_full = [record for record in records
-                         if record.source_tier is ServingTier.FULL]
-        sampled_full = set(record.index for record in eligible_full)
-        if (full_search_sample is not None
-                and full_search_sample < len(eligible_full)):
-            rng = np.random.default_rng(seed)
-            chosen = rng.choice(len(eligible_full), size=full_search_sample,
-                                replace=False)
-            sampled_full = {eligible_full[i].index for i in chosen}
-        expected_by_key: dict = {}
-        for record in records:
-            report.checked += 1
-            view = self.views.get(record.generation)
-            if view is None:
-                report.add(record, f"answer stamped with unknown generation "
-                                   f"{record.generation} (ledger has "
-                                   f"{sorted(self.views)})")
-                continue
-            self._check_universal(record, view, report)
-            if (record.source_tier is ServingTier.FULL
-                    and record.index in sampled_full):
-                self._check_full(record, view, report, expected_by_key)
-            elif record.source_tier is ServingTier.EMBEDDING:
-                self._check_embedding(record, view, report, expected_by_key)
-            self._check_tier_policy(record, view, report)
-        return report
-
-    # ------------------------------------------------------------------ #
-    def _check_universal(self, record: RequestRecord, view,
-                         report: OracleReport) -> None:
-        items = record.items
-        if len(items) > record.top_k:
-            report.add(record, f"{len(items)} items exceed top_k={record.top_k}")
-        if len(set(items)) != len(items):
-            report.add(record, f"duplicate items in {list(items)}")
-        leaked = set(items) & set(record.exclude_items)
-        if leaked:
-            report.add(record, f"excluded items served: {sorted(leaked)}")
-        # The generation-scoped item check: entity ids beyond this
-        # generation's tables (or non-item ids) prove a torn answer.
-        torn = [entity for entity in items
-                if entity not in view.graph.entities
-                or not view.graph.entities.is_item(entity)]
-        if torn:
-            report.add(record, f"items invalid for generation "
-                               f"{record.generation}: {torn}")
-
-    def _check_full(self, record: RequestRecord, view, report: OracleReport,
-                    expected_by_key: dict) -> None:
-        key = (record.generation, record.cache_key())
-        expected = expected_by_key.get(key)
-        if expected is None:
-            paths = view.recommender.recommend(
-                record.user_entity, exclude_items=set(record.exclude_items),
-                top_k=record.top_k)
-            expected = tuple(path.item_entity for path in paths)
-            expected_by_key[key] = expected
-        if record.items != expected:
-            report.add(record, f"generation {record.generation} full search "
-                               f"gives {list(expected)}, served "
-                               f"{list(record.items)}")
-
-    def _check_embedding(self, record: RequestRecord, view,
-                         report: OracleReport, expected_by_key: dict) -> None:
-        key = (record.generation, "embed", record.cache_key())
-        expected = expected_by_key.get(key)
-        if expected is None:
-            expected = tuple(view.tiers.fallback_items(record))
-            expected_by_key[key] = expected
-        if record.items != expected:
-            report.add(record, f"generation {record.generation} embedding "
-                               f"ranking gives {list(expected)}, served "
-                               f"{list(record.items)}")
-
-    def _check_tier_policy(self, record: RequestRecord, view,
-                           report: OracleReport) -> None:
-        if (view.tiers.is_cold(record.user_entity)
-                and record.source_tier is ServingTier.FULL):
-            report.add(record, f"user cold in generation {record.generation} "
-                               "served a full-search payload")
 
 
 class ScalingOracle:
@@ -538,64 +457,3 @@ class FaultToleranceOracle:
                            f"{sorted(explains)}; ledger has "
                            f"{sorted(ledger_kinds)})")
         return report
-
-
-def run_oracles(service, records: Sequence[RequestRecord],
-                full_search_sample: Optional[int] = None,
-                seed: int = 0) -> List[OracleReport]:
-    """Run the full oracle battery against one service's replay records."""
-    return [
-        FullSearchOracle(service.recommender).check(
-            records, sample_size=full_search_sample, seed=seed),
-        FallbackValidityOracle(service).check(records),
-        StaleConsistencyOracle(service).check(records),
-    ]
-
-
-def run_live_oracles(session, records: Sequence[RequestRecord],
-                     full_search_sample: Optional[int] = None,
-                     seed: int = 0) -> List[OracleReport]:
-    """The oracle battery for a live (multi-generation) replay.
-
-    ``session`` is a :class:`repro.live.LiveSession` (anything exposing
-    ``generation_views()``).  The cross-generation oracle subsumes the
-    single-generation full-search/validity checks — each applied against the
-    generation that actually answered — and the stale-consistency oracle
-    remains sound unchanged: a stale answer replays a cached record verbatim,
-    generation stamp included.
-    """
-    views = session.generation_views()
-    return [
-        CrossGenerationOracle(views).check(
-            records, full_search_sample=full_search_sample, seed=seed),
-        StaleConsistencyOracle(session).check(records),
-    ]
-
-
-def run_autoscale_oracles(autoscaler, records: Sequence[RequestRecord],
-                          full_search_sample: Optional[int] = None,
-                          seed: int = 0) -> List[OracleReport]:
-    """The oracle battery for an autoscaled replay.
-
-    ``autoscaler`` is a :class:`repro.cluster.Autoscaler`; it exposes the
-    reference ``recommender``/``tiers``/``graph`` surface, so the standard
-    battery applies unchanged, and the :class:`ScalingOracle` additionally
-    checks the scale-event ledger and answer stability across resharding.
-    """
-    return run_oracles(autoscaler, records,
-                       full_search_sample=full_search_sample,
-                       seed=seed) + [ScalingOracle(autoscaler).check(records)]
-
-
-def run_fault_oracles(records: Sequence[RequestRecord],
-                      baseline_records: Sequence[RequestRecord],
-                      ledger=None) -> List[OracleReport]:
-    """The fault-replay battery: the self-healing contract check.
-
-    Runs over the *faulted* records; ``baseline_records`` come from the
-    fault-free same-seed replay of an identical stack, ``ledger`` from the
-    run's :class:`repro.faults.FaultInjector`.  Answer validity under
-    degradation is covered by the standard battery run on the clean twin —
-    this battery audits the delta between the two runs.
-    """
-    return [FaultToleranceOracle(baseline_records, ledger).check(records)]

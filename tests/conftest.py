@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from repro.cggnn import CGGNN, CGGNNConfig, CGGNNTrainingConfig, train_cggnn
+from repro.darl import CADRLConfig
 from repro.data import SyntheticConfig, generate, split_interactions
 from repro.embeddings import TransEConfig, train_transe
 from repro.kg import build_knowledge_graph
+from repro.pipeline import Pipeline, RunConfig
+from repro.pipeline.config import DataConfig, EvalConfig
+from repro.serving import ServingConfig
 
 
 TINY_CONFIG = SyntheticConfig(
@@ -57,6 +61,27 @@ def tiny_representations(tiny_kg, tiny_transe):
     representations, _ = train_cggnn(graph, model,
                                      CGGNNTrainingConfig(epochs=2, batch_size=128, seed=0))
     return representations
+
+
+@pytest.fixture(scope="session")
+def tiny_pipeline(tmp_path_factory):
+    """A tiny trained pipeline, persisted: ``(artifact directory, result)``.
+
+    The stack that replay builders (:func:`repro.simulate.build_stack`, the
+    scenario explorer, ``repro simulate --artifacts``) boot from; answers
+    stay cached for ten minutes of trace time.
+    """
+    config = RunConfig(
+        data=DataConfig(dataset="beauty", scale=0.25, split_seed=0),
+        model=CADRLConfig.fast(embedding_dim=16, seed=0),
+        serving=ServingConfig(cache_capacity=64, cache_ttl_seconds=600.0),
+        eval=EvalConfig(max_eval_users=8),
+    )
+    config.model.transe.epochs = 5
+    config.model.cggnn_training.epochs = 3
+    config.model.darl.epochs = 2
+    store = tmp_path_factory.mktemp("tiny_pipeline")
+    return store, Pipeline(config, store=store).run(until=("train",))
 
 
 @pytest.fixture()

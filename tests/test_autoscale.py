@@ -38,8 +38,8 @@ from repro.simulate import (
     TraceClock,
     UserPopulation,
     WorkloadConfig,
+    audit,
     generate_workload,
-    run_autoscale_oracles,
 )
 
 
@@ -249,9 +249,9 @@ class TestAutoscaler:
 
     def test_oracle_battery_is_clean_including_scaling_oracle(self, autoscaled):
         autoscaler, replay = autoscaled
-        reports = run_autoscale_oracles(autoscaler, replay.records,
-                                        full_search_sample=30, seed=0)
-        assert {report.oracle for report in reports} >= {"scaling_oracle"}
+        reports = audit(autoscaler, replay.records, full_search_sample=30,
+                        seed=0)
+        assert reports[-1].oracle == "scaling_oracle"
         assert all(report.ok for report in reports)
         assert sum(report.checked for report in reports) > 0
 

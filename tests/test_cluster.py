@@ -49,8 +49,8 @@ from repro.simulate import (
     TraceClock,
     UserPopulation,
     WorkloadConfig,
+    audit,
     generate_workload,
-    run_oracles,
 )
 
 
@@ -374,8 +374,8 @@ class TestClusterService:
 
     def test_oracle_battery_is_clean_against_a_cluster(self, baseline):
         cluster, replay = baseline
-        reports = run_oracles(cluster, replay.records, full_search_sample=40,
-                              seed=0)
+        reports = audit(cluster, replay.records, full_search_sample=40,
+                        seed=0)
         assert all(report.ok for report in reports)
         assert sum(report.checked for report in reports) > 0
 
@@ -395,8 +395,8 @@ class TestClusterService:
         assert all(a.items == b.items
                    for a, b in zip(healthy.records, degraded.records))
         assert degraded_cluster.routing.failover > 0
-        reports = run_oracles(degraded_cluster, degraded.records,
-                              full_search_sample=40, seed=0)
+        reports = audit(degraded_cluster, degraded.records,
+                        full_search_sample=40, seed=0)
         assert all(report.ok for report in reports)
 
     def test_mid_trace_scheduled_failure_is_replayable(self, cluster_stack,
@@ -490,8 +490,8 @@ class TestClusterService:
         replay_result = _replay(cluster, workload, clock)
         assert cluster.routing.shed > 0
         assert any(record.shed for record in replay_result.records)
-        reports = run_oracles(cluster, replay_result.records,
-                              full_search_sample=30, seed=0)
+        reports = audit(cluster, replay_result.records,
+                        full_search_sample=30, seed=0)
         assert all(report.ok for report in reports), [
             str(f) for report in reports for f in report.findings[:3]]
 

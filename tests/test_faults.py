@@ -53,9 +53,8 @@ from repro.simulate import (
     TraceClock,
     UserPopulation,
     WorkloadConfig,
+    audit,
     generate_workload,
-    run_fault_oracles,
-    run_oracles,
 )
 from repro.simulate.replay import RequestRecord
 
@@ -379,12 +378,6 @@ class TestFaultToleranceOracle:
         for value, kinds in FaultToleranceOracle.PROVENANCE_EXPLANATIONS.items():
             assert kinds, value
 
-    def test_run_fault_oracles_wraps_the_battery(self):
-        baseline = [_record(0, [1, 2])]
-        reports = run_fault_oracles([_record(0, [1, 2])], baseline)
-        assert [report.oracle for report in reports] == [
-            "fault_tolerance_oracle"]
-
 
 # --------------------------------------------------------------------------- #
 # provenance values are answer identity
@@ -571,10 +564,22 @@ def _chaos_replay(make_cluster, workload, plan=None, **cluster_kwargs):
 
 class TestChaosReplay:
     @pytest.fixture(scope="class")
-    def baseline(self, chaos_stack):
+    def clean(self, chaos_stack):
+        """The fault-free twin: its cluster and its replay."""
         make_cluster, workload = chaos_stack
-        _, replay, _ = _chaos_replay(make_cluster, workload)
-        return replay
+        cluster, replay, _ = _chaos_replay(make_cluster, workload)
+        return cluster, replay
+
+    @pytest.fixture(scope="class")
+    def baseline(self, clean):
+        return clean[1]
+
+    @staticmethod
+    def _audit(clean, faulted, injector):
+        """The clean twin's battery plus the fault-tolerance audit."""
+        cluster, replay = clean
+        return audit(cluster, replay.records, full_search_sample=20, seed=0,
+                     twin=faulted.records, ledger=injector.ledger)
 
     def test_armored_faultfree_replay_matches_the_bare_cluster(
             self, chaos_stack, baseline):
@@ -584,14 +589,14 @@ class TestChaosReplay:
         assert all(record.fault is None for record in baseline.records)
 
     def test_chaos_plan_answers_everything_with_explained_divergence(
-            self, chaos_stack, baseline):
+            self, chaos_stack, clean):
         make_cluster, workload = chaos_stack
         plan = chaos_plan(5, num_shards=4, duration_s=workload.duration_s)
         cluster, faulted, injector = _chaos_replay(make_cluster, workload,
                                                    plan=plan)
         assert len(faulted.records) == len(workload)
-        reports = run_fault_oracles(faulted.records, baseline.records,
-                                    injector.ledger)
+        reports = self._audit(clean, faulted, injector)
+        assert reports[-1].oracle == "fault_tolerance_oracle"
         assert all(report.ok for report in reports), [
             finding.message for report in reports
             for finding in report.findings][:5]
@@ -609,7 +614,7 @@ class TestChaosReplay:
                 == second_injector.ledger.signature())
 
     def test_whole_trace_outage_degrades_with_retry_exhausted(
-            self, chaos_stack, baseline):
+            self, chaos_stack, clean, baseline):
         make_cluster, workload = chaos_stack
         plan = FaultPlan(events=(
             ShardDownFault(at_s=0.0, shard_id=0),
@@ -626,12 +631,11 @@ class TestChaosReplay:
             record.items == base.items
             for record, base in zip(faulted.records, baseline.records)
             if record.fault is None)
-        reports = run_fault_oracles(faulted.records, baseline.records,
-                                    injector.ledger)
+        reports = self._audit(clean, faulted, injector)
         assert all(report.ok for report in reports)
 
     def test_transient_exceptions_trip_breakers_and_recover(
-            self, chaos_stack, baseline):
+            self, chaos_stack, clean):
         make_cluster, workload = chaos_stack
         plan = FaultPlan(events=(
             ShardExceptionFault(at_s=0.0, shard_id=0, count=4),))
@@ -640,11 +644,7 @@ class TestChaosReplay:
         assert len(faulted.records) == len(workload)
         assert injector.ledger.count("shard_exception") == 4
         assert injector.ledger.count("retry") > 0
-        reports = run_fault_oracles(faulted.records, baseline.records,
-                                    injector.ledger)
+        # The battery audits answer validity on the clean twin, the
+        # fault-tolerance oracle the faulted replay against it.
+        reports = self._audit(clean, faulted, injector)
         assert all(report.ok for report in reports)
-        # the baseline battery still audits answer validity on the clean twin
-        clean_cluster, clean, _ = _chaos_replay(make_cluster, workload)
-        battery = run_oracles(clean_cluster, clean.records,
-                              full_search_sample=20, seed=0)
-        assert all(report.ok for report in battery)

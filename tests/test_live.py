@@ -40,8 +40,8 @@ from repro.simulate import (
     TraceClock,
     UserPopulation,
     WorkloadConfig,
+    audit,
     generate_workload,
-    run_live_oracles,
 )
 
 
@@ -460,8 +460,7 @@ class TestLiveLoop:
         generations = {record.generation for record in replay.records}
         assert generations == {0, 1, 2}
         # The full live oracle battery is green.
-        reports = run_live_oracles(session, replay.records,
-                                   full_search_sample=30, seed=0)
+        reports = audit(session, replay.records, full_search_sample=30, seed=0)
         assert all(report.ok for report in reports), [
             str(finding) for report in reports for finding in report.findings]
         # Same seeds → bit-identical replay, generation stamps included.

@@ -23,9 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.cluster import ClusterConfig, ClusterService, ConsistentHashRing
-from repro.darl import (CADRLConfig, InferenceConfig, PathRecommender,
-                        PolicyConfig, SharedPolicyNetworks)
+from repro.cluster import ClusterConfig, ConsistentHashRing
+from repro.darl import CADRLConfig
 from repro.kg.entities import EntityType
 from repro.pipeline import RunConfig
 from repro.pipeline.config import DataConfig, EvalConfig
@@ -36,7 +35,6 @@ from repro.scenarios import (CacheBuster, CohortCorrelation,
                              ScenarioError, get_scenario, load_scenario,
                              render_matrix, scenario_names,
                              transform_from_dict)
-from repro.serving import RecommendationService, ServingConfig
 from repro.simulate import (SimulatedRequest, UserPopulation, Workload,
                             WorkloadConfig, WorkloadSchemaError,
                             generate_workload)
@@ -45,40 +43,18 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
 
 @pytest.fixture(scope="module")
-def scenario_stack(tiny_kg, tiny_representations):
-    """Service/cluster factories + population over the shared tiny stack."""
-    graph, category_graph, _ = tiny_kg
-    policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, hidden_size=8,
-                                               mlp_hidden=16, seed=0))
-
-    def make_service(clock=None, **serving_kwargs):
-        recommender = PathRecommender(graph, category_graph,
-                                      tiny_representations, policy,
-                                      max_path_length=4, max_entity_actions=8,
-                                      max_category_actions=4,
-                                      config=InferenceConfig(
-                                          beam_width=6, expansions_per_beam=2))
-        serving_kwargs.setdefault("cache_ttl_seconds", 600.0)
-        serving_kwargs.setdefault("cache_capacity", 64)
-        extra = {"clock": clock} if clock is not None else {}
-        return RecommendationService(recommender,
-                                     config=ServingConfig(**serving_kwargs),
-                                     **extra)
-
-    def make_cluster_service(cluster_config, clock):
-        services = [make_service(clock=clock)
-                    for _ in range(cluster_config.num_shards)]
-        return ClusterService(services, config=cluster_config, clock=clock)
-
+def scenario_stack(tiny_kg):
+    """The tiny graph's population (plus cold stand-ins) and the graph."""
+    graph, _, _ = tiny_kg
     cold_standins = tuple(graph.entities.ids_of_type(EntityType.FEATURE)[:3])
     population = UserPopulation.from_graph(graph,
                                            extra_cold_users=cold_standins)
-    return make_cluster_service, population, graph
+    return population, graph
 
 
 @pytest.fixture(scope="module")
 def base_workload(scenario_stack):
-    _, population, graph = scenario_stack
+    population, graph = scenario_stack
     return generate_workload(
         population, WorkloadConfig(num_requests=200, seed=7), graph)
 
@@ -203,7 +179,7 @@ class TestFlashCrowd:
 class TestCohortCorrelation:
     def test_sessions_draw_from_single_cohorts(self, scenario_stack,
                                                base_workload):
-        _, population, graph = scenario_stack
+        population, graph = scenario_stack
         transform = CohortCorrelation(num_cohorts=3, session=0.25, seed=2)
         context = ScenarioContext(graph=graph, population=population)
         shaped = Scenario(name="s", transforms=(transform,)).apply(
@@ -221,7 +197,7 @@ class TestCohortCorrelation:
 
 class TestCacheBuster:
     def test_rotates_cache_keys(self, scenario_stack, base_workload):
-        _, population, graph = scenario_stack
+        population, graph = scenario_stack
         buster = CacheBuster(fraction=1.0, rotation=64, seed=4)
         context = ScenarioContext(graph=graph, population=population)
         shaped = Scenario(name="s", transforms=(buster,)).apply(
@@ -247,7 +223,7 @@ class TestCacheBuster:
 
 class TestHotShardTargeting:
     def test_targets_the_ring_primary(self, scenario_stack, base_workload):
-        _, population, graph = scenario_stack
+        population, graph = scenario_stack
         ring = ConsistentHashRing(range(4), virtual_nodes=64, seed=0)
         transform = HotShardTargeting(target_shard=2, fraction=1.0, seed=6)
         shaped = Scenario(name="s", transforms=(transform,)).apply(
@@ -425,10 +401,10 @@ class TestDegenerateTraces:
 # --------------------------------------------------------------------- #
 class TestExplorer:
     @pytest.fixture(scope="class")
-    def swept(self, scenario_stack):
-        make_cluster_service, population, graph = scenario_stack
+    def swept(self, tiny_pipeline):
+        _, result = tiny_pipeline
         explorer = Explorer(
-            make_cluster_service, population=population, graph=graph,
+            result,
             config=ExplorerConfig(
                 episodes=2, seed=0,
                 workload=WorkloadConfig(num_requests=60),

@@ -20,10 +20,10 @@ from repro.simulate import (
     UserPopulation,
     Workload,
     WorkloadConfig,
+    audit,
     generate_workload,
     render_report,
     replay_telemetry,
-    run_oracles,
     summarize,
 )
 
@@ -167,13 +167,13 @@ class TestReplay:
 
     def test_full_search_oracle_reports_zero_mismatches(self, replayed):
         service, _, result = replayed
-        report = FullSearchOracle(service.recommender).check(result.records)
+        report = FullSearchOracle({0: service}).check(result.records)
         assert report.checked > 100
         assert report.ok, report.findings[:5]
 
     def test_oracle_battery_is_clean(self, replayed):
         service, _, result = replayed
-        reports = run_oracles(service, result.records, full_search_sample=50, seed=0)
+        reports = audit(service, result.records, full_search_sample=50, seed=0)
         assert all(report.ok for report in reports), [r.summary() for r in reports]
 
     def test_same_seed_reproduces_identical_replay(self, sim_stack, replayed):
@@ -275,7 +275,7 @@ class TestOracleDetection:
     def test_full_search_oracle_flags_corrupted_items(self, clean_record):
         service, record = clean_record
         corrupted = self._record(record, items=tuple(reversed(record.items)), paths=())
-        report = FullSearchOracle(service.recommender).check([corrupted])
+        report = FullSearchOracle({0: service}).check([corrupted])
         assert report.mismatches == 1
 
     def test_validity_oracle_flags_excluded_and_duplicate_items(self, clean_record):
@@ -285,14 +285,14 @@ class TestOracleDetection:
         first = record.items[0]
         leaked = self._record(record, exclude_items=(first,), paths=())
         duplicated = self._record(record, items=(first, first), paths=())
-        report = FallbackValidityOracle(service).check([leaked, duplicated])
+        report = FallbackValidityOracle({0: service}).check([leaked, duplicated])
         assert report.mismatches >= 2
 
     def test_validity_oracle_flags_non_item_entities(self, clean_record, sim_stack):
         service, record = clean_record
         _, population, _ = sim_stack
         bogus = self._record(record, items=(record.user_entity,), paths=())
-        report = FallbackValidityOracle(service).check([bogus])
+        report = FallbackValidityOracle({0: service}).check([bogus])
         assert report.mismatches >= 1
 
     def test_stale_oracle_flags_orphan_stale_answers_in_strict_mode(self, clean_record):
@@ -320,7 +320,7 @@ class TestReport:
         workload = generate_workload(population,
                                      WorkloadConfig(num_requests=120, seed=6), graph)
         result = ReplayDriver(service).replay(workload)
-        reports = run_oracles(service, result.records, full_search_sample=10)
+        reports = audit(service, result.records, full_search_sample=10)
         return service, result, reports
 
     def test_summary_shape(self, summary_inputs):
