@@ -282,6 +282,10 @@ def _stack_spec(arguments: argparse.Namespace, config: RunConfig):
     # service; a shard count below one reaches validate() and is rejected.
     clustered = (shards != 1 or bool(failed_shards) or arguments.live_ingest != 0
                  or faulted or autoscale)
+    if arguments.max_queue is not None and not clustered:
+        raise SystemExit(f"error: --max-queue {arguments.max_queue} bounds a "
+                         "cluster shard's admission queue, and a one-shard "
+                         "replay has none; pass --shards N with N > 1")
     return _checked(StackSpec(
         cluster_config=(_cluster_config(
             arguments, config, shards, replicas,
@@ -432,6 +436,8 @@ def _command_simulate(arguments: argparse.Namespace) -> int:
         summary = summarize(replay, reports)
         summary["workload_seed"] = spec.workload_seed
         summary["replay_signature"] = replay.signature()
+        cache = stack.service.telemetry_snapshot()["cache"]
+        summary["cache"] = {key: cache[key] for key in ("searches", "derived")}
         if baseline is not None:
             summary["baseline_signature"] = baseline.signature()
         if cluster is not None:
@@ -714,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--max-queue", type=int, default=None,
                           dest="max_queue", metavar="N",
                           help="override the per-shard admission queue bound "
-                               "(smaller = earlier shedding)")
+                               "(smaller = earlier shedding); cluster replays "
+                               "only")
     simulate.add_argument("--wall-clock", action="store_true",
                           help="measure real latencies instead of the "
                                "deterministic virtual-time replay")

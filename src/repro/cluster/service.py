@@ -603,14 +603,19 @@ class ClusterService:
         objects: cached answers of untouched users survive the flip (still
         reporting the generation that computed them, via
         ``CachedResult.generation``) and the shard's rolling telemetry window
-        spans the swap.  Returns the replaced service.
+        and search counts span the swap.  The carried cache's stored search
+        outcomes are dropped: they were computed by the outgoing tables and
+        must never answer for the incoming ones.  Returns the replaced
+        service.
         """
         worker = self.worker(shard_id)
         outgoing = worker.service
         if carry_cache:
+            outgoing.cache.searches.clear()
             service.cache = outgoing.cache
         if carry_telemetry:
             service.telemetry = outgoing.telemetry
+            service.search_stats = outgoing.search_stats
         worker.service = service
         return outgoing
 

@@ -80,12 +80,14 @@ class ClusterTelemetry:
     def cache_totals(self) -> Dict[str, Any]:
         """Summed result-cache statistics with a recomputed hit rate."""
         totals: Dict[str, Any] = {counter: 0 for counter in _CACHE_COUNTERS}
-        totals["size"] = 0
+        totals["size"] = totals["searches"] = totals["derived"] = 0
         for worker in self._workers:
             cache = worker.service.cache
             totals["size"] += len(cache)
             for counter in _CACHE_COUNTERS:
                 totals[counter] += getattr(cache.stats, counter)
+            totals["searches"] += worker.service.search_stats.searches
+            totals["derived"] += worker.service.search_stats.derived
         lookups = totals["hits"] + totals["misses"]
         totals["hit_rate"] = (totals["hits"] / lookups if lookups
                               else float("nan"))

@@ -13,7 +13,10 @@ Inference never needs gradients, so it runs on the policy's NumPy fast path;
 this is what the efficiency study (Table III) measures.  Every entry point
 (:meth:`PathRecommender.recommend`, :meth:`~PathRecommender.recommend_many`,
 serving bursts) is a batch through :meth:`PathRecommender.recommend_requests`,
-and the search is *vectorised over the whole frontier*: at every depth the
+which searches each distinct user once, without exclusions, and derives every
+``(exclude_items, top_k)`` answer from that user's stored *search outcome*
+(all found paths, best first) by filtering and cutting it.  The search is
+*vectorised over the whole frontier*: at every depth the
 candidate actions of all live beams — across all requests of a batch — are
 concatenated into one ``(total_candidates, 2 * dim)`` gather from the frozen
 representation tables and scored with a single policy-query matmul, instead of
@@ -25,7 +28,7 @@ ScalarPathRecommender` and is pinned equal by the equivalence tests.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, MutableMapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -41,6 +44,9 @@ from .collaborative import GuidanceModel
 from .shared_policy import SharedPolicyNetworks
 
 NumpyLSTMState = Tuple[np.ndarray, np.ndarray]
+#: Every path one user's exclusion-free search found (one per item), best
+#: first: the unit a search store keeps and every answer is derived from.
+SearchOutcome = Tuple[RecommendationPath, ...]
 
 _SELF_LOOP_INDEX = relation_index(Relation.SELF_LOOP)
 
@@ -121,11 +127,13 @@ class _CompiledInference:
         gates += hidden @ self.lstm_weight_hh
         gates += self.lstm_bias
         h = self.hidden_size
-        sigmoid = lambda x: 1.0 / (1.0 + np.exp(-x))  # noqa: E731
-        input_gate = sigmoid(gates[..., 0:h])
-        forget_gate = sigmoid(gates[..., h:2 * h])
+        # One elementwise sigmoid over all four blocks, as the policy's own
+        # LSTM forward does; the candidate block takes tanh of the raw gates.
+        sigmoids = 1.0 / (1.0 + np.exp(-gates))
+        input_gate = sigmoids[..., 0:h]
+        forget_gate = sigmoids[..., h:2 * h]
         candidate = np.tanh(gates[..., 2 * h:3 * h])
-        output_gate = sigmoid(gates[..., 3 * h:4 * h])
+        output_gate = sigmoids[..., 3 * h:4 * h]
         new_memory = forget_gate * memory + input_gate * candidate
         new_hidden = output_gate * np.tanh(new_memory)
         return new_hidden, (new_hidden, new_memory)
@@ -257,27 +265,56 @@ class PathRecommender:
                                          for user in users])
         return dict(zip(users, found))
 
-    def recommend_requests(self, requests: Sequence[Tuple[int, Set[int], Optional[int]]]
+    def recommend_requests(self, requests: Sequence[Tuple[int, AbstractSet[int],
+                                                          Optional[int]]],
+                           *, searches: Optional[MutableMapping[int, SearchOutcome]] = None
                            ) -> List[List[RecommendationPath]]:
-        """Batched searches for ``(user, exclude_items, top_k)`` triples.
+        """Top-k answers for ``(user, exclude_items, top_k)`` triples.
 
-        The single search entry point: one frontier search per request slot
-        (so the same user may appear twice with different exclusions), all
-        advanced in lock-step after one batched milestone rollout for the
-        users missing from the cache.  ``top_k=None`` means ``config.top_k``;
-        a non-positive ``top_k`` raises :class:`ValueError`.
+        The single search entry point.  The distinct users missing from
+        ``searches`` are searched once each, without exclusions, in one
+        lock-step frontier search; each :data:`SearchOutcome` is stored in
+        ``searches``.  Every answer is then derived from its user's outcome:
+        ``[p for p in outcome if p.item_entity not in exclude_items][:top_k]``.
+        That equals a search that skips the excluded items, because the
+        exclusion set never steers the beams and ranking is a stable sort.
+        Without ``searches`` a call-local dict is used, so a batch that
+        repeats a user still searches it once.  ``top_k=None`` means
+        ``config.top_k``; a non-positive ``top_k`` raises :class:`ValueError`.
         """
         limits = [self.config.top_k if top_k is None else top_k
                   for _, _, top_k in requests]
         if any(limit <= 0 for limit in limits):
             raise ValueError(f"top_k must be positive, got {min(limits)}")
-        if not requests:
+        if searches is None:
+            searches = {}
+        users = list(dict.fromkeys(user for user, _, _ in requests))
+        # Answers read this call's own copy: a bounded store may evict an
+        # outcome before the batch is answered.
+        outcomes: Dict[int, SearchOutcome] = {}
+        for user in users:
+            outcome = searches.get(user)
+            if outcome is not None:
+                outcomes[user] = outcome
+        missing = [user for user in users if user not in outcomes]
+        for user, outcome in zip(missing, self._search_users(missing)):
+            outcomes[user] = searches[user] = outcome
+        answers = []
+        for (user, exclude_items, _), limit in zip(requests, limits):
+            kept = [path for path in outcomes[user] if path.item_entity not in exclude_items]
+            answers.append(kept[:limit])
+        return answers
+
+    def _search_users(self, users: Sequence[int]) -> List[SearchOutcome]:
+        """One exclusion-free search per distinct user, all in lock-step
+        after one batched milestone rollout for the users missing from the
+        milestone cache."""
+        if not users:
             return []
-        self.warm_milestones([user for user, _, _ in requests])
-        queries = [(user, exclude_items, self.category_milestones(user))
-                   for user, exclude_items, _ in requests]
-        found = self._search_frontier(queries, keep_all_paths=False)
-        return [_ranked(candidates)[:limit] for candidates, limit in zip(found, limits)]
+        self.warm_milestones(users)
+        queries = [(user, self.category_milestones(user)) for user in users]
+        return [tuple(_ranked(candidates))
+                for candidates in self._search_frontier(queries, keep_all_paths=False)]
 
     def find_paths(self, user_entity: int, num_paths: int) -> List[RecommendationPath]:
         """Enumerate up to ``num_paths`` item-terminated paths (efficiency metric).
@@ -285,7 +322,7 @@ class PathRecommender:
         This is the "path finding" workload of Table III: raw path discovery
         without the top-k ranking step.
         """
-        query = (user_entity, set(), self.category_milestones(user_entity))
+        query = (user_entity, self.category_milestones(user_entity))
         return _ranked(self._search_frontier([query], keep_all_paths=True)[0])[:num_paths]
 
     # ------------------------------------------------------------------ #
@@ -385,11 +422,10 @@ class PathRecommender:
                 self._compiled = _CompiledInference(self.policy, self.representations)
         return self._compiled
 
-    def _initial_frontier(self, queries: Sequence[Tuple[int, Set[int],
-                                                        List[Optional[int]]]]
+    def _initial_frontier(self, queries: Sequence[Tuple[int, List[Optional[int]]]]
                           ) -> _Frontier:
         """One root beam per query, history seeded with the user self-loop hop."""
-        users = np.array([user for user, _, _ in queries], dtype=np.int64)
+        users = np.array([user for user, _ in queries], dtype=np.int64)
         batch = len(users)
         relation_indices = np.full(batch, _SELF_LOOP_INDEX, dtype=np.int64)
         compiled = self._compiled_inference()
@@ -452,12 +488,11 @@ class PathRecommender:
             lengths = np.bincount(beam_of, minlength=beam_count)
         return relations, targets, beam_of, lengths
 
-    def _search_frontier(self, queries: Sequence[Tuple[int, Set[int],
-                                                       List[Optional[int]]]],
+    def _search_frontier(self, queries: Sequence[Tuple[int, List[Optional[int]]]],
                          keep_all_paths: bool) -> List[Dict[int, RecommendationPath]]:
         """Run all queries' beam searches in lock-step, one score call per depth.
 
-        Each query is ``(user_entity, exclude_items, milestones)``.  Returns
+        Each query is ``(user_entity, milestones)``.  Returns
         one ``{key: RecommendationPath}`` dict per query (keyed by item for
         deduplicated search, by running index with ``keep_all_paths``).
         """
@@ -469,11 +504,11 @@ class PathRecommender:
         beam_width = self.config.beam_width
         expansions = self.config.expansions_per_beam
 
-        users = np.array([user for user, _, _ in queries], dtype=np.int64)
+        users = np.array([user for user, _ in queries], dtype=np.int64)
         # Milestones as ints with -1 standing in for "no guidance".
         guided_by_depth = np.full((self.max_path_length, len(queries)), -1,
                                   dtype=np.int64)
-        for slot, (_, _, milestones) in enumerate(queries):
+        for slot, (_, milestones) in enumerate(queries):
             # Extra trailing entries are ignored, like the scalar search did.
             for depth, milestone in enumerate(milestones[:self.max_path_length]):
                 if milestone is not None:
@@ -595,28 +630,24 @@ class PathRecommender:
                                  hidden=hidden, lstm=lstm, hops=hops)
 
             if depth >= self.config.min_path_length:
-                self._collect(frontier, queries, adjacency, found, keep_all_paths)
+                self._collect(frontier, users, adjacency, found, keep_all_paths)
         return found
 
-    def _collect(self, frontier: _Frontier,
-                 queries: Sequence[Tuple[int, Set[int], List[Optional[int]]]],
-                 adjacency, found: List[Dict[int, RecommendationPath]],
+    def _collect(self, frontier: _Frontier, users: np.ndarray, adjacency,
+                 found: List[Dict[int, RecommendationPath]],
                  keep_all_paths: bool) -> None:
         """Record every beam whose endpoint is a recommendable item."""
         is_item = adjacency.is_item[frontier.entity]
         for index in np.flatnonzero(is_item).tolist():
             slot = int(frontier.query[index])
             entity = int(frontier.entity[index])
-            user, exclude_items, _ = queries[slot]
-            if entity in exclude_items:
-                continue
             score = float(frontier.log_prob[index])
             bucket = found[slot]
             key = entity if not keep_all_paths else len(bucket)
             existing = bucket.get(key)
             if existing is not None and score <= existing.score:
                 continue
-            bucket[key] = RecommendationPath(user_entity=int(user),
+            bucket[key] = RecommendationPath(user_entity=int(users[slot]),
                                              item_entity=entity,
                                              hops=frontier.hops[index],
                                              score=score)

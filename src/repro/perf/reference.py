@@ -157,10 +157,13 @@ class ScalarPathRecommender(PathRecommender):
             for user in dict.fromkeys(user_entities)
         }
 
-    def recommend_requests(self, requests):
-        """Pre-vectorisation request batching: one scalar search per request."""
-        return [self.recommend(user, exclude_items, top_k)
-                for user, exclude_items, top_k in requests]
+    def _search_users(self, users):
+        """Pre-vectorisation batching: one scalar exclusion-free search per
+        user, so ``recommend_requests`` derives its answers from scalar
+        search outcomes."""
+        return [tuple(sorted(self.search(user, set()).values(),
+                             key=lambda path: path.score, reverse=True))
+                for user in users]
 
     def search(self, user_entity: int, exclude_items: Set[int],
                keep_all_paths: bool = False) -> Dict[int, RecommendationPath]:

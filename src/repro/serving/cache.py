@@ -5,6 +5,15 @@ so two requests only share a cached result when they would have produced the
 same answer.  Expired entries are *kept* until LRU capacity evicts them: the
 fallback tier deliberately serves them as stale results when a request's
 latency budget rules out a fresh beam search.
+
+Beside the answers, the cache owns a :class:`SearchStore`: each user's full
+search outcome (every path the exclusion-free beam search found, best
+first), from which ``PathRecommender.recommend_requests`` derives any
+``(top_k, exclude)`` answer without searching again.  The store is bounded by
+the same capacity, touches no counter, never migrates, and is dropped
+wherever answers are (``clear``, ``invalidate*``).  An outcome is only valid
+for the tables that computed it, so a live generation flip that carries the
+answers over drops the store (``ClusterService.replace_shard_service``).
 """
 
 from __future__ import annotations
@@ -12,8 +21,9 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
+from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 CacheKey = Tuple[int, int, FrozenSet[int]]
 
@@ -60,6 +70,55 @@ class _Entry:
     expires_at: float
 
 
+class SearchStore(MutableMapping):
+    """LRU-bounded ``{user_entity: search outcome}`` map.
+
+    Reading an outcome (``store[user]``, ``get``) refreshes its recency;
+    ``in`` does not.  Writing beyond ``capacity`` evicts the least recently
+    used outcome, silently: the store has no counters.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._outcomes: "OrderedDict[int, Any]" = OrderedDict()
+
+    def __getitem__(self, user_entity: int) -> Any:
+        outcome = self._outcomes[user_entity]
+        self._outcomes.move_to_end(user_entity)
+        return outcome
+
+    def __setitem__(self, user_entity: int, outcome: Any) -> None:
+        self._outcomes[user_entity] = outcome
+        self._outcomes.move_to_end(user_entity)
+        while len(self._outcomes) > self.capacity:
+            self._outcomes.popitem(last=False)
+
+    def __delitem__(self, user_entity: int) -> None:
+        del self._outcomes[user_entity]
+
+    def __contains__(self, user_entity: object) -> bool:
+        return user_entity in self._outcomes
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._outcomes)
+
+    def __len__(self) -> int:
+        return len(self._outcomes)
+
+    def clear(self) -> None:
+        self._outcomes.clear()
+
+    def invalidate_entities(self, touched: set) -> None:
+        """Drop every outcome whose user or any found item is in ``touched``:
+        exactly the outcomes some answer derived from them would be dropped
+        for (an answer's items are a subset of its outcome's)."""
+        doomed = [user for user, outcome in self._outcomes.items()
+                  if user in touched
+                  or not touched.isdisjoint(path.item_entity for path in outcome)]
+        for user in doomed:
+            del self._outcomes[user]
+
+
 class ResultCache:
     """Bounded LRU cache whose entries additionally expire after a TTL.
 
@@ -78,6 +137,8 @@ class ResultCache:
         self._clock = clock
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self.stats = CacheStats()
+        #: Full search outcomes per user (see the module docstring).
+        self.searches = SearchStore(capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -126,14 +187,18 @@ class ResultCache:
             self.stats.evictions += 1
 
     def invalidate(self, key: CacheKey) -> bool:
-        """Drop one entry; returns whether it existed."""
+        """Drop one entry (and its user's search outcome); returns whether
+        the entry existed."""
+        self.searches.pop(key[0], None)
         if self._entries.pop(key, None) is not None:
             self.stats.invalidations += 1
             return True
         return False
 
     def invalidate_user(self, user_entity: int) -> int:
-        """Drop every cached result of one user (e.g. after a new interaction)."""
+        """Drop every cached result and the search outcome of one user (e.g.
+        after a new interaction)."""
+        self.searches.pop(user_entity, None)
         doomed = [key for key in self._entries if key[0] == user_entity]
         for key in doomed:
             del self._entries[key]
@@ -149,11 +214,12 @@ class ResultCache:
         to a whole-cache flush on artifact change: a streaming delta affects a
         handful of entities, and every untouched entry survives *in its
         existing eviction order* — deleting from an ``OrderedDict`` never
-        reorders the survivors.
+        reorders the survivors.  Search outcomes go by the same rule.
         """
         touched = set(entities)
         if not touched:
             return 0
+        self.searches.invalidate_entities(touched)
         doomed = []
         for key, entry in self._entries.items():
             if key[0] in touched:
@@ -177,7 +243,9 @@ class ResultCache:
         return len(doomed)
 
     def clear(self) -> None:
+        """Drop every answer and every search outcome."""
         self._entries.clear()
+        self.searches.clear()
 
     # ------------------------------------------------------------------ #
     # migration (shard warm hand-off)
@@ -188,7 +256,8 @@ class ResultCache:
 
         Counter- and LRU-neutral: exporting is observation, not traffic.
         ``match`` defaults to everything; expired entries are included because
-        the stale tier can still serve them on the receiving shard.
+        the stale tier can still serve them on the receiving shard.  Search
+        outcomes never migrate: the receiving shard searches for itself.
         """
         return [ExportedEntry(key=key, value=entry.value, expires_at=entry.expires_at)
                 for key, entry in self._entries.items()

@@ -8,6 +8,9 @@ request/response API:
 * results are cached (LRU + TTL) on the full request identity;
 * a burst is planned, then executed: keys are deduplicated and every
   unbudgeted full-search miss joins one batched frontier search;
+* each user is beam-searched once per generation: the cache's search store
+  keeps the user's full search outcome, and every later ``top_k``/exclusion
+  shape of that user is derived from it (``search_stats`` counts both);
 * cold users and over-budget requests degrade through the tier chain of
   :mod:`repro.serving.fallback` instead of failing or stalling;
 * every request feeds the rolling telemetry (:mod:`repro.serving.telemetry`).
@@ -56,6 +59,20 @@ class ServingConfig:
             raise ValueError("latency_ewma_alpha must lie in (0, 1]")
         if self.default_top_k <= 0:
             raise ValueError("default_top_k must be positive")
+
+
+@dataclass
+class SearchStats:
+    """Full-tier work of one service: searches run vs answers derived.
+
+    ``searches`` counts beam searches actually run (one per distinct user
+    missing from the search store); ``derived`` counts full answers that
+    needed no search of their own (served from a stored or same-batch
+    outcome).  Observability only: no signature reads them.
+    """
+
+    searches: int = 0
+    derived: int = 0
 
 
 @dataclass(frozen=True)
@@ -171,6 +188,7 @@ class RecommendationService:
                                  ttl_seconds=self.config.cache_ttl_seconds,
                                  clock=clock)
         self.telemetry = ServingTelemetry(window=self.config.telemetry_window, clock=clock)
+        self.search_stats = SearchStats()
         # Kept so a cluster can clone this shard's fallback stack when it
         # scales up (a new shard must rank with the same model to stay
         # bit-identical with its peers).
@@ -277,14 +295,23 @@ class RecommendationService:
 
     def _search(self, requests: Sequence[RecommendationRequest]
                 ) -> Tuple[Dict[CacheKey, List[RecommendationPath]], float]:
-        """One batched full search: ``{key: paths}`` and the per-request cost."""
+        """One batched full search: ``{key: paths}`` and the per-request cost.
+
+        Users whose outcome the cache's search store holds are not searched
+        again; their answers are derived from it.
+        """
         if not requests:
             return {}, 0.0
+        store = self.cache.searches
+        searched = sum(user not in store
+                       for user in {request.user_entity for request in requests})
         start = self._clock()
         found = self.recommender.recommend_requests(
-            [(request.user_entity, set(request.exclude_items), request.top_k)
-             for request in requests])
+            [(request.user_entity, request.exclude_items, request.top_k)
+             for request in requests], searches=store)
         share_ms = (self._clock() - start) * 1000.0 / len(requests)
+        self.search_stats.searches += searched
+        self.search_stats.derived += len(requests) - searched
         return ({request.cache_key(): paths for request, paths in zip(requests, found)},
                 share_ms)
 
@@ -384,6 +411,8 @@ class RecommendationService:
             "evictions": self.cache.stats.evictions,
             "invalidations": self.cache.stats.invalidations,
             "hit_rate": self.cache.stats.hit_rate,
+            "searches": self.search_stats.searches,
+            "derived": self.search_stats.derived,
         }
         snapshot["estimated_full_search_ms"] = self.tiers.estimated_full_search_ms
         snapshot["generation"] = self.generation

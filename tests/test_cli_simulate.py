@@ -26,7 +26,7 @@ FAULT_PLANS = Path(__file__).resolve().parents[1] / "examples" / "fault_plans"
 
 #: Summary keys the CI jobs read, shared by every mode.
 COMMON_KEYS = ("requests", "cache_hit_rate", "replay_signature",
-               "workload_seed", "oracles")
+               "workload_seed", "oracles", "cache")
 CLUSTER_KEYS = ("routing", "admission", "health", "topology")
 LIVE_KEYS = ("generation", "records_by_generation", "swaps", "log_length")
 AUTOSCALE_KEYS = ("scale_ups", "scale_downs", "migrated_entries",
@@ -92,6 +92,10 @@ class TestSimulateModes:
 
         assert first["replay_signature"] == second["replay_signature"]
         assert first["requests"] == 60
+        # Searches run and answers derived from a stored search, summed
+        # over every service of the stack.
+        assert first["cache"] == second["cache"]
+        assert first["cache"]["searches"] > 0
         for key in COMMON_KEYS:
             assert key in first, (mode, key)
         assert first["oracles"]

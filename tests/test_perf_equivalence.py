@@ -151,6 +151,35 @@ class TestBeamSearchEquivalence:
             assert [_path_key(p) for p in batch[user]] == \
                 [_path_key(p) for p in single]
 
+    @pytest.mark.parametrize("batch", [1, 2, 7, 40])
+    def test_compiled_lstm_step_equals_the_per_gate_sigmoids(self, recommender_pair,
+                                                             batch):
+        """One sigmoid over all four gate blocks gives the bits of the
+        per-block sigmoids the compiled step started with."""
+        vectorised, _, _ = recommender_pair
+        compiled = vectorised._compiled_inference()
+        rng = np.random.default_rng(batch)
+        relations = rng.integers(0, compiled.lstm_relation.shape[0], batch)
+        entities = rng.integers(0, compiled.lstm_entity.shape[0], batch)
+        state = (rng.normal(scale=3.0, size=(batch, compiled.hidden_size)),
+                 rng.normal(scale=3.0, size=(batch, compiled.hidden_size)))
+
+        hidden, memory = state
+        gates = compiled.lstm_relation[relations] + compiled.lstm_entity[entities]
+        gates += hidden @ compiled.lstm_weight_hh
+        gates += compiled.lstm_bias
+        h = compiled.hidden_size
+        sigmoid = lambda x: 1.0 / (1.0 + np.exp(-x))  # noqa: E731
+        expected_memory = (sigmoid(gates[..., h:2 * h]) * memory
+                           + sigmoid(gates[..., 0:h]) * np.tanh(gates[..., 2 * h:3 * h]))
+        expected_hidden = sigmoid(gates[..., 3 * h:4 * h]) * np.tanh(expected_memory)
+
+        new_hidden, (same_hidden, new_memory) = compiled.lstm_step(relations, entities,
+                                                                   state)
+        assert same_hidden is new_hidden
+        assert np.array_equal(new_hidden, expected_hidden)
+        assert np.array_equal(new_memory, expected_memory)
+
     def test_recommend_requests_per_slot_topk(self, recommender_pair):
         vectorised, _, builder = recommender_pair
         users = [builder.user_to_entity(u) for u in range(4)]

@@ -383,18 +383,21 @@ class TestBurstPlan:
         searches = []
         search = batched_service.recommender.recommend_requests
 
-        def counted_search(requests):
+        def counted_search(requests, **kwargs):
             searches.append(len(requests))
-            return search(requests)
+            return search(requests, **kwargs)
 
         batched_service.recommender.recommend_requests = counted_search
 
         batched = batched_service.serve_many(burst)
         sequential = [sequential_service.serve(request) for request in burst]
 
-        # The three unbudgeted full misses share one search; the budgeted
-        # full request searches inline at execution time.
+        # The three unbudgeted full misses share one batch, in which the
+        # user asked twice is searched once; the budgeted full request
+        # searches inline at execution time.
         assert searches == [3, 1]
+        assert (batched_service.search_stats.searches,
+                batched_service.search_stats.derived) == (3, 1)
         assert [response.tier for response in batched] == [
             ServingTier.FULL, ServingTier.FULL, ServingTier.CACHE, ServingTier.EMBEDDING,
             ServingTier.EMBEDDING, ServingTier.FULL, ServingTier.CACHE, ServingTier.FULL]

@@ -80,6 +80,8 @@ class TestSpecRejections:
         (["--live-ingest", "5", "--swap-at", "-0.2"], "--swap-at -0.2"),
         (["--cache-capacity", "0"], "--cache-capacity 0 must be positive"),
         (["--max-queue", "0", "--shards", "2"], "--max-queue 0 must be positive"),
+        (["--max-queue", "8"], "--max-queue 8 bounds a cluster shard's admission queue"),
+        (["--max-queue", "8", "--shards", "1"], "one-shard replay has none"),
         (["--replicas", "0", "--shards", "2"], "--replicas 0 must be positive"),
         (["--autoscale", "--scale-tick", "0"], "--scale-tick 0.0 must be positive"),
         (["--faults", "plan.json", "--chaos-seed", "1"], "not both"),
