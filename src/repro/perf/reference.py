@@ -149,14 +149,6 @@ class ScalarPathRecommender(PathRecommender):
             self.store_milestones(user, category_milestones_reference(self, user))
         return len(missing)
 
-    def recommend_many(self, user_entities, exclude_items=None, top_k=None):
-        """Pre-vectorisation batch path: one independent search per user."""
-        exclude_items = exclude_items or {}
-        return {
-            user: self.recommend(user, exclude_items.get(user, set()), top_k)
-            for user in dict.fromkeys(user_entities)
-        }
-
     def _search_users(self, users):
         """Pre-vectorisation batching: one scalar exclusion-free search per
         user, so ``recommend_requests`` derives its answers from scalar

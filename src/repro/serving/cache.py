@@ -74,8 +74,9 @@ class SearchStore(MutableMapping):
     """LRU-bounded ``{user_entity: search outcome}`` map.
 
     Reading an outcome (``store[user]``, ``get``) refreshes its recency;
-    ``in`` does not.  Writing beyond ``capacity`` evicts the least recently
-    used outcome, silently: the store has no counters.
+    ``in``, iteration and ``items()`` do not.  Writing beyond ``capacity``
+    evicts the least recently used outcome, silently: the store has no
+    counters.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -105,6 +106,9 @@ class SearchStore(MutableMapping):
     def __len__(self) -> int:
         return len(self._outcomes)
 
+    def items(self):
+        return self._outcomes.items()
+
     def clear(self) -> None:
         self._outcomes.clear()
 
@@ -112,7 +116,7 @@ class SearchStore(MutableMapping):
         """Drop every outcome whose user or any found item is in ``touched``:
         exactly the outcomes some answer derived from them would be dropped
         for (an answer's items are a subset of its outcome's)."""
-        doomed = [user for user, outcome in self._outcomes.items()
+        doomed = [user for user, outcome in self.items()
                   if user in touched
                   or not touched.isdisjoint(path.item_entity for path in outcome)]
         for user in doomed:

@@ -115,7 +115,8 @@ class TestSearchStore:
         assert store.get(1) == ("a",)          # 1 is now the most recent
         store[3] = ("c",)
         assert list(store) == [1, 3]
-        assert 1 in store and 2 not in store   # ``in`` leaves the order alone
+        assert 1 in store and 2 not in store   # peeks leave the order alone
+        assert list(store.items()) == [(1, ("a",)), (3, ("c",))]
         store[4] = ("d",)
         assert list(store) == [3, 4]
 
@@ -166,12 +167,15 @@ class TestSearchStore:
 # --------------------------------------------------------------------------- #
 # random request streams through a store-backed service
 # --------------------------------------------------------------------------- #
-request_strategy = st.tuples(st.integers(0, 6),                 # user slot (6 = cold)
-                             st.integers(1, 12),                # top_k
-                             st.integers(0, 2 ** 8 - 1),        # exclusion mask
-                             st.sampled_from([None, 0.0, 1e9]))  # budget
+# Few hot users and a few exclusion shapes, so keys and users repeat.
+request_strategy = st.tuples(
+    st.one_of(st.integers(0, 1), st.integers(0, 6)),        # user slot (6 = cold)
+    st.integers(1, 12),                                     # top_k
+    st.one_of(st.sampled_from([0, 1, 6]), st.integers(0, 2 ** 8 - 1)),  # exclusion mask
+    st.sampled_from([None, None, 0.0, 1e9]))                # latency budget
+serve = st.tuples(st.just("serve"), st.lists(request_strategy, min_size=1, max_size=6))
 op_strategy = st.one_of(
-    st.tuples(st.just("serve"), st.lists(request_strategy, min_size=1, max_size=4)),
+    serve, serve, serve,
     st.tuples(st.just("clear")),
     st.tuples(st.just("invalidate_user"), st.integers(0, 5)),
     st.tuples(st.just("invalidate_entities"), st.integers(0, 10 ** 6)),
@@ -181,8 +185,8 @@ op_strategy = st.one_of(
 
 class TestRandomStreams:
     @given(capacity=st.sampled_from([1, 2, 3, 64]),
-           ops=st.lists(op_strategy, min_size=1, max_size=10))
-    @settings(max_examples=40, deadline=None,
+           ops=st.lists(op_strategy, min_size=2, max_size=14))
+    @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_answers_and_cache_stats_equal_the_storeless_service(self, world,
                                                                  capacity, ops):
@@ -223,10 +227,9 @@ class TestRandomStreams:
                 touched = {pool[op[1] % len(pool)]}
                 assert (stored.invalidate_entities(touched)
                         == storeless.invalidate_entities(touched))
-                for user in stored.cache.searches:
+                for user, outcome in stored.cache.searches.items():
                     assert user not in touched
-                    assert touched.isdisjoint(
-                        path.item_entity for path in stored.cache.searches[user])
+                    assert touched.isdisjoint(path.item_entity for path in outcome)
             else:
                 clock.now += 2 * TTL
             assert len(stored.cache.searches) <= capacity
