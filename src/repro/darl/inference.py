@@ -17,7 +17,7 @@ which searches each distinct user once, without exclusions, and derives every
 ``(exclude_items, top_k)`` answer from that user's stored *search outcome*
 (all found paths, best first) by filtering and cutting it.  The search is
 *vectorised over the whole frontier*: at every depth the
-candidate actions of all live beams — across all requests of a batch — are
+candidate actions of all live beams — across all users searched in a batch — are
 concatenated into one ``(total_candidates, 2 * dim)`` gather from the frozen
 representation tables and scored with a single policy-query matmul, instead of
 one Python iteration (LSTM step, MLP, sort) per beam.  The scalar reference
@@ -291,11 +291,8 @@ class PathRecommender:
         users = list(dict.fromkeys(user for user, _, _ in requests))
         # Answers read this call's own copy: a bounded store may evict an
         # outcome before the batch is answered.
-        outcomes: Dict[int, SearchOutcome] = {}
-        for user in users:
-            outcome = searches.get(user)
-            if outcome is not None:
-                outcomes[user] = outcome
+        outcomes: Dict[int, SearchOutcome] = {user: searches[user] for user in users
+                                              if user in searches}
         missing = [user for user in users if user not in outcomes]
         for user, outcome in zip(missing, self._search_users(missing)):
             outcomes[user] = searches[user] = outcome
