@@ -286,6 +286,10 @@ def _stack_spec(arguments: argparse.Namespace, config: RunConfig):
         raise SystemExit(f"error: --max-queue {arguments.max_queue} bounds a "
                          "cluster shard's admission queue, and a one-shard "
                          "replay has none; pass --shards N with N > 1")
+    if arguments.replicas is not None and not clustered:
+        raise SystemExit(f"error: --replicas {arguments.replicas} sets a "
+                         "cluster key's replica chain, and a one-shard "
+                         "replay has none; pass --shards N with N > 1")
     return _checked(StackSpec(
         cluster_config=(_cluster_config(
             arguments, config, shards, replicas,

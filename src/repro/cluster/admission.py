@@ -19,7 +19,7 @@ from typing import Dict
 
 @dataclass
 class AdmissionStats:
-    """Cumulative admission counters since construction/reset."""
+    """Cumulative admission counters since construction."""
 
     admitted: int = 0
     rejected: int = 0
@@ -78,6 +78,3 @@ class AdmissionController:
         """Drop all bookkeeping for a decommissioned shard."""
         self._loads.pop(shard_id, None)
         self._peaks.pop(shard_id, None)
-
-    def reset_stats(self) -> None:
-        self.stats = AdmissionStats()

@@ -130,10 +130,6 @@ class HealthModel:
         bisect.insort(self._pending, (event.at_s, self._scheduled, event))
         self._scheduled += 1
 
-    def load_schedule(self, events: Sequence[HealthEvent]) -> None:
-        for event in events:
-            self.schedule(event)
-
     def _apply_due(self) -> None:
         if self._clock is None or not self._pending:
             return
@@ -151,8 +147,18 @@ class HealthModel:
         return self._status[shard_id]
 
     def is_available(self, shard_id: int) -> bool:
-        """Whether the router may send traffic to the shard."""
-        return self.status(shard_id) is ShardStatus.HEALTHY
+        """Whether the router may send traffic to the shard.
+
+        The router asks this for every shard it considers, so it reads the
+        status directly and applies scheduled events only while some are
+        pending.
+        """
+        if self._pending:
+            self._apply_due()
+        try:
+            return self._status[shard_id] is ShardStatus.HEALTHY
+        except KeyError:
+            raise KeyError(f"unknown shard {shard_id}") from None
 
     def available_shards(self) -> Tuple[int, ...]:
         """Healthy shards in ascending id order (the last-resort scan order)."""

@@ -16,13 +16,22 @@ cluster replays of :mod:`repro.simulate`.
 :meth:`ConsistentHashRing.replicas` walks the ring clockwise from a key's
 point collecting *distinct* shards, so the R-way replica set of a key is the
 primary followed by R-1 deterministic, pairwise-distinct backups.
+
+A key's chain is a pure function of the ring's membership, so ``replicas``
+memoises it: the first lookup of a ``(key, count)`` pair hashes the key and
+walks the ring, and every later lookup is one dict read until
+:meth:`~ConsistentHashRing.add_shard` or
+:meth:`~ConsistentHashRing.remove_shard` changes the membership and clears
+the memo.  The memo therefore holds at most one chain per distinct key (and
+count) looked up since the last membership change.  ``primary`` and the
+diagnostics walk the ring directly and leave the memo alone.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 def stable_hash64(text: str) -> int:
@@ -62,6 +71,8 @@ class ConsistentHashRing:
         # shard id because insertion keeps (point, shard) pairs sorted.
         self._entries: List[Tuple[int, int]] = []
         self._shards: set = set()
+        # (key, count) → replica chain, valid for the current membership.
+        self._chains: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         for shard in shards:
             self.add_shard(shard)
 
@@ -84,6 +95,7 @@ class ConsistentHashRing:
             point = stable_hash64(f"{self.seed}:shard:{shard_id}:{vnode}")
             bisect.insort(self._entries, (point, shard_id))
         self._shards.add(shard_id)
+        self._chains.clear()
 
     def remove_shard(self, shard_id: int) -> None:
         """Drop a shard; only keys it owned are remapped."""
@@ -93,6 +105,7 @@ class ConsistentHashRing:
             raise ValueError("cannot remove the last shard")
         self._entries = [entry for entry in self._entries if entry[1] != shard_id]
         self._shards.discard(shard_id)
+        self._chains.clear()
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -103,14 +116,21 @@ class ConsistentHashRing:
 
     def primary(self, key: int) -> int:
         """The shard owning ``key`` (first ring point at or after its hash)."""
-        return self.replicas(key, 1)[0]
+        return self._walk(key, 1)[0]
 
-    def replicas(self, key: int, count: int) -> List[int]:
+    def replicas(self, key: int, count: int) -> Tuple[int, ...]:
         """The first ``count`` *distinct* shards clockwise from ``key``.
 
         Index 0 is the primary; the rest are the deterministic backup order a
-        router retries in.  ``count`` is capped at the shard population.
+        router retries in.  ``count`` is capped at the shard population.  The
+        chain is memoised until the next membership change.
         """
+        chain = self._chains.get((key, count))
+        if chain is None:
+            chain = self._chains[(key, count)] = self._walk(key, count)
+        return chain
+
+    def _walk(self, key: int, count: int) -> Tuple[int, ...]:
         if count <= 0:
             raise ValueError("replica count must be positive")
         count = min(count, len(self._shards))
@@ -125,7 +145,7 @@ class ConsistentHashRing:
                 chosen.append(shard)
                 if len(chosen) == count:
                     break
-        return chosen
+        return tuple(chosen)
 
     # ------------------------------------------------------------------ #
     # diagnostics

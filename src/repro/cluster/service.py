@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..darl.inference import PathRecommender
 from ..serving.service import (
@@ -53,13 +53,9 @@ class ClusterUnavailableError(RuntimeError):
     """Raised when no healthy shard is left to answer a request."""
 
 
-#: How a dispatched request reached its serving shard.
-DISPOSITIONS = ("primary", "failover", "overflow", "shed")
-
-
 @dataclass
 class RoutingStats:
-    """Cumulative routing outcomes since construction/reset."""
+    """Cumulative routing outcomes since construction."""
 
     requests: int = 0
     primary: int = 0      # served by the key's primary shard
@@ -70,8 +66,18 @@ class RoutingStats:
     faulted: int = 0      # answers that carry fault provenance
 
     def count(self, disposition: str) -> None:
+        """Count one routed request under how it reached its shard."""
         self.requests += 1
-        setattr(self, disposition, getattr(self, disposition) + 1)
+        if disposition == "primary":
+            self.primary += 1
+        elif disposition == "failover":
+            self.failover += 1
+        elif disposition == "overflow":
+            self.overflow += 1
+        elif disposition == "shed":
+            self.shed += 1
+        else:
+            raise ValueError(f"unknown disposition {disposition!r}")
 
     def as_dict(self) -> Dict[str, int]:
         return {"requests": self.requests, "primary": self.primary,
@@ -102,8 +108,7 @@ class ScaleReport:
     migrated_entries: int
 
 
-@dataclass(frozen=True)
-class _Dispatch:
+class _Dispatch(NamedTuple):
     """Where one request goes and as what."""
 
     shard_id: int
@@ -265,7 +270,7 @@ class ClusterService:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def replica_chain(self, user_entity: int) -> List[int]:
+    def replica_chain(self, user_entity: int) -> Tuple[int, ...]:
         """The deterministic shard preference order for a user's requests."""
         return self.ring.replicas(user_entity, self.config.replication_factor)
 
@@ -281,63 +286,69 @@ class ClusterService:
     def _dispatch(self, request: RecommendationRequest) -> _Dispatch:
         """Assign one request to a shard under breaker + health + admission.
 
-        The circuit breaker is consulted *ahead of* the health model: a shard
-        whose breaker is open is skipped exactly like an unhealthy one, so a
+        One walk down the replica chain: each healthy shard the breaker
+        allows is offered the request until one admits it.  The circuit
+        breaker is consulted *ahead of* admission: a shard whose breaker is
+        open is skipped exactly like an unhealthy one, so a
         repeatedly-failing shard loses traffic long before any scripted
-        health event marks it down.  With no breaker configured the legacy
-        routing is preserved bit for bit.
+        health event marks it down.  Any shard chosen *past* a healthy shard
+        its breaker vetoed is a breaker-caused reroute, and its answer
+        carries ``circuit_open`` provenance: the replica's cache state may
+        legitimately produce a different (degraded) answer than the clean
+        replay's primary would have.  With a breaker the walk polls the rest
+        of the chain after the admitting shard too: polling an open breaker
+        whose cooldown has elapsed records its half-open transition, and
+        that record must not wait for a later request.
         """
         chain = self.replica_chain(request.user_entity)
-        primary = chain[0]
-        # Walk the chain once, remembering where a breaker (not health, not
-        # admission) vetoed a healthy shard: any shard chosen *past* that
-        # point is a breaker-caused reroute and its answer carries
-        # ``circuit_open`` provenance — the replica's cache state may
-        # legitimately produce a different (degraded) answer than the clean
-        # replay's primary would have.
-        available: List[int] = []
-        positions: Dict[int, int] = {}
-        first_blocked = len(chain)
+        health, breaker, admission = self.health, self.breaker, self.admission
+        chosen: Optional[_Dispatch] = None
+        spare: Optional[int] = None       # first allowed shard that was full
+        first_blocked = len(chain)        # first healthy shard a breaker vetoed
+        primary_allowed = False
         for position, shard in enumerate(chain):
-            if not self.health.is_available(shard):
+            if not health.is_available(shard):
                 continue
-            if not self._breaker_allows(shard):
+            if breaker is not None and not breaker.allows(shard):
                 first_blocked = min(first_blocked, position)
                 continue
-            positions[shard] = position
-            available.append(shard)
-        breaker_blocked = first_blocked < len(chain)
-        for shard in available:
-            if self.admission.try_admit(shard):
-                if shard == primary:
-                    disposition = "primary"
-                elif (self.health.is_available(primary)
-                      and self._breaker_allows(primary)):
-                    disposition = "overflow"
-                else:
-                    disposition = "failover"
-                fault = ("circuit_open" if positions[shard] > first_blocked
-                         else None)
-                return _Dispatch(self._claim(shard), disposition, request,
-                                 fault=fault)
-        if not available:
+            if chosen is not None:
+                continue
+            if position == 0:
+                primary_allowed = True
+            if admission.try_admit(shard):
+                disposition = ("primary" if position == 0 else
+                               "overflow" if primary_allowed else "failover")
+                chosen = _Dispatch(shard, disposition, request,
+                                   fault=("circuit_open"
+                                          if position > first_blocked
+                                          else None))
+                if breaker is None:
+                    return chosen
+            elif spare is None:
+                spare = shard
+        if chosen is not None:
+            self._claim(chosen.shard_id)
+            return chosen
+        fault = "circuit_open" if first_blocked < len(chain) else None
+        if spare is None:
             # Whole replica chain is unavailable.  Any healthy shard can
             # stand in (each holds the full model); scan in id order so the
             # choice is deterministic.
-            healthy = self.health.available_shards()
+            healthy = health.available_shards()
             for shard in healthy:
                 if not self._breaker_allows(shard):
                     continue
-                if self.admission.try_admit(shard):
-                    return _Dispatch(
-                        self._claim(shard), "failover", request,
-                        fault="circuit_open" if breaker_blocked else None)
-                available.append(shard)
-            if not available:
+                if admission.try_admit(shard):
+                    return _Dispatch(self._claim(shard), "failover", request,
+                                     fault=fault)
+                if spare is None:
+                    spare = shard
+            if spare is None:
                 if not healthy:
                     raise ClusterUnavailableError(
                         f"no healthy shard left in {self.name} "
-                        f"(health: {self.health.snapshot()})")
+                        f"(health: {health.snapshot()})")
                 # Every healthy shard's breaker is open: answer locally from
                 # the cheap fallback tiers with explicit provenance instead
                 # of hammering shards the breakers just isolated.
@@ -351,8 +362,7 @@ class ClusterService:
         # then answers from its stale cache or the embedding tier, both far
         # below full-search cost, instead of deepening the queue.
         shed = dataclasses.replace(request, latency_budget_ms=0.0)
-        return _Dispatch(self._claim(available[0]), "shed", shed,
-                         fault="circuit_open" if breaker_blocked else None)
+        return _Dispatch(self._claim(spare), "shed", shed, fault=fault)
 
     # ------------------------------------------------------------------ #
     # serving
@@ -368,15 +378,20 @@ class ClusterService:
         original request order.
         """
         self.admission.begin_burst()
+        routing = self.routing
         dispatches: List[_Dispatch] = []
         groups: Dict[int, List[int]] = {}
+        bypassed: List[int] = []
         for index, request in enumerate(requests):
             dispatch = self._dispatch(request)
-            self.routing.count(dispatch.disposition)
+            routing.count(dispatch.disposition)
             dispatches.append(dispatch)
-            if not dispatch.bypass:
+            if dispatch.bypass:
+                bypassed.append(index)
+            else:
                 groups.setdefault(dispatch.shard_id, []).append(index)
 
+        provenance = self.breaker is not None or self.injector is not None
         responses: List[Optional[RecommendationResponse]] = [None] * len(dispatches)
         for shard_id in sorted(groups):
             indices = groups[shard_id]
@@ -391,7 +406,8 @@ class ClusterService:
             else:
                 self._record_shard_success(shard_id)
             for index, response in zip(indices, served):
-                if dispatches[index].disposition == "shed":
+                dispatch = dispatches[index]
+                if dispatch.disposition == "shed":
                     # Restore the caller's request (the zero-budget rewrite is
                     # an internal routing device) and mark the degradation, so
                     # replay records and oracles see an honest "this answer
@@ -399,20 +415,20 @@ class ClusterService:
                     # violation on an unconstrained request.
                     response.request = requests[index]
                     response.shed = True
-                self._apply_fault_provenance(dispatches[index],
-                                             requests[index], response)
+                if provenance:
+                    self._apply_fault_provenance(dispatch, requests[index],
+                                                 response)
                 if response.fault is not None:
-                    self.routing.faulted += 1
+                    routing.faulted += 1
                 responses[index] = response
 
-        for index, dispatch in enumerate(dispatches):
-            if dispatch.bypass:
-                response = self._shed_serve(
-                    requests[index], dispatch.shard_id, dispatch.fault)
-                self._apply_fault_provenance(dispatch, requests[index],
-                                             response)
-                self.routing.faulted += 1
-                responses[index] = response
+        for index in bypassed:   # only open breakers bypass the shards
+            dispatch = dispatches[index]
+            response = self._shed_serve(
+                requests[index], dispatch.shard_id, dispatch.fault)
+            self._apply_fault_provenance(dispatch, requests[index], response)
+            routing.faulted += 1
+            responses[index] = response
         return responses  # type: ignore[return-value]
 
     @staticmethod
@@ -431,10 +447,9 @@ class ClusterService:
         and retry answers), then the dispatch decision (breaker reroutes),
         then the fault shadow of the request's cache key.  Any stamped answer
         taints the key, so answers downstream of fault-perturbed cache state
-        stay accounted for.
+        stay accounted for.  Only a cluster with a breaker or an injector
+        keeps provenance.
         """
-        if self.breaker is None and self.injector is None:
-            return
         key = self._shadow_key(request)
         if response.fault is None:
             response.fault = dispatch.fault or self._fault_shadow.get(key)

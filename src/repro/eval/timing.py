@@ -13,19 +13,7 @@ import gc
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence
-
-
-class PathProducingRecommender(Protocol):
-    """A recommender that can also enumerate raw paths (RL/path-based models)."""
-
-    name: str
-
-    def recommend_items(self, user_id: int, top_k: int = 10) -> List[int]:
-        ...
-
-    def find_paths(self, user_id: int, num_paths: int) -> Sequence:
-        ...
+from typing import Sequence
 
 
 @dataclass

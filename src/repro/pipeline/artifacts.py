@@ -18,7 +18,9 @@ pipeline compares that fingerprint against the current
 :meth:`RunConfig.stage_fingerprints` entry to decide whether the persisted
 artifact can be reused.  Manifest writes go through a temp-file rename so a
 crash mid-write never leaves a truncated manifest behind; a stale
-``manifest.json.tmp`` left by such a crash is swept on the next read.
+``manifest.json.tmp`` left by such a crash is swept on the next read.  A
+restore reads the manifest once: :meth:`ArtifactStore.pinned_manifest` holds
+the parsed copy for the whole read-only pass.
 
 **Integrity.**  :meth:`complete` records a blake2b checksum of every file in
 the stage directory alongside the fingerprint.  :meth:`load` re-hashes those
@@ -39,11 +41,12 @@ generation 0, so single-generation stores load unchanged;
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +83,8 @@ class ArtifactStore:
 
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
+        # The parsed manifest while a :meth:`pinned_manifest` block holds it.
+        self._pinned: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
     # manifest
@@ -93,6 +98,8 @@ class ArtifactStore:
         return self.root / CONFIG_NAME
 
     def read_manifest(self) -> Dict[str, Any]:
+        if self._pinned is not None:
+            return self._pinned
         stale = self.manifest_path.with_suffix(".json.tmp")
         if stale.exists():
             # Crash litter from an interrupted _write_manifest: the rename
@@ -116,6 +123,26 @@ class ArtifactStore:
         tmp = self.manifest_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, self.manifest_path)
+        if self._pinned is not None:
+            self._pinned = manifest
+
+    @contextlib.contextmanager
+    def pinned_manifest(self) -> Iterator["ArtifactStore"]:
+        """Read and parse ``manifest.json`` once for a whole read-only pass.
+
+        Inside the block every manifest lookup (the generation number,
+        checksum verification, completion checks) reuses one parsed copy
+        instead of re-reading the file; :func:`~repro.pipeline.load_pipeline`
+        restores a stack this way.  Entering the block is the one read, so
+        it still sweeps crash litter and raises :class:`ArtifactError` on a
+        corrupt manifest.  A manifest written inside the block replaces the
+        pinned copy.
+        """
+        self._pinned = self.read_manifest()
+        try:
+            yield self
+        finally:
+            self._pinned = None
 
     def fingerprint_of(self, stage: str) -> Optional[str]:
         """The recorded fingerprint of a completed stage (None if absent)."""
@@ -125,10 +152,6 @@ class ArtifactStore:
     def is_complete(self, stage: str, fingerprint: str) -> bool:
         """Whether ``stage`` finished under exactly this fingerprint."""
         return self.fingerprint_of(stage) == fingerprint
-
-    def metadata_of(self, stage: str) -> Dict[str, Any]:
-        entry = self.read_manifest()["stages"].get(stage) or {}
-        return dict(entry.get("metadata", {}))
 
     # ------------------------------------------------------------------ #
     # stage lifecycle

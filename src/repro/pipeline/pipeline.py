@@ -334,21 +334,24 @@ def load_pipeline(path: PathLike, until: Optional[Sequence[str]] = None,
     restore persisted reports.
     """
     root_store = ArtifactStore(path)
-    store = root_store.load(generation=generation)
-    if store.root != root_store.root:
-        # A live-refreshed generation: its nested store holds only the delta
-        # slice and refreshed arrays, so the live loader rebuilds it on top
-        # of the base artifacts (deferred import — pipeline stays live-free).
-        from ..live.refresh import load_generation_result
+    # A restore only reads, so the root manifest is parsed once for it.
+    with root_store.pinned_manifest():
+        store = root_store.load(generation=generation)
+        if store.root != root_store.root:
+            # A live-refreshed generation: its nested store holds only the
+            # delta slice and refreshed arrays, so the live loader rebuilds
+            # it on top of the base artifacts (deferred import — pipeline
+            # stays live-free).
+            from ..live.refresh import load_generation_result
 
-        return load_generation_result(root_store, store, until=until,
-                                      config=config)
-    if config is None:
-        config_path = (store.config_path if store.config_path.exists()
-                       else root_store.config_path)
-        if not config_path.exists():
-            raise PipelineError(f"{root_store.root} has no config.json; "
-                                "not a pipeline artifact directory")
-        config = RunConfig.from_json(config_path.read_text())
-    pipeline = Pipeline(config, store=store)
-    return pipeline.run(until=until or ("train",), require_cached=True)
+            return load_generation_result(root_store, store, until=until,
+                                          config=config)
+        if config is None:
+            config_path = (store.config_path if store.config_path.exists()
+                           else root_store.config_path)
+            if not config_path.exists():
+                raise PipelineError(f"{root_store.root} has no config.json; "
+                                    "not a pipeline artifact directory")
+            config = RunConfig.from_json(config_path.read_text())
+        pipeline = Pipeline(config, store=store)
+        return pipeline.run(until=until or ("train",), require_cached=True)

@@ -130,10 +130,6 @@ class ComparisonMatrix:
         return sum(episode.oracle_mismatches
                    for cell in self.cells for episode in cell.episodes)
 
-    def total_shed(self) -> int:
-        return sum(episode.shed
-                   for cell in self.cells for episode in cell.episodes)
-
     def all_answered(self) -> bool:
         """Every request of every episode got an answer (shed counts too —
         shedding degrades provenance, it never drops the request)."""

@@ -82,8 +82,9 @@ class ServingTelemetry:
     def record(self, latency_ms: float, tier: Any, cache_hit: bool = False) -> None:
         """Record one served request (``tier`` is a ``ServingTier`` or string)."""
         self._samples.append((self._clock(), float(latency_ms)))
-        self._tier_counts[str(getattr(tier, "value", tier))] += 1
-        self._cache_hits += int(cache_hit)
+        self._tier_counts[getattr(tier, "value", tier)] += 1
+        if cache_hit:
+            self._cache_hits += 1
         self._requests += 1
 
     # ------------------------------------------------------------------ #

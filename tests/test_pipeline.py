@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.darl import CADRLConfig
 from repro.data import Interaction, InteractionDataset, load_dataset
 from repro.experiments import EXPERIMENTS
 from repro.pipeline import (
+    ArtifactError,
     ArtifactStore,
     Pipeline,
     PipelineError,
@@ -351,6 +354,43 @@ class TestArtifactRoundTrip:
         changed.model.darl.epochs = 99
         with pytest.raises(PipelineError, match="fingerprint|missing"):
             load_pipeline(store, config=changed)
+
+    def test_a_restore_reads_the_manifest_once(self, trained, tmp_path,
+                                               monkeypatch):
+        store, result = trained
+        root = shutil.copytree(store, tmp_path / "store")
+        stale = root / "manifest.json.tmp"
+        stale.write_text('{"partial":')   # crash litter of a torn write
+        reads = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            if path.name == "manifest.json":
+                reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        loaded = load_pipeline(root, until=("train", "eval", "serve-check"))
+        assert reads == [root / "manifest.json"]
+        assert not stale.exists()
+        assert set(loaded.statuses.values()) == {"cached"}
+        assert loaded.eval_metrics == result.eval_metrics
+        # Outside a restore the store reads the file afresh each time.
+        ArtifactStore(root).read_manifest()
+        ArtifactStore(root).read_manifest()
+        assert len(reads) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "corrupt manifest"),
+        ("[1, 2, 3]", "expected a JSON object"),
+    ])
+    def test_a_restore_rejects_a_corrupt_manifest(self, trained, tmp_path,
+                                                  text, message):
+        store, _ = trained
+        root = shutil.copytree(store, tmp_path / "store")
+        (root / "manifest.json").write_text(text)
+        with pytest.raises(ArtifactError, match=message):
+            load_pipeline(root)
 
     def test_manifest_gates_partial_artifacts(self, tmp_path):
         config = tiny_config()

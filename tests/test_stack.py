@@ -83,6 +83,8 @@ class TestSpecRejections:
         (["--max-queue", "8"], "--max-queue 8 bounds a cluster shard's admission queue"),
         (["--max-queue", "8", "--shards", "1"], "one-shard replay has none"),
         (["--replicas", "0", "--shards", "2"], "--replicas 0 must be positive"),
+        (["--replicas", "3"], "--replicas 3 sets a cluster key's replica chain"),
+        (["--replicas", "1", "--shards", "1"], "one-shard replay has none"),
         (["--autoscale", "--scale-tick", "0"], "--scale-tick 0.0 must be positive"),
         (["--faults", "plan.json", "--chaos-seed", "1"], "not both"),
     ])
